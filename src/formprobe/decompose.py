@@ -72,7 +72,8 @@ def hodge_decompose(e: FormField, eps: Transformation | None = None,
     frequency-side projectors.  With a material eps the co-exact part is
     taken in the eps-weighted sense (delta(eps coexact) = 0); it is found
     by a damping-one fixed-point iteration on the exact component and
-    reported with its final update size.
+    reported with its final update size.  The iteration raises
+    RuntimeError when it diverges or reaches ``max_iter`` above ``tol``.
     """
     if e.spectral:
         raise ValueError("decompose position-space fields")
@@ -103,6 +104,10 @@ def hodge_decompose(e: FormField, eps: Transformation | None = None,
                 f"weighted decomposition diverged (update {residual:.3e} "
                 f"after {it} iterations); material contrast too strong "
                 f"for the damping-one iteration")
+    if not residual <= tol:  # also catches a NaN update
+        raise RuntimeError(
+            f"weighted decomposition did not converge (update {residual:.3e} "
+            f"> tol {tol:.1e} after {max_iter} iterations)")
     return HodgeSplit(a, target - a, mean, it, residual)
 
 

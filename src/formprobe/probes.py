@@ -109,13 +109,27 @@ def _ratio(numerator: float, denominator: float) -> float:
     return 0.0 if denominator == 0.0 else numerator / denominator
 
 
+def _member_spectra(e: FormField, eps: Transformation) -> tuple:
+    """F(E), F(dE) and F(delta(eps E)) from one transform of E.
+
+    A non-identity material costs one more transform, of eps E.  The
+    derivative slots are None at the rank where the operator is undefined.
+    """
+    hat = fourier(e)
+    de = exterior_d(hat) if e.rank < e.grid.dim else None
+    delta_eps = None
+    if e.rank > 0:
+        delta_eps = coderivative_delta(hat if eps.is_identity()
+                                       else fourier(eps.apply(e)))
+    return hat, de, delta_eps
+
+
 def _interior_sample(member, eps: Transformation, order: int, weight: float,
                      scale: str) -> dict:
     e = member.field()
-    de = exterior_d(e) if e.rank < e.grid.dim else None
-    delta_eps = coderivative_delta(eps.apply(e)) if e.rank > 0 else None
+    hat, de, delta_eps = _member_spectra(e, eps)
     data_weight = weight + 1 if scale == BOLD else weight
-    numerator = weighted_sobolev_norm(e, NormSpec(order + 1, weight, scale))
+    numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, weight, scale))
     denominator = norm(e, weight)
     if de is not None:
         denominator += weighted_sobolev_norm(de, NormSpec(order, data_weight, scale))
@@ -255,9 +269,8 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
         e = halfspace_member(g, rank, seed + 1000 * i, envelope_decay=2.5,
                              kmax=kmax)
         trace_rel = validate_halfspace_member(e)
-        de = exterior_d(e) if rank < dim else None
-        delta_eps = coderivative_delta(material.apply(e)) if rank > 0 else None
-        numerator = weighted_sobolev_norm(e, NormSpec(order + 1, 0.0, ROMAN))
+        hat, de, delta_eps = _member_spectra(e, material)
+        numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, 0.0, ROMAN))
         denominator = norm(e)
         if de is not None:
             denominator += weighted_sobolev_norm(de, NormSpec(order, 0.0, ROMAN))
@@ -777,9 +790,10 @@ def run_identity_suite(dim: int, grid_points: int = 32, seed: int = 0) -> ProbeR
     """Run every module invariant and report one pass/fail line each.
 
     Floating-point identities run on the requested grid (box half-length
-    3).  Exactness checks run on a fixed dyadic grid (L = 1, n = 32) where
-    integer-valued data keeps the arithmetic exact, and the weight
-    commutator runs on the fixed grid that resolves the weight (n = 64).
+    3).  Exactness checks run on a fixed dyadic grid (L = 1, n = 32; n = 16
+    at N = 4) where integer-valued data keeps the arithmetic exact, and the
+    weight commutator runs on the fixed grid that resolves the weight
+    (n = 64).
     """
     if dim > 4:
         raise ValueError("identity suite is sized for dimensions up to 4")
@@ -799,7 +813,7 @@ def run_identity_suite(dim: int, grid_points: int = 32, seed: int = 0) -> ProbeR
     report = ProbeReport(
         probe="identities",
         params={"dim": dim, "grid": grid_points, "seed": seed,
-                "box_half_length": 3.0, "exactness_grid": 32,
+                "box_half_length": 3.0, "exactness_grid": exact_grid.points,
                 "commutator_grid": 64},
         samples=checks)
     report.aggregates = {"n_total": len(checks),

@@ -3,7 +3,11 @@
 Two scales share one weight rho = (1 + r^2)^(1/2): the plain scale uses
 rho^s for every derivative order, the stronger scale raises the exponent
 by one per derivative.  Partial derivatives are spectral; the weight is
-applied in position space.
+applied in position space.  The Sobolev norm takes a field in either space
+(``FormField.spectral``): it transforms forward at most once, takes every
+term whose weight exponent is 0 on the frequency grid by Parseval (the
+transform is unitary), and inverts only the terms with a nonzero weight
+exponent, one at a time.
 """
 
 from __future__ import annotations
@@ -58,27 +62,38 @@ def _derivative_orders(dim: int, max_order: int):
 
 def weighted_sobolev_norm(e: FormField, spec: NormSpec,
                           max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """sqrt of sum over |alpha| <= m of ||rho^w(alpha) d^alpha E||^2."""
-    if e.spectral:
-        raise ValueError("weighted norms act on position-space fields")
+    """sqrt of sum over |alpha| <= m of ||rho^w(alpha) d^alpha E||^2.
+
+    ``e`` may live in position or frequency space.  A term with weight
+    exponent 0 is ||symbol F(E)|| on the frequency grid (Parseval).  A
+    weighted term needs d^alpha E in position space and costs one inverse
+    transform, except the alpha = 0 term of a position-space field.  The
+    forward transform of a position-space field is made at most once, and
+    only when some derivative term needs it.
+    """
     if spec.order > max_order:
         raise ValueError(
             f"derivative order m={spec.order} exceeds the supported band-limit "
             f"order {max_order}; raise max_order explicitly if the grid resolves it")
-    hat = fourier(e)
+    hat = e if e.spectral else None
     freqs = e.grid.freq_fields()
     total = 0.0
     for alpha in _derivative_orders(e.grid.dim, spec.order):
         k = sum(alpha)
+        exponent = spec.exponent(k)
+        if k == 0 and not e.spectral:
+            total += norm(e, exponent) ** 2
+            continue
+        if hat is None:
+            hat = fourier(e)
         symbol = np.ones((), np.complex128)
         for ax, a in enumerate(alpha):
             if a:
                 symbol = symbol * (1j * freqs[ax]) ** a
-        if k == 0:
-            deriv = e
-        else:
-            deriv = fourier_inverse(hat.with_data(symbol * hat.data))
-        total += norm(deriv, spec.exponent(k)) ** 2
+        deriv = hat.with_data(symbol * hat.data) if k else hat
+        if exponent != 0.0:
+            deriv = fourier_inverse(deriv)
+        total += norm(deriv, exponent) ** 2
     return math.sqrt(total)
 
 

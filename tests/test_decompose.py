@@ -204,3 +204,11 @@ def test_weighted_split_divergence_reported():
     e = random_band_limited(g, 1, 37, real=False)
     with pytest.raises(RuntimeError, match="diverged"):
         hodge_decompose(e, eps=eps, max_iter=60)
+
+
+def test_weighted_split_unconverged_raises():
+    g = GridSpec(2, 3.0, 32)
+    eps = scalar_catalog(g, "gauss_well", amplitude=0.6, width=1.0)
+    e = random_band_limited(g, 1, 31, real=False)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        hodge_decompose(e, eps=eps, max_iter=2)

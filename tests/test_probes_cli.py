@@ -89,6 +89,7 @@ def test_constant_field_ratio_is_one():
 def test_identity_suite_dimension_four_six_component_forms():
     report = run_identity_suite(4, 16, seed=0)
     assert report.passed
+    assert report.params["exactness_grid"] == 16
 
 
 def test_halfspace_probe_flags():

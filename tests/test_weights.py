@@ -8,7 +8,8 @@ from formprobe.fields import (FormField, GridSpec, apply_R, apply_T, l2_inner,
                               norm)
 from formprobe.manufactured import gaussian_form, random_band_limited
 from formprobe.media import scalar_catalog
-from formprobe.spectral import coderivative_delta, exterior_d
+from formprobe import weights
+from formprobe.spectral import coderivative_delta, exterior_d, fourier
 from formprobe.weights import (BOLD, ROMAN, NormSpec, annulus_split_bound,
                                graph_norm, rho, rho_power,
                                weighted_sobolev_norm)
@@ -76,6 +77,50 @@ def test_order_one_norm_quadrature_oracle():
     expected = math.sqrt(total)
     got = weighted_sobolev_norm(e, NormSpec(1, s, ROMAN))
     assert got == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("scale", (ROMAN, BOLD))
+def test_norm_agrees_across_position_and_frequency_space(scale):
+    g = GridSpec(2, 3.0, 32)
+    e = gaussian_form(g, 1, 41, decay=3.0).field()
+    hat = fourier(e)
+    for m in (0, 1, 2, 3):
+        for s in (-1.0, 0.0, 1.5):
+            spec = NormSpec(m, s, scale)
+            assert weighted_sobolev_norm(hat, spec) \
+                == pytest.approx(weighted_sobolev_norm(e, spec), rel=1e-12)
+
+
+def test_norm_transform_counts(monkeypatch):
+    g = GridSpec(2, 3.0, 16)
+    e = gaussian_form(g, 1, 43).field()
+    hat = fourier(e)
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(field):
+            counts[name] += 1
+            return fn(field)
+        return wrapper
+
+    monkeypatch.setattr(weights, "fourier", counted("forward", weights.fourier))
+    monkeypatch.setattr(weights, "fourier_inverse",
+                        counted("inverse", weights.fourier_inverse))
+
+    def made(field, spec):
+        counts.update(forward=0, inverse=0)
+        weighted_sobolev_norm(field, spec)
+        return counts["forward"], counts["inverse"]
+
+    # zero weight: one forward transform of a position field, no inverse
+    assert made(e, NormSpec(2, 0.0, ROMAN)) == (1, 0)
+    assert made(hat, NormSpec(2, 0.0, ROMAN)) == (0, 0)
+    # order 0 needs no derivative, whatever the weight
+    assert made(e, NormSpec(0, 1.5, ROMAN)) == (0, 0)
+    assert made(e, NormSpec(0, 0.0, ROMAN)) == (0, 0)
+    # one inverse per weighted derivative term, here the two first partials
+    assert made(e, NormSpec(1, 0.0, BOLD)) == (1, 2)
+    assert made(hat, NormSpec(1, 0.0, BOLD)) == (0, 2)
 
 
 def test_order_cap_reported():
