@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FormField, GridSpec
+from .fields import FormField, GridSpec, hodge_star
 
 
 @dataclass(frozen=True)
@@ -33,31 +33,21 @@ class VectorFieldN3:
 
 
 def vector_to_form(v: VectorFieldN3, rank: int) -> FormField:
-    """v as a 1-form (componentwise) or 2-form (cyclic area elements)."""
-    if rank == 1:
-        return FormField.from_components(v.grid, 1, {
-            (1,): v.components[0], (2,): v.components[1], (3,): v.components[2]})
-    if rank == 2:
-        # v1 dx23 + v2 dx31 + v3 dx12, in increasing-index components
-        return FormField.from_components(v.grid, 2, {
-            (2, 3): v.components[0],
-            (1, 3): -v.components[1],
-            (1, 2): v.components[2]})
-    raise ValueError("bridge ranks are 1 and 2")
+    """v as a 1-form (componentwise) or as its star, the 2-form
+    v1 dx23 + v2 dx31 + v3 dx12 (cyclic area elements)."""
+    if rank not in (1, 2):
+        raise ValueError("bridge ranks are 1 and 2")
+    e = FormField(v.grid, 1, v.components.copy())
+    return e if rank == 1 else hodge_star(e)
 
 
 def form_to_vector(e: FormField) -> VectorFieldN3:
     if e.grid.dim != 3:
         raise ValueError("vector bridge requires N = 3")
-    if e.rank == 1:
-        comps = np.stack([e.component((1,)), e.component((2,)),
-                          e.component((3,))])
-    elif e.rank == 2:
-        comps = np.stack([e.component((2, 3)), -e.component((1, 3)),
-                          e.component((1, 2))])
-    else:
+    if e.rank not in (1, 2):
         raise ValueError("bridge ranks are 1 and 2")
-    return VectorFieldN3(e.grid, comps)
+    # star is an involution at N = 3
+    return VectorFieldN3(e.grid, (e if e.rank == 1 else hodge_star(e)).data.copy())
 
 
 # ---------------------------------------------------------------------------

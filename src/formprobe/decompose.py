@@ -57,9 +57,9 @@ def _split_spectral(hat: FormField) -> tuple:
         exact_hat = nonzero
         coexact_hat = hat.with_data(np.zeros_like(hat.data))
     else:
-        exact_hat = apply_R(apply_T(nonzero, "frequency"), "frequency")
+        exact_hat = apply_R(apply_T(nonzero))
         exact_hat = exact_hat.with_data(inv * exact_hat.data)
-        coexact_hat = apply_T(apply_R(nonzero, "frequency"), "frequency")
+        coexact_hat = apply_T(apply_R(nonzero))
         coexact_hat = coexact_hat.with_data(inv * coexact_hat.data)
     return exact_hat, coexact_hat, mean_hat
 
@@ -128,7 +128,7 @@ def potential_for_exact(e_exact: FormField, tol: float = 1e-8) -> FormField:
         if closed_res > tol * max(norm(e_exact), 1e-300):
             raise ValueError(f"input is not closed: ||d E|| = {closed_res:.3e}")
     inv = _inv_symbol(e_exact.grid)
-    phi_hat = apply_T(hat, "frequency")
+    phi_hat = apply_T(hat)
     phi_hat = phi_hat.with_data(-1j * inv * phi_hat.data)
     return fourier_inverse(phi_hat)
 
@@ -165,7 +165,7 @@ def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
             raise ValueError(f"input is not co-closed: relative "
                              f"||delta E|| = {coclosed_res:.3e}")
     inv = _inv_symbol(e.grid)
-    h_hat = apply_R(hat, "frequency")
+    h_hat = apply_R(hat)
     h_hat = h_hat.with_data(-1j * inv * h_hat.data)
     h = fourier_inverse(h_hat)
     residual = norm(coderivative_delta(h) - e) / scale

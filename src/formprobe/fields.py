@@ -2,9 +2,11 @@
 
 A rank-q form on an N-dimensional periodic box is stored as a stack of
 C(N, q) complex scalar fields, one per strictly increasing multi-index,
-in lexicographic multi-index order.  All sign conventions (wedge splits,
-Hodge star, coordinate insertion) funnel through the permutation-sign
-helpers below so that every operator shares one source of truth.
+in lexicographic multi-index order.  Every signed map between components
+(wedge splits, Hodge star, R and T, the tangential/normal split, traces,
+mirrors and axis pullbacks) is a cached ``sign_table`` built from
+``merge_sign`` and applied by the one kernel ``apply_table``, on the
+periodic box, the half box, the boundary plane or the frequency grid.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class GridSpec:
     dim: int
     half_length: float
     points: int
-    periodic: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -287,114 +288,230 @@ def _check_compatible(a: FormField, b: FormField, same_rank: bool = True):
 
 
 # ---------------------------------------------------------------------------
+# sign tables: every signed map between form components
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def normal_mask(dim: int, rank: int) -> np.ndarray:
+    """Boolean mask of the rank-q components whose index contains N."""
+    mask = np.array([dim in mi for mi in multi_indices(dim, rank)], bool)
+    mask.flags.writeable = False
+    return mask
+
+
+@dataclass(frozen=True)
+class SignTable:
+    """Sparse signed map from one component stack to another.
+
+    ``entries`` holds (target, source, sign, factor) tuples grouped by
+    target in ascending order, each target's terms in accumulation order.
+    ``factor`` indexes the stack multiplied into the term (the 0-based axis
+    for R and T, the component of the second form for the wedge) or is
+    None.  In a paired table (the wedge of equal ranks) consecutive entries
+    form one term.
+    """
+
+    targets: int
+    sources: int
+    entries: tuple
+    paired: bool = False
+
+
+def _insertion_entries(dim: int, rank: int, contract: bool) -> list:
+    """dx^j wedged onto each rank-q index (R), or contracted out of it (T),
+    with the sign of merging (j,) into the rest.  The terms of a target
+    descend in j, the lexicographic order of their sources."""
+    entries = []
+    for t, mi in enumerate(multi_indices(dim, rank + (-1 if contract else 1))):
+        for j in range(dim, 0, -1):
+            if (j in mi) != contract:
+                rest = tuple(i for i in mi if i != j)
+                merged, sign = merge_sign((j,), rest)
+                entries.append((t, index_position(dim, merged if contract else rest),
+                                sign, j - 1))
+    return entries
+
+
+def _wedge_entries(dim: int, p: int, q: int) -> list:
+    """Splits of each rank-(p+q) index into a rank-p and a rank-q part.
+
+    Equal ranks pair the two orientations of each split (low index in the
+    first part), which makes graded anticommutation exact in floating point.
+    """
+    if p == q == 0:
+        return [(0, 0, 1, 0)]
+    entries = []
+    for t, k_mi in enumerate(multi_indices(dim, p + q)):
+        for d_mi in combinations(k_mi, min(p, q)):
+            if p == q and k_mi[0] not in d_mi:
+                continue
+            rest = tuple(i for i in k_mi if i not in d_mi)
+            left, right = (d_mi, rest) if p <= q else (rest, d_mi)
+            entries.append((t, index_position(dim, left),
+                            merge_sign(left, right)[1], index_position(dim, right)))
+            if p == q:
+                entries.append((t, index_position(dim, right),
+                                merge_sign(right, left)[1], index_position(dim, left)))
+    return entries
+
+
+def _pullback_entries(dim: int, rank: int, sigma: tuple, flips: tuple) -> list:
+    """tau^* on rank-q components for tau_i(x) = flips_i x_sigma(i)."""
+    entries = []
+    for pos, mi in enumerate(multi_indices(dim, rank)):
+        sign = math.prod(flips[i - 1] for i in mi)
+        merged = ()
+        for axis in reversed([sigma[i - 1] for i in mi]):
+            merged, s = merge_sign((axis,), merged)
+            sign *= s
+        entries.append((index_position(dim, merged), pos, sign, None))
+    return sorted(entries)
+
+
+@lru_cache(maxsize=None)
+def sign_table(kind, dim: int, rank: int) -> SignTable:
+    """The cached sign table of a map on rank-q components in dimension N.
+
+    kind is "star", "R", "T", "tangential", "normal", "trace" (drop the
+    components with N: dimension N to N - 1), "extend" (its transpose),
+    ("wedge", q2) for the product with a rank-q2 form, or
+    ("pullback", sigma, flips) for a signed permutation of the axes.
+    Every sign comes from ``merge_sign``.
+    """
+    name = kind if isinstance(kind, str) else kind[0]
+    mis = multi_indices(dim, rank)
+    targets = sources = len(mis)
+    paired = False
+    if name == "star":
+        entries = sorted((index_position(dim, complement_index(mi, dim)), pos,
+                          star_sign(mi, dim), None) for pos, mi in enumerate(mis))
+    elif name in ("R", "T"):
+        targets = n_components(dim, rank + (1 if name == "R" else -1))
+        entries = _insertion_entries(dim, rank, name == "T")
+    elif name in ("tangential", "normal"):
+        entries = [(pos, pos, 1, None) for pos, mi in enumerate(mis)
+                   if (dim in mi) == (name == "normal")]
+    elif name == "trace":
+        targets = n_components(dim - 1, rank)
+        entries = [(pos, index_position(dim, mi), 1, None)
+                   for pos, mi in enumerate(multi_indices(dim - 1, rank))]
+    elif name == "extend":
+        trace = sign_table("trace", dim, rank)
+        sources = trace.targets
+        entries = sorted((s, t, sign, f) for t, s, sign, f in trace.entries)
+    elif name == "wedge":
+        targets = n_components(dim, rank + kind[1])
+        paired = rank == kind[1] > 0
+        entries = _wedge_entries(dim, rank, kind[1])
+    elif name == "pullback":
+        entries = _pullback_entries(dim, rank, kind[1], kind[2])
+    else:
+        raise ValueError(f"unknown sign table {kind!r}")
+    return SignTable(targets, sources, tuple(entries), paired)
+
+
+def table_matrix(table: SignTable) -> np.ndarray:
+    """Dense (targets, sources) matrix of a table without factors."""
+    mat = np.zeros((table.targets, table.sources))
+    for t, s, sign, _ in table.entries:
+        mat[t, s] = sign
+    return mat
+
+
+def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
+    """Apply a sign table to component arrays of any trailing node shape.
+
+    Each entry (t, s, sign, f) adds sign * term to out[t]: term is
+    source[s], source[s] * factors[f] when factors are given, or
+    source[f][s] when ``source`` is a sequence of stacks, one per factor
+    (d and delta assembled from given partials).  Each target adds its
+    terms in table order; a paired table sums each pair first.
+    """
+    if not isinstance(source, np.ndarray):
+        nodes, term = source[0].shape[1:], lambda s, f: source[f][s]
+    elif factors is None:
+        nodes, term = source.shape[1:], lambda s, f: source[s]
+    else:
+        nodes, term = source.shape[1:], lambda s, f: source[s] * factors[f]
+    out = np.empty((table.targets,) + nodes, np.complex128)
+    step = 2 if table.paired else 1
+    last = -1
+    for i in range(0, len(table.entries), step):
+        t, s, sign, f = table.entries[i]
+        value = term(s, f)
+        if table.paired:  # value is a fresh product here
+            _, s2, sign2, f2 = table.entries[i + 1]
+            if sign < 0:
+                np.negative(value, out=value)
+            if sign2 > 0:
+                value += term(s2, f2)
+            else:
+                value -= term(s2, f2)
+            sign = 1
+        if t != last:
+            out[last + 1:t] = 0.0
+            if sign > 0:
+                out[t] = value
+            else:
+                np.negative(value, out=out[t])
+        elif sign > 0:
+            out[t] += value
+        else:
+            out[t] -= value
+        last = t
+    out[last + 1:] = 0.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # pointwise operator algebra
 # ---------------------------------------------------------------------------
 
 def wedge(e: FormField, f: FormField) -> FormField:
-    """Exterior product of a rank-p and a rank-q form.
-
-    Splits of each output index are accumulated in a canonical order that
-    pairs the two orientations of equal-size splits, which makes the graded
-    anticommutation rule hold exactly in floating point.
-    """
+    """Exterior product of a rank-p and a rank-q form."""
     _check_compatible(e, f, same_rank=False)
-    p, q = e.rank, f.rank
     dim = e.grid.dim
-    if p + q > dim:
-        raise ValueError(f"rank overflow: {p} + {q} > {dim}")
-    out = np.zeros((n_components(dim, p + q),) + e.grid.shape, np.complex128)
-    for k_pos, k_mi in enumerate(multi_indices(dim, p + q)):
-        acc = out[k_pos]
-        if p < q:
-            for d_mi in combinations(k_mi, p):
-                rest = tuple(i for i in k_mi if i not in d_mi)
-                _, sign = merge_sign(d_mi, rest)
-                acc += sign * (e.component(d_mi) * f.component(rest))
-        elif q < p:
-            for d_mi in combinations(k_mi, q):
-                rest = tuple(i for i in k_mi if i not in d_mi)
-                _, sign = merge_sign(rest, d_mi)
-                acc += sign * (e.component(rest) * f.component(d_mi))
-        else:
-            if p == 0:
-                acc += e.data[0] * f.data[0]
-                continue
-            low = k_mi[0]
-            for d_mi in combinations(k_mi, p):
-                if low not in d_mi:
-                    continue
-                rest = tuple(i for i in k_mi if i not in d_mi)
-                _, sign = merge_sign(d_mi, rest)
-                term = sign * (e.component(d_mi) * f.component(rest))
-                if rest:
-                    _, csign = merge_sign(rest, d_mi)
-                    term = term + csign * (e.component(rest) * f.component(d_mi))
-                acc += term
-    return FormField(e.grid, p + q, out, e.spectral)
+    if e.rank + f.rank > dim:
+        raise ValueError(f"rank overflow: {e.rank} + {f.rank} > {dim}")
+    out = apply_table(sign_table(("wedge", f.rank), dim, e.rank), e.data, f.data)
+    return e.with_data(out, rank=e.rank + f.rank)
 
 
-def hodge_star(e: FormField) -> FormField:
-    """Euclidean Hodge star: (star E)_{I^c} = sign(I, I^c) E_I."""
+def hodge_star(e):
+    """Euclidean Hodge star: (star E)_{I^c} = sign(I, I^c) E_I.
+
+    Acts on any component container with ``with_data`` (the half box too).
+    """
     dim = e.grid.dim
-    out = np.empty((n_components(dim, dim - e.rank),) + e.grid.shape, np.complex128)
-    for mi in multi_indices(dim, e.rank):
-        comp = complement_index(mi, dim)
-        out[index_position(dim, comp)] = star_sign(mi, dim) * e.component(mi)
-    return FormField(e.grid, dim - e.rank, out, e.spectral)
+    return e.with_data(apply_table(sign_table("star", dim, e.rank), e.data),
+                       rank=dim - e.rank)
 
 
-def _coordinate_fields(grid: GridSpec, coords: str) -> tuple:
-    if coords == "position":
-        return grid.coord_fields()
-    if coords == "frequency":
-        return grid.freq_fields()
-    raise ValueError(f"coords must be 'position' or 'frequency', got {coords!r}")
-
-
-def default_coords(e: FormField) -> str:
-    return "frequency" if e.spectral else "position"
-
-
-def apply_R(e: FormField, coords: str | None = None) -> FormField:
-    """Multiplication operator sum_n c_n dx^n wedge E with c the coordinates."""
-    if coords is None:
-        coords = default_coords(e)
-    dim = e.grid.dim
-    if e.rank >= dim:
+def apply_R(e: FormField) -> FormField:
+    """Multiplication operator sum_n c_n dx^n wedge E; c are the position
+    coordinates, or the frequencies for a spectral field."""
+    if e.rank >= e.grid.dim:
         raise ValueError("rank overflow: R on a top-rank form")
-    cfields = _coordinate_fields(e.grid, coords)
-    out = np.zeros((n_components(dim, e.rank + 1),) + e.grid.shape, np.complex128)
-    for mi in multi_indices(dim, e.rank):
-        comp = e.component(mi)
-        for n in range(1, dim + 1):
-            if n in mi:
-                continue
-            merged, sign = merge_sign((n,), mi)
-            out[index_position(dim, merged)] += sign * (cfields[n - 1] * comp)
-    return FormField(e.grid, e.rank + 1, out, e.spectral)
+    coords = e.grid.freq_fields() if e.spectral else e.grid.coord_fields()
+    out = apply_table(sign_table("R", e.grid.dim, e.rank), e.data, coords)
+    return e.with_data(out, rank=e.rank + 1)
 
 
-def apply_T(e: FormField, coords: str | None = None) -> FormField:
-    """Star-dual of R on rank-q forms: (-1)^((q-1) N) star R star."""
+def apply_T(e: FormField) -> FormField:
+    """Contraction with the same c, the star-dual of R on rank-q forms:
+    T = (-1)^((q-1) N) star R star."""
     if e.rank < 1:
         raise ValueError("rank underflow: T on a rank-0 form")
-    dim = e.grid.dim
-    sign = -1 if ((e.rank - 1) * dim) % 2 else 1
-    result = hodge_star(apply_R(hodge_star(e), coords))
-    return result if sign == 1 else -result
+    coords = e.grid.freq_fields() if e.spectral else e.grid.coord_fields()
+    out = apply_table(sign_table("T", e.grid.dim, e.rank), e.data, coords)
+    return e.with_data(out, rank=e.rank - 1)
 
 
-def split_tangential_normal(e: FormField) -> tuple:
+def split_tangential_normal(e) -> tuple:
     """Pointwise orthogonal split by whether the last axis is in the index."""
-    dim = e.grid.dim
-    tau = np.array(e.data, copy=True)
-    rho = np.array(e.data, copy=True)
-    for pos, mi in enumerate(multi_indices(dim, e.rank)):
-        if dim in mi:
-            tau[pos] = 0.0
-        else:
-            rho[pos] = 0.0
-    return e.with_data(tau), e.with_data(rho)
+    return tuple(e.with_data(apply_table(sign_table(part, e.grid.dim, e.rank),
+                                         e.data))
+                 for part in ("tangential", "normal"))
 
 
 # ---------------------------------------------------------------------------

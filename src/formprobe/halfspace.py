@@ -13,12 +13,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
-from .fields import (FormField, GridSpec, complement_index, index_position,
-                     insertion_sign, multi_indices, n_components, star_sign)
-from .media import IDENTITY, SCALAR, AdmissibilityError, Transformation
+from .fields import (FormField, GridSpec, apply_table, hodge_star,
+                     index_position, l2_inner, n_components, sign_table)
+from .media import Transformation
 
 GREGORY4 = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
 
@@ -29,7 +30,12 @@ GREGORY4 = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
 
 @dataclass(frozen=True)
 class HalfGridField:
-    """Form field on the lower half-box including the x_N = 0 plane."""
+    """Form field on the lower half-box including the x_N = 0 plane.
+
+    A plain container: the pointwise operators of ``fields`` act on it
+    through its component array, whose nodes are the first n/2 + 1 slices
+    of the periodic grid along x_N.
+    """
 
     grid: GridSpec          # the full periodic reference grid
     rank: int
@@ -46,10 +52,6 @@ class HalfGridField:
             object.__setattr__(self, "data",
                                np.ascontiguousarray(self.data, np.complex128))
         self.data.flags.writeable = False
-
-    @property
-    def indices(self) -> tuple:
-        return multi_indices(self.grid.dim, self.rank)
 
     def component(self, mi) -> np.ndarray:
         return self.data[index_position(self.grid.dim, tuple(mi))]
@@ -100,36 +102,26 @@ def half_norm(e: HalfGridField) -> float:
 def mirror_Sd(e: HalfGridField) -> FormField:
     """Extend across the plane: even where N is absent, odd where present.
 
+    The upper half is the pullback under the reflection x_N -> -x_N.
     Commutes with d on reflection-compatible fields and doubles the
     squared norm exactly in the grid quadrature.
     """
     dim = e.grid.dim
     n = e.grid.points
-    out = np.zeros((e.data.shape[0],) + e.grid.shape, np.complex128)
+    reflection = sign_table(("pullback", tuple(range(1, dim + 1)),
+                             (1,) * (dim - 1) + (-1,)), dim, e.rank)
+    out = np.empty((e.data.shape[0],) + e.grid.shape, np.complex128)
     out[..., : n // 2 + 1] = e.data
-    upper_src = e.data[..., 1 : n // 2][..., ::-1]   # x_N = -(L-h) .. -h reversed
-    for pos, mi in enumerate(multi_indices(dim, e.rank)):
-        sign = -1.0 if dim in mi else 1.0
-        out[pos, ..., n // 2 + 1 :] = sign * upper_src[pos]
+    # x_N = -(L-h) .. -h reversed
+    out[..., n // 2 + 1:] = apply_table(reflection, e.data[..., 1: n // 2][..., ::-1])
     return FormField(e.grid, e.rank, out)
-
-
-def _star_half(e: HalfGridField) -> HalfGridField:
-    dim = e.grid.dim
-    out = np.empty((n_components(dim, dim - e.rank),) + e.data.shape[1:],
-                   np.complex128)
-    for mi in multi_indices(dim, e.rank):
-        comp = complement_index(mi, dim)
-        out[index_position(dim, comp)] = star_sign(mi, dim) * e.component(mi)
-    return HalfGridField(e.grid, dim - e.rank, out)
 
 
 def mirror_Sdelta(e: HalfGridField) -> FormField:
     """Dual mirror (-1)^(q(N-q)) star Sd star; commutes with delta."""
-    from .fields import hodge_star
     dim = e.grid.dim
     sign = -1.0 if (e.rank * (dim - e.rank)) % 2 else 1.0
-    return sign * hodge_star(mirror_Sd(_star_half(e)))
+    return sign * hodge_star(mirror_Sd(hodge_star(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +139,9 @@ def _step_count(grid: GridSpec, step: float) -> int:
 def shift(e, axis: int, step: float):
     """Pullback by the translation x -> x + step e_axis (grid-aligned step)."""
     k = _step_count(e.grid, step)
-    if isinstance(e, HalfGridField):
-        if axis >= e.grid.dim:
-            raise ValueError("normal-axis shift is not defined on half-grid "
-                             "fields (tangential axes only)")
-        return e.with_data(np.roll(e.data, -k, axis=axis))
+    if isinstance(e, HalfGridField) and axis >= e.grid.dim:
+        raise ValueError("normal-axis shift is not defined on half-grid "
+                         "fields (tangential axes only)")
     return e.with_data(np.roll(e.data, -k, axis=axis))
 
 
@@ -170,17 +160,13 @@ def diff_quotient(e, axis: int, step: float):
 def boundary_grid(grid: GridSpec) -> GridSpec:
     if grid.dim < 2:
         raise ValueError("boundary plane needs ambient dimension >= 2")
-    return GridSpec(grid.dim - 1, grid.half_length, grid.points, grid.periodic)
+    return GridSpec(grid.dim - 1, grid.half_length, grid.points)
 
 
 def trace_tangential(e: HalfGridField) -> FormField:
     """Tangential trace: components without N, restricted to x_N = 0."""
-    dim = e.grid.dim
-    bgrid = boundary_grid(e.grid)
-    out = np.empty((n_components(dim - 1, e.rank),) + bgrid.shape, np.complex128)
-    for pos, mi in enumerate(multi_indices(dim - 1, e.rank)):
-        out[pos] = e.component(mi)[..., -1]
-    return FormField(bgrid, e.rank, out)
+    out = apply_table(sign_table("trace", e.grid.dim, e.rank), e.data[..., -1])
+    return FormField(boundary_grid(e.grid), e.rank, out)
 
 
 def trace_normal(e: HalfGridField) -> FormField:
@@ -191,13 +177,12 @@ def trace_normal(e: HalfGridField) -> FormField:
     of (x_1, .., x_(N-1)) by (-1)^(N-1); this is the sign that closes the
     Stokes pairing on the lower half-box.
     """
-    from .fields import hodge_star
     if e.rank < 1:
         raise ValueError("normal trace needs rank >= 1")
     dim = e.grid.dim
     sign = -1.0 if ((e.rank - 1) * dim) % 2 else 1.0
     orientation = -1.0 if (dim - 1) % 2 else 1.0
-    return (sign * orientation) * hodge_star(trace_tangential(_star_half(e)))
+    return (sign * orientation) * hodge_star(trace_tangential(hodge_star(e)))
 
 
 def extend_boundary_form(b: FormField, grid: GridSpec,
@@ -210,13 +195,8 @@ def extend_boundary_form(b: FormField, grid: GridSpec,
     with np.errstate(divide="ignore", over="ignore"):
         t = np.clip(np.abs(xn) / width, 0.0, 1.0)
         cutoff = np.where(t < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t * t, 1e-300)), 0.0)
-    dim = grid.dim
-    out = np.zeros((n_components(dim, b.rank),)
-                   + (grid.points,) * (dim - 1) + (grid.points // 2 + 1,),
-                   np.complex128)
-    for pos, mi in enumerate(multi_indices(dim - 1, b.rank)):
-        out[index_position(dim, mi)] = b.data[pos][..., None] * cutoff
-    return HalfGridField(grid, b.rank, out)
+    lifted = apply_table(sign_table("extend", grid.dim, b.rank), b.data)
+    return HalfGridField(grid, b.rank, lifted[..., None] * cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +219,9 @@ def _weighted_inner(a: HalfGridField, b: HalfGridField, w: np.ndarray) -> comple
     return complex(total * a.grid.cell_volume)
 
 
-def _boundary_inner(a: FormField, b: FormField) -> complex:
-    from .fields import l2_inner
-    return l2_inner(a, b)
-
-
 def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,
                             de: HalfGridField, delta_h: HalfGridField,
-                            quadrature: str = "gregory4",
-                            support_radius: float | None = None) -> float:
+                            quadrature: str = "gregory4") -> float:
     """|<dE, H> + <E, delta H> - <gamma_t E, gamma_n H>| on the half-box.
 
     Derivatives must be supplied (analytic for manufactured data).  The
@@ -259,9 +233,6 @@ def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,
     if e.rank + 1 != h.rank:
         raise ValueError("pairing needs rank(H) = rank(E) + 1")
     grid = e.grid
-    if support_radius is not None and support_radius >= grid.half_length / 2:
-        warnings.warn("forms reach into the outer half of the box; "
-                      "wrap-around may pollute the pairing", stacklevel=2)
     amp = max(float(np.abs(e.data).max()), float(np.abs(h.data).max()), 1e-300)
     edge = max(float(np.abs(e.data[..., 0]).max()),
                float(np.abs(h.data[..., 0]).max()))
@@ -275,60 +246,8 @@ def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,
     else:
         raise ValueError(f"unknown quadrature {quadrature!r}")
     volume = _weighted_inner(de, h, w) + _weighted_inner(e, delta_h, w)
-    boundary = _boundary_inner(trace_tangential(e), trace_normal(h))
+    boundary = l2_inner(trace_tangential(e), trace_normal(h))
     return abs(volume - boundary)
-
-
-# ---------------------------------------------------------------------------
-# sliced transformation action (nodewise algebra on the half data)
-# ---------------------------------------------------------------------------
-
-def _half_slice(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return arr[..., : grid.points // 2 + 1]
-
-
-def _eps_apply_data(eps: Transformation, data: np.ndarray) -> np.ndarray:
-    if eps.kind == IDENTITY:
-        return data.copy()
-    if eps.kind == SCALAR:
-        return (1.0 + _half_slice(eps.hat, eps.grid)) * data
-    hat = _half_slice(eps.hat, eps.grid)
-    return data + np.einsum("ij...,j...->i...", hat, data)
-
-
-def _eps_partial_data(eps: Transformation, axis: int, data: np.ndarray) -> np.ndarray:
-    if eps.kind == IDENTITY:
-        return np.zeros_like(data)
-    part = _half_slice(eps.partial_array(axis), eps.grid)
-    if eps.kind == SCALAR:
-        return part * data
-    return np.einsum("ij...,j...->i...", part, data)
-
-
-def _eps_rho_solve_data(eps: Transformation, rhs: np.ndarray, rank: int,
-                        grid: GridSpec) -> np.ndarray:
-    rho_pos = [p for p, mi in enumerate(multi_indices(grid.dim, rank))
-               if grid.dim in mi]
-    out = np.zeros_like(rhs)
-    if not rho_pos:
-        return out
-    if eps.kind == IDENTITY:
-        out[rho_pos] = rhs[rho_pos]
-        return out
-    if eps.kind == SCALAR:
-        out[rho_pos] = rhs[rho_pos] / (1.0 + _half_slice(eps.hat, eps.grid))
-        return out
-    block = _half_slice(eps.dense_matrices(), eps.grid)[np.ix_(rho_pos, rho_pos)]
-    mats = np.moveaxis(block, (0, 1), (-2, -1))
-    eig = np.linalg.eigvalsh(mats)
-    if float(eig.min()) < 1e-12:
-        raise AdmissibilityError("normal block numerically singular on the "
-                                 "half-grid; transformation violates "
-                                 "admissibility")
-    vec = np.moveaxis(rhs[rho_pos], 0, -1)[..., None]
-    sol = np.linalg.solve(mats, vec)[..., 0]
-    out[rho_pos] = np.moveaxis(sol, -1, 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,51 +294,50 @@ def normal_derivative_reconstruct(e: HalfGridField, de: HalfGridField | None,
         raise ValueError("dE is required below the top rank")
     if delta_eps_e is None and e.rank > 0:
         raise ValueError("delta(eps E) is required above rank 0")
-    mis = multi_indices(dim, e.rank)
+    tangential = [tangential_partials[j].data for j in range(1, dim)]
 
     # d_N of the tangential components, from (dE)_{I+N}
-    dnorm_tau = np.zeros_like(e.data)
-    for pos, mi in enumerate(mis):
-        if dim in mi:
-            continue
-        k_mi = tuple(sorted(mi + (dim,)))
-        total = de.component(k_mi).copy()
-        for j in mi:
-            rest = tuple(i for i in k_mi if i != j)
-            total -= insertion_sign(j, rest) * tangential_partials[j].component(rest)
-        dnorm_tau[pos] = total / insertion_sign(dim, mi)
+    dnorm_tau = np.zeros_like(e.data) if de is None else \
+        _solve_normal_terms(sign_table("R", dim, e.rank), de.data, tangential)
 
     # tangential partials of eps E via the product rule
-    eps_partials = {}
-    for j in range(1, dim):
-        eps_partials[j] = _eps_apply_data(eps, tangential_partials[j].data) \
-            + _eps_partial_data(eps, j, e.data)
+    eps_partials = [eps.apply_data(p) + eps.partial_data(j, e.data)
+                    for j, p in enumerate(tangential, start=1)]
 
     # d_N of the normal components of eps E, from (delta eps E)_{I-N}
-    dnorm_eps_rho = np.zeros_like(e.data)
-    for pos, mi in enumerate(mis):
-        if dim not in mi:
-            continue
-        j_mi = tuple(i for i in mi if i != dim)
-        total = delta_eps_e.component(j_mi).copy()
-        for j in range(1, dim):
-            if j in j_mi:
-                continue
-            merged = tuple(sorted(j_mi + (j,)))
-            total -= insertion_sign(j, j_mi) \
-                * eps_partials[j][index_position(dim, merged)]
-        dnorm_eps_rho[pos] = total / insertion_sign(dim, j_mi)
+    dnorm_eps_rho = np.zeros_like(e.data) if delta_eps_e is None else \
+        _solve_normal_terms(sign_table("T", dim, e.rank), delta_eps_e.data,
+                            eps_partials)
 
     # eps^(rho,rho) d_N E^rho = [d_N(eps E)]^rho - [(d_N eps) E]^rho
     #                            - [eps d_N E^tau]^rho
     rhs = dnorm_eps_rho \
-        - _eps_partial_data(eps, dim, e.data) \
-        - _eps_apply_data(eps, dnorm_tau)
-    rho_pos = [p for p, mi in enumerate(mis) if dim in mi]
-    masked = np.zeros_like(rhs)
-    masked[rho_pos] = rhs[rho_pos]
-    dnorm_rho = _eps_rho_solve_data(eps, masked, e.rank, e.grid)
+        - eps.partial_data(dim, e.data) \
+        - eps.apply_data(dnorm_tau)
+    dnorm_rho = eps.solve_normal_data(rhs, e.rank)
 
     result = {j: tangential_partials[j] for j in range(1, dim)}
     result[dim] = e.with_data(dnorm_tau + dnorm_rho)
     return result
+
+
+def _solve_normal_terms(table, assembled: np.ndarray,
+                        tangential: list) -> np.ndarray:
+    """Recover d_N X from an assembled d (R table) or delta (T table).
+
+    A target row whose leading term is on axis N (terms descend in axis)
+    reads sign * d_N X_source = assembled_target - its tangential terms,
+    which take their partials from ``tangential`` (axes 1 .. N-1).  Sources
+    reached by no such row get 0.
+    """
+    normal_axis = len(tangential)
+    out = np.zeros((table.sources,) + assembled.shape[1:], np.complex128)
+    for target, row in groupby(table.entries, key=lambda entry: entry[0]):
+        (_, source, sign, axis), *rest = row
+        if axis != normal_axis:
+            continue
+        total = assembled[target].copy()
+        for _, s, term_sign, f in rest:
+            total -= term_sign * tangential[f][s]
+        out[source] = sign * total
+    return out

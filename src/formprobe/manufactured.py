@@ -14,8 +14,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .fields import (FormField, GridSpec, Region, insertion_sign,
-                     multi_indices, n_components)
+from .fields import (FormField, GridSpec, Region, multi_indices,
+                     n_components, normal_mask, sign_table)
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 
@@ -206,37 +206,30 @@ class ManufacturedForm:
         """Closed-form exterior derivative."""
         if self.rank >= self.grid.dim:
             raise ValueError("rank overflow")
-        parts = {j: self.partial(j) for j in range(1, self.grid.dim + 1)}
-        out = {}
-        for k_mi in multi_indices(self.grid.dim, self.rank + 1):
-            terms = []
-            for j in k_mi:
-                rest = tuple(i for i in k_mi if i != j)
-                comp = parts[j].comps.get(rest)
-                if comp is not None:
-                    terms.append(comp.scaled(insertion_sign(j, rest)))
-            if terms:
-                out[k_mi] = ComponentSum(terms)
-        return ManufacturedForm(self.grid, self.rank + 1, out)
+        return self._assemble("R", self.rank + 1)
 
     def delta(self) -> "ManufacturedForm":
         """Closed-form co-derivative."""
         if self.rank < 1:
             raise ValueError("rank underflow")
-        parts = {j: self.partial(j) for j in range(1, self.grid.dim + 1)}
-        out = {}
-        for j_mi in multi_indices(self.grid.dim, self.rank - 1):
-            terms = []
-            for j in range(1, self.grid.dim + 1):
-                if j in j_mi:
-                    continue
-                merged = tuple(sorted(j_mi + (j,)))
-                comp = parts[j].comps.get(merged)
-                if comp is not None:
-                    terms.append(comp.scaled(insertion_sign(j, j_mi)))
-            if terms:
-                out[j_mi] = ComponentSum(terms)
-        return ManufacturedForm(self.grid, self.rank - 1, out)
+        return self._assemble("T", self.rank - 1)
+
+    def _assemble(self, kind: str, rank: int) -> "ManufacturedForm":
+        """d (R table) or delta (T table) with the closed-form partials in
+        place of the coordinates; each component sums its terms in
+        ascending axis order."""
+        dim = self.grid.dim
+        parts = {j: self.partial(j) for j in range(1, dim + 1)}
+        sources = multi_indices(dim, self.rank)
+        targets = multi_indices(dim, rank)
+        terms = {}
+        table = sign_table(kind, dim, self.rank)
+        for t, s, sign, axis in sorted(table.entries, key=lambda entry: entry[3]):
+            comp = parts[axis + 1].comps.get(sources[s])
+            if comp is not None:
+                terms.setdefault(targets[t], []).append(comp.scaled(sign))
+        return ManufacturedForm(self.grid, rank,
+                                {mi: ComponentSum(c) for mi, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +430,9 @@ def parity_symmetrized(e: FormField, parity: str) -> FormField:
     """
     if parity not in ("mirror", "trace-free"):
         raise ValueError("parity must be 'mirror' or 'trace-free'")
+    normal = normal_mask(e.grid.dim, e.rank)
     out = np.empty_like(e.data)
-    for pos, mi in enumerate(multi_indices(e.grid.dim, e.rank)):
-        has_n = e.grid.dim in mi
-        odd = has_n if parity == "mirror" else not has_n
+    for pos, odd in enumerate(normal if parity == "mirror" else ~normal):
         flipped = _flip_last_axis(e.data[pos])
         out[pos] = 0.5 * (e.data[pos] - flipped) if odd \
             else 0.5 * (e.data[pos] + flipped)

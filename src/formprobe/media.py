@@ -9,14 +9,13 @@ positivity and rejects violations with the worst node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
 
-from .fields import (FormField, GridSpec, complement_index, index_position,
-                     multi_indices, n_components, star_sign)
+from .fields import (FormField, GridSpec, n_components, normal_mask,
+                     sign_table, table_matrix)
 
 IDENTITY = "identity"
 SCALAR = "scalar"
@@ -142,16 +141,65 @@ class Transformation:
         full[idx, idx] += 1.0
         return full
 
+    # -- action on component arrays -------------------------------------------
+    #
+    # ``data`` has shape (nc,) + nodes, where nodes are the whole grid or its
+    # lower half-box (the first slices along x_N); coefficients are cut to
+    # the same nodes.
+
+    @staticmethod
+    def _on_nodes(values: np.ndarray, data: np.ndarray) -> np.ndarray:
+        return values[..., : data.shape[-1]]
+
+    def apply_data(self, data: np.ndarray) -> np.ndarray:
+        if self.kind == IDENTITY:
+            return data
+        if self.kind == SCALAR:
+            return data * self._on_nodes(self.scalar_field(), data)
+        return data + np.einsum("ij...,j...->i...",
+                                self._on_nodes(self.hat, data), data)
+
+    def partial_data(self, axis: int, data: np.ndarray) -> np.ndarray:
+        """(d_axis eps) applied to the components."""
+        if self.kind == IDENTITY:
+            return np.zeros_like(data)
+        part = self._on_nodes(self.partial_array(axis), data)
+        if self.kind == SCALAR:
+            return data * part
+        return np.einsum("ij...,j...->i...", part, data)
+
+    def solve_normal_data(self, rhs: np.ndarray, rank: int) -> np.ndarray:
+        """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; X^tau = 0."""
+        rho = normal_mask(self.grid.dim, rank)
+        out = np.zeros_like(rhs)
+        if not rho.any():
+            return out
+        if self.kind == IDENTITY:
+            out[rho] = rhs[rho]
+            return out
+        if self.kind == SCALAR:
+            out[rho] = rhs[rho] / self._on_nodes(self.scalar_field(), rhs)
+            return out
+        block = self._on_nodes(self.dense_matrices(), rhs)[rho][:, rho]
+        mats = np.moveaxis(block, (0, 1), (-2, -1))
+        eig = np.linalg.eigvalsh(mats)
+        worst = float(eig.min())
+        if worst < 1e-12:
+            node = np.unravel_index(int(np.argmin(eig.min(axis=-1))),
+                                    mats.shape[:-2])
+            raise AdmissibilityError(
+                f"normal block numerically singular (min eigenvalue {worst:.3e} "
+                f"at node {node}); transformation violates admissibility")
+        vec = np.moveaxis(rhs[rho], 0, -1)[..., None]
+        sol = np.linalg.solve(mats, vec)[..., 0]
+        out[rho] = np.moveaxis(sol, -1, 0)
+        return out
+
     # -- action on fields ----------------------------------------------------
 
     def apply(self, e: FormField) -> FormField:
         self._check_field(e)
-        if self.kind == IDENTITY:
-            return e
-        if self.kind == SCALAR:
-            return e.scale_pointwise(self.scalar_field())
-        out = e.data + np.einsum("ij...,j...->i...", self.hat, e.data)
-        return e.with_data(out)
+        return e if self.kind == IDENTITY else e.with_data(self.apply_data(e.data))
 
     def apply_inverse(self, e: FormField) -> FormField:
         self._check_field(e)
@@ -185,44 +233,12 @@ class Transformation:
     def apply_partial(self, axis: int, e: FormField) -> FormField:
         """(d_axis eps) E, from stored or spectral entry derivatives."""
         self._check_field(e)
-        if self.kind == IDENTITY:
-            return FormField.zeros(self.grid, e.rank)
-        part = self.partial_array(axis)
-        if self.kind == SCALAR:
-            return e.scale_pointwise(part)
-        return e.with_data(np.einsum("ij...,j...->i...", part, e.data))
-
-    # -- the normal-block solve of the split reconstruction -------------------
+        return e.with_data(self.partial_data(axis, e.data))
 
     def solve_rho_block(self, rhs: FormField) -> FormField:
         """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; rhs must be normal."""
         self._check_field(rhs)
-        dim = self.grid.dim
-        rho_pos = [p for p, mi in enumerate(multi_indices(dim, rhs.rank))
-                   if dim in mi]
-        out = np.zeros_like(rhs.data)
-        if not rho_pos:
-            return rhs.with_data(out)
-        if self.kind == IDENTITY:
-            out[rho_pos] = rhs.data[rho_pos]
-            return rhs.with_data(out)
-        if self.kind == SCALAR:
-            out[rho_pos] = rhs.data[rho_pos] / self.scalar_field()
-            return rhs.with_data(out)
-        block = self.dense_matrices()[np.ix_(rho_pos, rho_pos)]
-        mats = np.moveaxis(block, (0, 1), (-2, -1))
-        eig = np.linalg.eigvalsh(mats)
-        worst = float(eig.min())
-        if worst < 1e-12:
-            node = np.unravel_index(int(np.argmin(eig.min(axis=-1))),
-                                    self.grid.shape)
-            raise AdmissibilityError(
-                f"normal block numerically singular (min eigenvalue {worst:.3e} "
-                f"at node {node}); transformation violates admissibility")
-        vec = np.moveaxis(rhs.data[rho_pos], 0, -1)[..., None]
-        sol = np.linalg.solve(mats, vec)[..., 0]
-        out[rho_pos] = np.moveaxis(sol, -1, 0)
-        return rhs.with_data(out)
+        return rhs.with_data(self.solve_normal_data(rhs.data, rhs.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +372,10 @@ def reconstruct_from_split(e_tau: FormField, g_rho: FormField,
     """
     if e_tau.grid != g_rho.grid or e_tau.rank != g_rho.rank:
         raise ValueError("tangential part and normal data must match")
-    dim = e_tau.grid.dim
-    rho_pos = [p for p, mi in enumerate(multi_indices(dim, e_tau.rank))
-               if dim in mi]
+    rho = normal_mask(e_tau.grid.dim, e_tau.rank)
     eps_etau = eps.apply(e_tau)
     rhs = np.zeros_like(g_rho.data)
-    rhs[rho_pos] = g_rho.data[rho_pos] - eps_etau.data[rho_pos]
+    rhs[rho] = g_rho.data[rho] - eps_etau.data[rho]
     e_rho = eps.solve_rho_block(g_rho.with_data(rhs))
     return e_tau + e_rho
 
@@ -398,33 +412,7 @@ def pullback_grid_map(values: np.ndarray, sigma: tuple, flips: tuple,
 def _pullback_component_matrix(dim: int, rank: int, sigma: tuple,
                                flips: tuple) -> np.ndarray:
     """Matrix of tau^* on rank-q components for a signed permutation tau."""
-    nc = n_components(dim, rank)
-    mat = np.zeros((nc, nc))
-    for pos, mi in enumerate(multi_indices(dim, rank)):
-        image = tuple(sigma[i - 1] for i in mi)
-        sign = 1
-        for i in mi:
-            if flips[i - 1] < 0:
-                sign = -sign
-        # parity of sorting the image tuple
-        perm = sorted(range(len(image)), key=lambda k: image[k])
-        inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                  if perm[a] > perm[b])
-        if inv % 2:
-            sign = -sign
-        target = tuple(sorted(image))
-        mat[index_position(dim, target), pos] = sign
-    return mat
-
-
-def _star_matrix(dim: int, rank: int) -> np.ndarray:
-    rows = n_components(dim, dim - rank)
-    cols = n_components(dim, rank)
-    mat = np.zeros((rows, cols))
-    for pos, mi in enumerate(multi_indices(dim, rank)):
-        comp = complement_index(mi, dim)
-        mat[index_position(dim, comp), pos] = star_sign(mi, dim)
-    return mat
+    return table_matrix(sign_table(("pullback", sigma, flips), dim, rank))
 
 
 def transported_transform(eps: Transformation, rank: int, sigma: tuple,
@@ -463,11 +451,10 @@ def transported_transform(eps: Transformation, rank: int, sigma: tuple,
     inv_flips = tuple(flips[inv_sigma[i - 1] - 1] for i in range(1, dim + 1))
     p_inv = _pullback_component_matrix(dim, rank, inv_sigma, inv_flips)
     p_dual = _pullback_component_matrix(dim, dim - rank, sigma, flips)
-    h_q = _star_matrix(dim, rank)
-    h_dual = _star_matrix(dim, dim - rank)
-    perm_parity = sum(1 for a in range(dim) for b in range(a + 1, dim)
-                      if sigma[a] > sigma[b])
-    det = (-1 if perm_parity % 2 else 1) * math.prod(flips)
+    h_q = table_matrix(sign_table("star", dim, rank))
+    h_dual = table_matrix(sign_table("star", dim, dim - rank))
+    # the pullback of the volume form dx^1..dx^N is det(tau) times itself
+    det = sign_table(("pullback", sigma, flips), dim, dim).entries[0][2]
     scale = det * (-1 if (rank * (dim - rank)) % 2 else 1)
     left = scale * (h_dual @ p_dual @ h_q)
     full = eps.dense_matrices()

@@ -21,8 +21,8 @@ import numpy as np
 from . import bridge as bridge_mod
 from .decompose import hodge_decompose, solve_coderivative, split_orthogonality
 from .fields import (FormField, GridSpec, Region, apply_R, apply_T,
-                     hodge_star, l2_inner, norm, split_tangential_normal,
-                     wedge)
+                     apply_table, hodge_star, l2_inner, norm, sign_table,
+                     split_tangential_normal, wedge)
 from .halfspace import (diff_quotient, half_norm, mirror_Sd, mirror_Sdelta,
                         normal_derivative_reconstruct, restrict_to_half,
                         shift, stokes_pairing_residual, trace_normal,
@@ -269,7 +269,8 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
         e = halfspace_member(g, rank, seed + 1000 * i, envelope_decay=2.5,
                              kmax=kmax)
         trace_rel = validate_halfspace_member(e)
-        hat, de, delta_eps = _member_spectra(e, material)
+        spectra = _member_spectra(e, material)
+        hat, de, delta_eps = spectra
         numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, 0.0, ROMAN))
         denominator = norm(e)
         if de is not None:
@@ -277,23 +278,28 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
         if delta_eps is not None:
             denominator += weighted_sobolev_norm(delta_eps,
                                                  NormSpec(order, 0.0, ROMAN))
-        return e, _ratio(numerator, denominator), trace_rel, numerator, \
-            denominator
+        row = {"index": i, "numerator": numerator, "denominator": denominator,
+               "ratio": _ratio(numerator, denominator),
+               "trace_norm_rel": trace_rel}
+        return e, spectra, row
+
+    def checked_sample(i):
+        # the member's spectra are dropped before the refined member is built
+        e, (hat, de_hat, delta_eps_hat), row = member_ratio(grid, eps, i)
+        de = fourier_inverse(de_hat) if de_hat is not None else None
+        row["reconstruct_residual"] = _reconstruction_residual(
+            e, eps, hat, de, delta_eps_hat)
+        row["stokes_residual"] = _member_stokes_residual(e, de)
+        return row
 
     for i in range(ensemble):
-        e, ratio, trace_rel, numerator, denominator = member_ratio(grid, eps, i)
-        rec = _reconstruction_residual(e, eps)
-        stokes = _member_stokes_residual(e)
-        report.samples.append({"index": i, "numerator": numerator,
-                               "denominator": denominator, "ratio": ratio,
-                               "trace_norm_rel": trace_rel,
-                               "reconstruct_residual": rec,
-                               "stokes_residual": stokes})
-        sup = max(sup, ratio)
-        total += ratio
-        worst_reconstruct = max(worst_reconstruct, rec)
-        worst_stokes = max(worst_stokes, stokes)
-        sup_fine = max(sup_fine, member_ratio(fine, eps_fine, i)[1])
+        row = checked_sample(i)
+        report.samples.append(row)
+        sup = max(sup, row["ratio"])
+        total += row["ratio"]
+        worst_reconstruct = max(worst_reconstruct, row["reconstruct_residual"])
+        worst_stokes = max(worst_stokes, row["stokes_residual"])
+        sup_fine = max(sup_fine, member_ratio(fine, eps_fine, i)[2]["ratio"])
     drift = abs(sup - sup_fine) / max(sup_fine, 1e-300)
     report.aggregates = {"sup_ratio": sup,
                          "mean_ratio": total / max(ensemble, 1),
@@ -312,25 +318,29 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
     return report
 
 
-def _reconstruction_residual(e: FormField, eps: Transformation) -> float:
-    """Assembled normal derivative against the spectral one, on the half-grid."""
-    parts = gradient(e)
-    de = restrict_to_half(exterior_d(e)) if e.rank < e.grid.dim else None
-    delta_eps_e = restrict_to_half(coderivative_delta(eps.apply(e))) \
-        if e.rank > 0 else None
+def _reconstruction_residual(e: FormField, eps: Transformation,
+                             hat: FormField, de: FormField | None,
+                             delta_eps_hat: FormField | None) -> float:
+    """Assembled normal derivative against the spectral one, on the half-grid.
+
+    Takes the member's spectra: F(E), dE in position space and F(delta(eps E)).
+    """
+    parts = {j: fourier_inverse(p) for j, p in gradient(hat).items()}
+    half_de = restrict_to_half(de) if de is not None else None
+    delta_eps_e = restrict_to_half(fourier_inverse(delta_eps_hat)) \
+        if delta_eps_hat is not None else None
     half_parts = {j: restrict_to_half(parts[j]) for j in range(1, e.grid.dim)}
-    rec = normal_derivative_reconstruct(restrict_to_half(e), de, delta_eps_e,
-                                        eps, half_parts)
+    rec = normal_derivative_reconstruct(restrict_to_half(e), half_de,
+                                        delta_eps_e, eps, half_parts)
     direct = restrict_to_half(parts[e.grid.dim])
     scale = max(half_norm(direct), 1e-300)
     return half_norm(rec[e.grid.dim] - direct) / scale
 
 
-def _member_stokes_residual(e: FormField) -> float:
+def _member_stokes_residual(e: FormField, de: FormField | None) -> float:
     """Pairing residual with H = dE; the exact value is 0 (gamma_t E = 0)."""
     if e.rank >= e.grid.dim:
         return 0.0
-    de = exterior_d(e)
     with warnings.catch_warnings():
         # parity makes the trapezoid closure exact; deep-end tails are moot
         warnings.simplefilter("ignore")
@@ -448,7 +458,7 @@ def _check_spectral(checks, grid, seed):
         if q < dim:
             de = exterior_d(e)
             worst_d = max(worst_d, _rel_norm(fourier(de),
-                                             1j * apply_R(hat, "frequency")))
+                                             1j * apply_R(hat)))
             if q + 2 <= dim:
                 worst_dd = max(worst_dd, norm(exterior_d(de)) / max(norm(e), 1e-300))
             h = fields[q + 1]
@@ -457,7 +467,7 @@ def _check_spectral(checks, grid, seed):
             delta_e = coderivative_delta(e)
             worst_delta = max(worst_delta,
                               _rel_norm(fourier(delta_e),
-                                        1j * apply_T(hat, "frequency")))
+                                        1j * apply_T(hat)))
             if q >= 2:
                 worst_deldel = max(worst_deldel,
                                    norm(coderivative_delta(delta_e))
@@ -650,26 +660,15 @@ def _check_halfspace(checks, grid, seed):
             rhs = trace_tangential(restrict_to_half(exterior_d(e)))
             worst_trace = max(worst_trace, _rel_norm(lhs, rhs))
         plane = e.data[..., grid.points // 2]
-        rebuilt = np.zeros_like(plane)
-        from .fields import index_position, multi_indices as mi_list
-        tt = trace_tangential(half)
-        for pos, mi in enumerate(mi_list(dim - 1, q)):
-            rebuilt[index_position(dim, mi)] = tt.data[pos]
+        rebuilt = apply_table(sign_table("extend", dim, q), traced.data)
         if q >= 1:
-            tn = trace_normal(half)
-            sign = -1.0 if ((q - 1) * dim) % 2 else 1.0
-            sign *= -1.0 if (dim - 1) % 2 else 1.0  # induced orientation
-            from .fields import complement_index, star_sign
-            for pos, mi in enumerate(mi_list(dim, q)):
-                if dim not in mi:
-                    continue
-                # invert gamma_n = sign * star_b(gamma_t(star E))
-                comp = complement_index(mi, dim)           # N not in comp
-                s1 = star_sign(mi, dim)
-                bpos_mi = tuple(i for i in comp)
-                s2 = star_sign(bpos_mi, dim - 1)
-                source = tn.component(complement_index(bpos_mi, dim - 1))
-                rebuilt[index_position(dim, mi)] = source / (sign * s1 * s2)
+            # invert gamma_n = sign * star_b(gamma_t(star E)) with the double
+            # star rules: E^rho = sign' * star(extension of star_b(gamma_n E))
+            sign = -1.0 if ((q - 1) * dim + (dim - 1) + (dim - q)) % 2 else 1.0
+            lifted = apply_table(sign_table("extend", dim, dim - q),
+                                 hodge_star(trace_normal(half)).data)
+            rebuilt = rebuilt + sign * apply_table(sign_table("star", dim, dim - q),
+                                                   lifted)
         worst_bijection = max(worst_bijection,
                               float(np.abs(rebuilt - plane).max())
                               / max(float(np.abs(plane).max()), 1e-300))

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (FormField, apply_R, apply_T, insertion_sign, l2_inner,
-                     multi_indices, n_components, norm)
+from .fields import (FormField, apply_R, apply_T, apply_table, l2_inner, norm,
+                     sign_table)
 
 
 def fourier(e: FormField) -> FormField:
     """Componentwise unitary FFT; the result lives on the frequency grid."""
-    if not e.grid.periodic:
-        raise ValueError("Fourier transform needs a periodic grid")
     if e.spectral:
         raise ValueError("field is already in frequency space")
     axes = tuple(range(1, e.grid.dim + 1))
@@ -50,9 +48,9 @@ def exterior_d(e: FormField) -> FormField:
     if e.rank >= e.grid.dim:
         raise ValueError("rank overflow: d on a top-rank form")
     if e.spectral:
-        return 1j * apply_R(e, "frequency")
+        return 1j * apply_R(e)
     hat = fourier(e)
-    return fourier_inverse(1j * apply_R(hat, "frequency"))
+    return fourier_inverse(1j * apply_R(hat))
 
 
 def coderivative_delta(e: FormField) -> FormField:
@@ -60,9 +58,9 @@ def coderivative_delta(e: FormField) -> FormField:
     if e.rank < 1:
         raise ValueError("rank underflow: delta on a rank-0 form")
     if e.spectral:
-        return 1j * apply_T(e, "frequency")
+        return 1j * apply_T(e)
     hat = fourier(e)
-    return fourier_inverse(1j * apply_T(hat, "frequency"))
+    return fourier_inverse(1j * apply_T(hat))
 
 
 def laplacian(e: FormField) -> FormField:
@@ -108,9 +106,9 @@ def gaffney_identity_check(phi: FormField) -> GaffneyReport:
         lhs += np.sum(np.abs(xi * hat.data) ** 2) * phi.grid.cell_volume
     rhs = 0.0
     if phi.rank < phi.grid.dim:
-        rhs += norm(1j * apply_R(hat, "frequency")) ** 2
+        rhs += norm(1j * apply_R(hat)) ** 2
     if phi.rank > 0:
-        rhs += norm(1j * apply_T(hat, "frequency")) ** 2
+        rhs += norm(1j * apply_T(hat)) ** 2
     scale = max(lhs, rhs)
     gap = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
     return GaffneyReport(lhs, rhs, gap)
@@ -123,34 +121,27 @@ def gaffney_identity_check(phi: FormField) -> GaffneyReport:
 # ---------------------------------------------------------------------------
 
 def assemble_d(e: FormField, partials: dict) -> FormField:
-    """(dE)_K = sum_{j in K} sign(j, K\\j) d_j E_{K\\j} from given partials.
+    """(dE)_K = sum_{j in K} sign(j, K\\j) d_j E_{K\\j}: the R table with the
+    partials in place of the coordinates.
 
     ``partials`` maps the 1-based axis j to the form field holding d_j E.
     """
-    dim = e.grid.dim
-    if e.rank >= dim:
+    if e.rank >= e.grid.dim:
         raise ValueError("rank overflow")
-    out = np.zeros((n_components(dim, e.rank + 1),) + e.grid.shape, np.complex128)
-    for pos, k_mi in enumerate(multi_indices(dim, e.rank + 1)):
-        for j in k_mi:
-            rest = tuple(i for i in k_mi if i != j)
-            out[pos] += insertion_sign(j, rest) * partials[j].component(rest)
-    return FormField(e.grid, e.rank + 1, out, e.spectral)
+    return _assemble("R", e, partials, e.rank + 1)
 
 
 def assemble_delta(e: FormField, partials: dict) -> FormField:
-    """(delta E)_J = sum_{j not in J} sign(j, J) d_j E_{J + j}."""
-    dim = e.grid.dim
+    """(delta E)_J = sum_{j not in J} sign(j, J) d_j E_{J + j}: the T table."""
     if e.rank < 1:
         raise ValueError("rank underflow")
-    out = np.zeros((n_components(dim, e.rank - 1),) + e.grid.shape, np.complex128)
-    for pos, j_mi in enumerate(multi_indices(dim, e.rank - 1)):
-        for j in range(1, dim + 1):
-            if j in j_mi:
-                continue
-            merged = tuple(sorted(j_mi + (j,)))
-            out[pos] += insertion_sign(j, j_mi) * partials[j].component(merged)
-    return FormField(e.grid, e.rank - 1, out, e.spectral)
+    return _assemble("T", e, partials, e.rank - 1)
+
+
+def _assemble(kind: str, e: FormField, partials: dict, rank: int) -> FormField:
+    stacks = [partials[j].data for j in range(1, e.grid.dim + 1)]
+    out = apply_table(sign_table(kind, e.grid.dim, e.rank), stacks)
+    return e.with_data(out, rank=rank)
 
 
 def gradient(e: FormField) -> dict:

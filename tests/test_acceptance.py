@@ -124,11 +124,11 @@ def test_criterion_03_intertwining():
                 hat = fourier(e)
                 if q < dim:
                     de = exterior_d(e)
-                    gap = norm(fourier(de) - 1j * apply_R(hat, "frequency"))
+                    gap = norm(fourier(de) - 1j * apply_R(hat))
                     worst_d = max(worst_d, gap / max(norm(de), 1e-300))
                 if q > 0:
                     se = coderivative_delta(e)
-                    gap = norm(fourier(se) - 1j * apply_T(hat, "frequency"))
+                    gap = norm(fourier(se) - 1j * apply_T(hat))
                     worst_delta = max(worst_delta, gap / max(norm(se), 1e-300))
                 lap = laplacian(e)
                 sym = hat.with_data(-grid.freq_radius_sq() * hat.data)

@@ -7,9 +7,12 @@ from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, Region, apply_R, apply_T,
                               complement_index, hodge_star, index_position,
                               insertion_sign, l2_inner, merge_sign,
-                              multi_indices, norm, split_tangential_normal,
-                              star_sign, wedge)
-from formprobe.manufactured import random_band_limited, random_dyadic
+                              multi_indices, n_components, norm,
+                              split_tangential_normal, star_sign, wedge)
+from formprobe.halfspace import restrict_to_half
+from formprobe.manufactured import (random_band_limited, random_dense_media,
+                                    random_dyadic)
+from formprobe.media import make_transformation, scalar_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +184,7 @@ def test_double_star_identity_exact(dim, q, seed):
 def test_apply_R_position_coordinates_pointwise():
     g = GridSpec(2, 4.0, 8)
     one = FormField.from_components(g, 0, {(): 1.0})
-    re = apply_R(one, "position")
+    re = apply_R(one)
     # node with coordinates (1, 2)
     i = int(round((1.0 + 4.0) / g.spacing))
     j = int(round((2.0 + 4.0) / g.spacing))
@@ -228,7 +231,7 @@ def test_T_fiber_example_n2():
     # T(dx12) at the point (1, 2) comes out as -2 dx1 + 1 dx2
     g = GridSpec(2, 4.0, 8)
     h = FormField.from_components(g, 2, {(1, 2): 1.0})
-    th = apply_T(h, "position")
+    th = apply_T(h)
     i = int(round(5.0 / g.spacing))
     j = int(round(6.0 / g.spacing))
     assert th.component((1,))[i, j] == pytest.approx(-2.0)
@@ -303,3 +306,109 @@ def test_inner_mismatch_errors():
         l2_inner(FormField.zeros(g, 0), FormField.zeros(g, 1))
     with pytest.raises(ValueError):
         l2_inner(FormField.zeros(g, 0), FormField.zeros(GridSpec(2, 1.0, 16), 0))
+
+
+# ---------------------------------------------------------------------------
+# the sign-table kernel against per-component loop references
+# ---------------------------------------------------------------------------
+
+def _star_loop(e):
+    dim = e.grid.dim
+    out = np.empty((n_components(dim, dim - e.rank),) + e.grid.shape, complex)
+    for mi in multi_indices(dim, e.rank):
+        comp = complement_index(mi, dim)
+        out[index_position(dim, comp)] = star_sign(mi, dim) * e.component(mi)
+    return out
+
+
+def _coords(e):
+    return e.grid.freq_fields() if e.spectral else e.grid.coord_fields()
+
+
+def _R_loop(e):
+    dim = e.grid.dim
+    cfields = _coords(e)
+    out = np.zeros((n_components(dim, e.rank + 1),) + e.grid.shape, complex)
+    for mi in multi_indices(dim, e.rank):
+        comp = e.component(mi)
+        for n in range(1, dim + 1):
+            if n in mi:
+                continue
+            merged, sign = merge_sign((n,), mi)
+            out[index_position(dim, merged)] += sign * (cfields[n - 1] * comp)
+    return out
+
+
+def _T_loop(e):
+    # contraction with c, each target's terms added in descending axis
+    dim = e.grid.dim
+    cfields = _coords(e)
+    out = np.zeros((n_components(dim, e.rank - 1),) + e.grid.shape, complex)
+    for pos, j_mi in enumerate(multi_indices(dim, e.rank - 1)):
+        for j in range(dim, 0, -1):
+            if j in j_mi:
+                continue
+            merged, sign = merge_sign((j,), j_mi)
+            out[pos] += sign * (cfields[j - 1] * e.component(merged))
+    return out
+
+
+def _split_loop(e):
+    dim = e.grid.dim
+    tau = np.array(e.data, copy=True)
+    rho = np.array(e.data, copy=True)
+    for pos, mi in enumerate(multi_indices(dim, e.rank)):
+        if dim in mi:
+            tau[pos] = 0.0
+        else:
+            rho[pos] = 0.0
+    return tau, rho
+
+
+def _all_forms(points=4):
+    for dim in (1, 2, 3, 4):
+        g = GridSpec(dim, 1.5, points)
+        for q in range(dim + 1):
+            e = random_band_limited(g, q, seed=10 * dim + q, kmax=1, real=False)
+            yield e
+            yield e.with_data(e.data, spectral=True)
+
+
+def test_kernel_matches_loop_references_bitwise():
+    for e in _all_forms():
+        dim, q = e.grid.dim, e.rank
+        assert np.array_equal(hodge_star(e).data, _star_loop(e))
+        if q < dim:
+            assert np.array_equal(apply_R(e).data, _R_loop(e))
+        if q > 0:
+            assert np.array_equal(apply_T(e).data, _T_loop(e))
+        tau, rho = split_tangential_normal(e)
+        ref_tau, ref_rho = _split_loop(e)
+        assert np.array_equal(tau.data, ref_tau)
+        assert np.array_equal(rho.data, ref_rho)
+
+
+def test_T_is_the_star_dual_of_R_bitwise():
+    for e in _all_forms():
+        dim, q = e.grid.dim, e.rank
+        if q < 1:
+            continue
+        sign = (-1) ** ((q - 1) * dim)
+        dual = hodge_star(apply_R(hodge_star(e)))
+        assert np.array_equal(apply_T(e).data, sign * dual.data)
+
+
+def test_star_and_media_on_the_half_box_match_the_full_box_bitwise():
+    for dim in (1, 2, 3, 4):
+        g = GridSpec(dim, 3.0, 8)
+        for q in range(dim + 1):
+            e = random_band_limited(g, q, seed=7 * dim + q, kmax=1, real=False)
+            half = restrict_to_half(e)
+            assert np.array_equal(hodge_star(half).data,
+                                  restrict_to_half(hodge_star(e)).data)
+            media = (make_transformation(g, q, "identity"),
+                     scalar_catalog(g, "gauss_well"),
+                     random_dense_media(g, q, seed=dim + q))
+            for eps in media:
+                assert np.array_equal(eps.apply_data(half.data),
+                                      restrict_to_half(eps.apply(e)).data)

@@ -5,13 +5,18 @@ import pytest
 
 from formprobe.cli import main
 from formprobe.fields import GridSpec
+from formprobe.halfspace import _sign_selfcheck
 from formprobe.io import save_transformation
-from formprobe.manufactured import random_band_limited
+from formprobe.manufactured import halfspace_member, random_band_limited
 from formprobe.media import scalar_catalog
-from formprobe.probes import (estimate_probe_interior,
+from formprobe.probes import (PROBE_BOX_HALF_LENGTH, _member_spectra,
+                              _member_stokes_residual,
+                              _reconstruction_residual,
+                              estimate_probe_interior,
                               estimate_probe_weighted, halfspace_probe,
                               media_from_option, run_identity_suite,
                               validate_halfspace_member)
+from formprobe.spectral import fourier_inverse
 
 
 def test_identity_suite_passes_and_reports_every_check():
@@ -96,6 +101,32 @@ def test_halfspace_probe_flags():
     report = halfspace_probe(2, 1, 0, "id", ensemble=4, grid_points=32, seed=5)
     assert report.passed
     assert report.aggregates["worst_reconstruct_residual"] <= 1e-8
+
+
+def test_halfspace_member_checks_reuse_the_member_spectra(monkeypatch):
+    # a default member: N = 3, rank 1, n = 48, scalar media
+    grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
+    eps = media_from_option("scalar", grid, 1)
+    e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
+    hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
+    _sign_selfcheck()  # its transforms run once per process
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted("forward", np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted("inverse", np.fft.ifftn))
+    de = fourier_inverse(de_hat)
+    rec = _reconstruction_residual(e, eps, hat, de, delta_eps_hat)
+    stokes = _member_stokes_residual(e, de)
+    # three partials, dE and delta(eps E) inverted, then one forward and
+    # inverse pair for delta(dE)
+    assert counts == {"forward": 1, "inverse": 6}
+    assert rec <= 1e-8 and stokes <= 1e-6
 
 
 def test_halfspace_member_rejection():
