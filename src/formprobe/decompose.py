@@ -16,12 +16,8 @@ import numpy as np
 
 from .fields import FormField, apply_R, apply_T, l2_inner, norm
 from .media import Transformation
-from .spectral import fourier, fourier_inverse, spectral_sobolev_norm
-
-
-def _kernel_mask(grid) -> np.ndarray:
-    """Modes where the derivative symbol vanishes identically."""
-    return grid.freq_radius_sq() == 0.0
+from .spectral import (coderivative_delta, exterior_d, fourier,
+                       fourier_inverse, harmonic_mask, spectral_sobolev_norm)
 
 
 def _inv_symbol(grid) -> np.ndarray:
@@ -47,7 +43,7 @@ class HodgeSplit:
 def _split_spectral(hat: FormField) -> tuple:
     grid = hat.grid
     inv = _inv_symbol(grid)
-    kernel = _kernel_mask(grid)
+    kernel = harmonic_mask(grid)
     mean_hat = hat.with_data(np.where(kernel, hat.data, 0.0))
     nonzero = hat.with_data(np.where(kernel, 0.0, hat.data))
     if hat.rank == 0:
@@ -111,18 +107,21 @@ def hodge_decompose(e: FormField, eps: Transformation | None = None,
     return HodgeSplit(a, target - a, mean, it, residual)
 
 
+def _check_zero_mean(hat: FormField, tol: float):
+    """Reject a spectrum whose harmonic modes carry more than tol of its
+    largest coefficient."""
+    mean_mass = float(np.abs(np.where(harmonic_mask(hat.grid), hat.data, 0.0)).max())
+    if mean_mass > tol * max(float(np.abs(hat.data).max()), 1e-300):
+        raise ValueError(f"input has a harmonic component ({mean_mass:.3e}); "
+                         "remove the mean mode first: zero-mean data needed")
+
+
 def potential_for_exact(e_exact: FormField, tol: float = 1e-8) -> FormField:
     """Potential with d(potential) = E for a closed zero-mean E."""
-    from .spectral import exterior_d
     if e_exact.rank < 1:
         raise ValueError("rank-0 fields have no potential")
     hat = fourier(e_exact)
-    kernel = _kernel_mask(e_exact.grid)
-    mean_mass = float(np.abs(np.where(kernel, hat.data, 0.0)).max())
-    scale = max(float(np.abs(hat.data).max()), 1e-300)
-    if mean_mass > tol * scale:
-        raise ValueError(f"input has a harmonic component ({mean_mass:.3e}); "
-                         "remove the mean mode first")
+    _check_zero_mean(hat, tol)
     if e_exact.rank < e_exact.grid.dim:
         closed_res = norm(exterior_d(e_exact))
         if closed_res > tol * max(norm(e_exact), 1e-300):
@@ -149,16 +148,11 @@ def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
     Stated for N >= 3; the periodic box has no issue at N = 2, which is
     permitted but flagged as outside the hypothesis.
     """
-    from .spectral import coderivative_delta
     if e.rank >= e.grid.dim:
         raise ValueError("co-derivative solve needs rank < N")
     hat = fourier(e)
-    kernel = _kernel_mask(e.grid)
+    _check_zero_mean(hat, tol)
     scale = max(norm(e), 1e-300)
-    mean_mass = float(np.abs(np.where(kernel, hat.data, 0.0)).max())
-    if mean_mass > tol * max(float(np.abs(hat.data).max()), 1e-300):
-        raise ValueError(f"input has a harmonic component ({mean_mass:.3e}); "
-                         "the solver needs zero-mean data")
     if e.rank > 0:
         coclosed_res = norm(coderivative_delta(e)) / scale
         if coclosed_res > tol:
@@ -169,7 +163,7 @@ def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
     h_hat = h_hat.with_data(-1j * inv * h_hat.data)
     h = fourier_inverse(h_hat)
     residual = norm(coderivative_delta(h) - e) / scale
-    ratio = spectral_sobolev_norm(h, 1.0) / scale
+    ratio = spectral_sobolev_norm(h_hat, 1.0) / scale
     grad_sq = np.sum(e.grid.freq_radius_sq() * np.abs(h_hat.data) ** 2) \
         * e.grid.cell_volume
     return CoderivativeSolution(h, residual, ratio, norm(h_hat) / scale,

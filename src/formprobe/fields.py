@@ -537,9 +537,3 @@ def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> comple
 
 def norm(e: FormField, weight_exponent: float = 0.0) -> float:
     return math.sqrt(max(l2_inner(e, e, weight_exponent).real, 0.0))
-
-
-def fiber_inner(e: FormField, h: FormField) -> np.ndarray:
-    """Pointwise scalar product sum_I E_I conj(H_I) as a field."""
-    _check_compatible(e, h)
-    return np.sum(e.data * np.conj(h.data), axis=0)

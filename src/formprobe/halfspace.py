@@ -85,10 +85,14 @@ def half_quadrature_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
+def _weighted_inner(a: HalfGridField, b: HalfGridField, w: np.ndarray) -> complex:
+    """Half-box quadrature of sum_I A_I conj(B_I) with weights w along x_N."""
+    total = np.sum(w * np.sum(a.data * np.conj(b.data), axis=0))
+    return complex(total * a.grid.cell_volume)
+
+
 def half_inner(e: HalfGridField, h: HalfGridField) -> complex:
-    w = half_quadrature_weights(e.grid)
-    total = np.sum(w * np.sum(e.data * np.conj(h.data), axis=0))
-    return complex(total * e.grid.cell_volume)
+    return _weighted_inner(e, h, half_quadrature_weights(e.grid))
 
 
 def half_norm(e: HalfGridField) -> float:
@@ -212,11 +216,6 @@ def _gregory_weights(grid: GridSpec) -> np.ndarray:
         w[i] = c
         w[-1 - i] = c
     return w
-
-
-def _weighted_inner(a: HalfGridField, b: HalfGridField, w: np.ndarray) -> complex:
-    total = np.sum(w * np.sum(a.data * np.conj(b.data), axis=0))
-    return complex(total * a.grid.cell_volume)
 
 
 def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,

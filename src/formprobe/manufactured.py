@@ -14,8 +14,11 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .decompose import hodge_decompose
 from .fields import (FormField, GridSpec, Region, multi_indices,
                      n_components, normal_mask, sign_table)
+from .media import DECAY_NONE, make_transformation, pullback_grid_map
+from .spectral import fourier, fourier_inverse, harmonic_mask, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 
@@ -54,9 +57,6 @@ class TrigPoly:
     def scaled(self, factor: complex) -> "TrigPoly":
         return TrigPoly(self.dim, self.half_length,
                         {k: c * factor for k, c in self.coeffs.items()})
-
-    def max_mode(self) -> int:
-        return max((max(abs(kj) for kj in k) for k in self.coeffs), default=0)
 
 
 class PolyGauss:
@@ -321,7 +321,6 @@ def random_dense_media(grid: GridSpec, rank: int, seed: int,
     derivatives are exact; symmetry is built in and the amplitude keeps
     the perturbation safely positive definite.
     """
-    from .media import DECAY_NONE, make_transformation
     rng = np.random.default_rng(seed)
     nc = n_components(grid.dim, rank)
     polys = {}
@@ -376,8 +375,7 @@ def random_band_limited(grid: GridSpec, rank: int, seed: int,
         phases = np.multiply.outer(phases, phase_1d)
     for c in range(nc):
         data[c][target] = scale * phases * cube[c]
-    field_ = FormField(grid, rank, np.fft.ifftn(data, axes=tuple(range(1, grid.dim + 1)),
-                                                norm="ortho"))
+    field_ = FormField(grid, rank, ifft_nodes(data, grid.dim))
     if real:
         field_ = field_.with_data(field_.data.real.astype(np.complex128))
     return field_
@@ -401,24 +399,16 @@ def random_dyadic(grid: GridSpec, rank: int, seed: int,
 
 def mean_free(e: FormField) -> FormField:
     """Remove the discrete harmonic modes (zero derivative symbol)."""
-    from .spectral import fourier, fourier_inverse
     hat = fourier(e)
-    mask = e.grid.freq_radius_sq() == 0.0
-    return fourier_inverse(hat.with_data(np.where(mask, 0.0, hat.data)))
+    return fourier_inverse(hat.with_data(np.where(harmonic_mask(e.grid), 0.0,
+                                                  hat.data)))
 
 
 def random_coclosed(grid: GridSpec, rank: int, seed: int,
                     kmax: int | None = None) -> FormField:
     """Random co-closed zero-mean field (a T-range projection)."""
-    from .decompose import hodge_decompose
     base = random_band_limited(grid, rank, seed, kmax)
     return hodge_decompose(base).coexact_part
-
-
-def _flip_last_axis(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    idx = (-np.arange(n)) % n
-    return values[..., idx]
 
 
 def parity_symmetrized(e: FormField, parity: str) -> FormField:
@@ -430,10 +420,12 @@ def parity_symmetrized(e: FormField, parity: str) -> FormField:
     """
     if parity not in ("mirror", "trace-free"):
         raise ValueError("parity must be 'mirror' or 'trace-free'")
-    normal = normal_mask(e.grid.dim, e.rank)
+    dim = e.grid.dim
+    reflection = (tuple(range(1, dim + 1)), (1,) * (dim - 1) + (-1,))
+    normal = normal_mask(dim, e.rank)
     out = np.empty_like(e.data)
     for pos, odd in enumerate(normal if parity == "mirror" else ~normal):
-        flipped = _flip_last_axis(e.data[pos])
+        flipped = pullback_grid_map(e.data[pos], *reflection)  # at x_N -> -x_N
         out[pos] = 0.5 * (e.data[pos] - flipped) if odd \
             else 0.5 * (e.data[pos] + flipped)
     return e.with_data(out)

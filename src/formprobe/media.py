@@ -16,6 +16,7 @@ import numpy as np
 
 from .fields import (FormField, GridSpec, n_components, normal_mask,
                      sign_table, table_matrix)
+from .spectral import derivative_symbol, fft_nodes, ifft_nodes
 
 IDENTITY = "identity"
 SCALAR = "scalar"
@@ -112,9 +113,6 @@ class Transformation:
 
     def is_identity(self) -> bool:
         return self.kind == IDENTITY
-
-    def fiber_dim(self, rank: int) -> int:
-        return n_components(self.grid.dim, rank)
 
     def _check_field(self, e: FormField):
         if e.grid != self.grid:
@@ -219,21 +217,10 @@ class Transformation:
             return None
         if self.hat_partials is not None and axis in self.hat_partials:
             return self.hat_partials[axis]
-        alpha = tuple(1 if ax == axis - 1 else 0 for ax in range(self.grid.dim))
-        if self.kind == SCALAR:
-            return _spectral_partial_scalar(self.grid, self.hat, alpha).real
-        nc = self.hat.shape[0]
-        out = np.empty_like(self.hat)
-        for i in range(nc):
-            for j in range(nc):
-                out[i, j] = _spectral_partial_scalar(self.grid,
-                                                     self.hat[i, j], alpha).real
-        return out
-
-    def apply_partial(self, axis: int, e: FormField) -> FormField:
-        """(d_axis eps) E, from stored or spectral entry derivatives."""
-        self._check_field(e)
-        return e.with_data(self.partial_data(axis, e.data))
+        dim = self.grid.dim
+        alpha = tuple(1 if ax == axis else 0 for ax in range(1, dim + 1))
+        hat = fft_nodes(self.hat.astype(np.complex128), dim)
+        return ifft_nodes(derivative_symbol(self.grid, alpha) * hat, dim).real
 
     def solve_rho_block(self, rhs: FormField) -> FormField:
         """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; rhs must be normal."""
@@ -354,9 +341,6 @@ def scalar_catalog(grid: GridSpec, tag: str, *, amplitude: float = 1.0,
                                    hat_partials=partials,
                                    hat_calculus=(entry,))
     raise ValueError(f"unknown scalar catalog tag {tag!r}")
-
-
-SCALAR_CATALOG_TAGS = ("gauss_well", "radial_power")
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +469,6 @@ def reflected_transform(eps: Transformation, rank: int | None = None) -> Transfo
 # decay-class verification on annulus samples
 # ---------------------------------------------------------------------------
 
-def _spectral_partial_scalar(grid: GridSpec, values: np.ndarray,
-                             alpha: tuple) -> np.ndarray:
-    hat = np.fft.fftn(values.astype(np.complex128), norm="ortho")
-    for ax, a in enumerate(alpha):
-        if a:
-            hat = hat * (1j * grid.freq_field(ax + 1)) ** a
-    return np.fft.ifftn(hat, norm="ortho")
-
-
 def _smooth_radial_window(grid: GridSpec, flat_radius: float,
                           zero_radius: float) -> np.ndarray:
     """C^inf window, 1 inside flat_radius and 0 beyond zero_radius."""
@@ -548,16 +523,13 @@ def verify_decay(eps: Transformation, inner: tuple = None,
                 fields.append(np.abs(np.asarray(obj.eval(grid))))
             return fields
     else:
-        if eps.kind == SCALAR:
-            raw = [window * eps.hat]
-        else:
-            nc = eps.hat.shape[0]
-            raw = [window * eps.hat[i, j]
-                   for i in range(nc) for j in range(i, nc)]
+        # the entries (the upper triangle of a dense kind) as one stack
+        entries = eps.hat[None] if eps.kind == SCALAR \
+            else eps.hat[np.triu_indices(eps.hat.shape[0])]
+        hat = fft_nodes((window * entries).astype(np.complex128), grid.dim)
 
         def derive(alpha):
-            return [np.abs(_spectral_partial_scalar(grid, entry, alpha))
-                    for entry in raw]
+            return np.abs(ifft_nodes(derivative_symbol(grid, alpha) * hat, grid.dim))
 
     orders = {}
     consistent = True

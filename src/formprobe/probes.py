@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bridge as bridge_mod
-from .decompose import hodge_decompose, solve_coderivative, split_orthogonality
+from .decompose import (hodge_decompose, potential_for_exact,
+                        solve_coderivative, split_orthogonality)
 from .fields import (FormField, GridSpec, Region, apply_R, apply_T,
                      apply_table, hodge_star, l2_inner, norm, sign_table,
                      split_tangential_normal, wedge)
@@ -27,13 +28,18 @@ from .halfspace import (diff_quotient, half_norm, mirror_Sd, mirror_Sdelta,
                         normal_derivative_reconstruct, restrict_to_half,
                         shift, stokes_pairing_residual, trace_normal,
                         trace_tangential)
+from .io import load_transformation
 from .manufactured import (gaussian_form, halfspace_member,
-                           random_band_limited, random_coclosed,
-                           random_dyadic, trig_catalog_entry)
-from .media import (Transformation, make_transformation, scalar_catalog)
-from .spectral import (coderivative_delta, exterior_d, fourier,
-                       fourier_inverse, gaffney_identity_check, gradient,
-                       laplacian, stokes_duality_residual)
+                           parity_symmetrized, random_band_limited,
+                           random_coclosed, random_dense_media, random_dyadic,
+                           trig_catalog_entry)
+from .media import (Transformation, make_transformation,
+                    reconstruct_from_split, reflected_transform,
+                    scalar_catalog)
+from .spectral import (coderivative_delta, d_delta_plus_delta_d, exterior_d,
+                       fourier, fourier_inverse, gaffney_identity_check,
+                       gradient, laplacian, partial_derivative,
+                       stokes_duality_residual)
 from .weights import (BOLD, ROMAN, NormSpec, annulus_split_bound,
                       rho_power, weighted_sobolev_norm)
 
@@ -91,7 +97,6 @@ def media_from_option(option: str, grid: GridSpec, rank: int,
             return scalar_catalog(grid, "radial_power", amplitude=0.5, tau=tau)
         return scalar_catalog(grid, "gauss_well", amplitude=1.0, width=1.0)
     if option.startswith("file:"):
-        from .io import load_transformation
         eps = load_transformation(option[5:])
         if eps.grid != grid:
             raise ValueError(f"media file grid {eps.grid} does not match the "
@@ -124,10 +129,11 @@ def _member_spectra(e: FormField, eps: Transformation) -> tuple:
     return hat, de, delta_eps
 
 
-def _interior_sample(member, eps: Transformation, order: int, weight: float,
-                     scale: str) -> dict:
-    e = member.field()
-    hat, de, delta_eps = _member_spectra(e, eps)
+def _interior_sample(e: FormField, eps: Transformation, order: int,
+                     weight: float, scale: str) -> tuple:
+    """The member's ratio row and its spectra (see ``_member_spectra``)."""
+    spectra = _member_spectra(e, eps)
+    hat, de, delta_eps = spectra
     data_weight = weight + 1 if scale == BOLD else weight
     numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, weight, scale))
     denominator = norm(e, weight)
@@ -136,8 +142,9 @@ def _interior_sample(member, eps: Transformation, order: int, weight: float,
     if delta_eps is not None:
         denominator += weighted_sobolev_norm(delta_eps,
                                              NormSpec(order, data_weight, scale))
-    return {"numerator": numerator, "denominator": denominator,
-            "ratio": _ratio(numerator, denominator)}
+    row = {"numerator": numerator, "denominator": denominator,
+           "ratio": _ratio(numerator, denominator)}
+    return row, spectra
 
 
 def _run_ratio_probe(probe: str, variant_scale: str, dim: int, rank: int,
@@ -163,14 +170,15 @@ def _run_ratio_probe(probe: str, variant_scale: str, dim: int, rank: int,
     sup_fine = 0.0
     for i in range(ensemble):
         member = gaussian_form(grid, rank, seed + 1000 * i, decay=3.0)
-        row = _interior_sample(member, eps, order, weight, variant_scale)
+        row = _interior_sample(member.field(), eps, order, weight,
+                               variant_scale)[0]
         row["index"] = i
         report.samples.append(row)
         sup = max(sup, row["ratio"])
         total += row["ratio"]
         member_fine = gaussian_form(fine, rank, seed + 1000 * i, decay=3.0)
-        fine_row = _interior_sample(member_fine, eps_fine, order, weight,
-                                    variant_scale)
+        fine_row = _interior_sample(member_fine.field(), eps_fine, order,
+                                    weight, variant_scale)[0]
         sup_fine = max(sup_fine, fine_row["ratio"])
     drift = abs(sup - sup_fine) / max(sup_fine, 1e-300)
     report.aggregates = {"sup_ratio": sup, "mean_ratio": total / max(ensemble, 1),
@@ -230,10 +238,9 @@ def validate_halfspace_member(e: FormField, tol: float = 1e-10) -> float:
 
 
 def norm_of_trace(e: FormField) -> float:
-    from .fields import norm as field_norm
     if e.rank >= e.grid.dim:
         return 0.0  # top-rank forms have no tangential boundary components
-    return field_norm(trace_tangential(restrict_to_half(e)))
+    return norm(trace_tangential(restrict_to_half(e)))
 
 
 def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
@@ -269,18 +276,8 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
         e = halfspace_member(g, rank, seed + 1000 * i, envelope_decay=2.5,
                              kmax=kmax)
         trace_rel = validate_halfspace_member(e)
-        spectra = _member_spectra(e, material)
-        hat, de, delta_eps = spectra
-        numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, 0.0, ROMAN))
-        denominator = norm(e)
-        if de is not None:
-            denominator += weighted_sobolev_norm(de, NormSpec(order, 0.0, ROMAN))
-        if delta_eps is not None:
-            denominator += weighted_sobolev_norm(delta_eps,
-                                                 NormSpec(order, 0.0, ROMAN))
-        row = {"index": i, "numerator": numerator, "denominator": denominator,
-               "ratio": _ratio(numerator, denominator),
-               "trace_norm_rel": trace_rel}
+        row, spectra = _interior_sample(e, material, order, 0.0, ROMAN)
+        row.update(index=i, trace_norm_rel=trace_rel)
         return e, spectra, row
 
     def checked_sample(i):
@@ -476,12 +473,10 @@ def _check_spectral(checks, grid, seed):
         worst_lap = max(worst_lap,
                         _rel_norm(fourier(lap),
                                   hat.with_data(-grid.freq_radius_sq() * hat.data)))
-        from .spectral import d_delta_plus_delta_d
         worst_hodgelap = max(worst_hodgelap, _rel_norm(d_delta_plus_delta_d(e), lap))
         worst_gaffney = max(worst_gaffney, gaffney_identity_check(e).relative_gap)
         # monomial derivative rule d^alpha <-> (i xi)^alpha up to order 3
         for alpha_axis, order in ((1, 1), (min(2, dim), 2), (dim, 3)):
-            from .spectral import partial_derivative
             deriv = e
             for _ in range(order):
                 deriv = partial_derivative(deriv, alpha_axis)
@@ -546,7 +541,6 @@ def _check_weights(checks, dim, seed):
 
 
 def _check_media(checks, grid, exact_grid, seed):
-    from .media import reflected_transform
     dim = grid.dim
     fields = _suite_fields(grid, seed + 211)
     eps_scalar = scalar_catalog(grid, "gauss_well", amplitude=1.0, width=1.0)
@@ -564,7 +558,6 @@ def _check_media(checks, grid, exact_grid, seed):
                             float(np.abs(twice.hat - eps_scalar.hat).max()))
         tau_part, _ = split_tangential_normal(e)
         g_rho = split_tangential_normal(eps_scalar.apply(e))[1]
-        from .media import reconstruct_from_split
         worst_recon = max(worst_recon,
                           _rel_norm(reconstruct_from_split(tau_part, g_rho,
                                                            eps_scalar), e))
@@ -607,7 +600,6 @@ def _check_media(checks, grid, exact_grid, seed):
 
 
 def _check_halfspace(checks, grid, seed):
-    from .manufactured import parity_symmetrized
     dim = grid.dim
     worst_iso = worst_parity = worst_support = 0.0
     worst_dcomm = worst_deltacomm = 0.0
@@ -677,13 +669,12 @@ def _check_halfspace(checks, grid, seed):
 
 
 def _check_stokes(checks, dim, seed):
-    from .manufactured import gaussian_form as gf
     use_dim = min(dim, 3)
     residuals = {}
     for n in (32, 64):
         grid = GridSpec(use_dim, 3.0, n)
-        e_m = gf(grid, 0, seed + 5, decay=2.5)
-        h_m = gf(grid, 1, seed + 6, decay=2.5)
+        e_m = gaussian_form(grid, 0, seed + 5, decay=2.5)
+        h_m = gaussian_form(grid, 1, seed + 6, decay=2.5)
         residuals[n] = stokes_pairing_residual(
             restrict_to_half(e_m.field()), restrict_to_half(h_m.field()),
             restrict_to_half(e_m.d().field()),
@@ -710,7 +701,6 @@ def _check_stokes(checks, dim, seed):
 
 
 def _check_reconstruction(checks, dim, seed):
-    from .manufactured import random_dense_media
     use_dim = min(dim, 3)
     grid = GridSpec(use_dim, 3.0, 32)
     worst = 0.0
@@ -750,7 +740,6 @@ def _check_decomposition(checks, grid, seed):
         worst_idem = max(worst_idem, _rel_norm(again.exact_part, split.exact_part))
         worst_idem = max(worst_idem, norm(again.coexact_part) / scale)
         if q > 0:
-            from .decompose import potential_for_exact
             phi = potential_for_exact(split.exact_part)
             worst_pot = max(worst_pot,
                             norm(exterior_d(phi) - split.exact_part) / scale)

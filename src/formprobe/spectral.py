@@ -1,10 +1,13 @@
 """Fourier transform on forms and the spectrally exact d, delta, Laplacian.
 
-The transform is the componentwise unitary FFT.  Derivatives never touch
-finite differences here: d and delta are pulled back from the frequency
-side through the coordinate-multiplication operators, so the complex
-identities (d d = 0, delta delta = 0, d delta + delta d = Laplacian and
-the Gaffney identity) hold to round-off.
+The transform is the componentwise unitary FFT, and ``fft_nodes`` /
+``ifft_nodes`` are the package's one entry point to it (the N = 3 bridge
+keeps its own as the independent reference route).  Derivatives never
+touch finite differences here: each operator is a symbol applied on the
+frequency side (``derivative_symbol`` builds (i xi)^alpha; d and delta
+are the coordinate-multiplication operators R and T on the frequencies),
+so the complex identities (d d = 0, delta delta = 0, d delta + delta d =
+Laplacian and the Gaffney identity) hold to round-off.
 """
 
 from __future__ import annotations
@@ -18,58 +21,96 @@ from .fields import (FormField, apply_R, apply_T, apply_table, l2_inner, norm,
                      sign_table)
 
 
+def fft_nodes(data: np.ndarray, dim: int) -> np.ndarray:
+    """Unitary FFT over the trailing ``dim`` node axes of any stack.
+
+    With ``ifft_nodes`` the one call into numpy's transforms; both look
+    ``numpy.fft`` up at call time, so a wrapper bound there sees every
+    transform the package makes.
+    """
+    return np.fft.fftn(data, axes=tuple(range(-dim, 0)), norm="ortho")
+
+
+def ifft_nodes(data: np.ndarray, dim: int) -> np.ndarray:
+    return np.fft.ifftn(data, axes=tuple(range(-dim, 0)), norm="ortho")
+
+
 def fourier(e: FormField) -> FormField:
     """Componentwise unitary FFT; the result lives on the frequency grid."""
     if e.spectral:
         raise ValueError("field is already in frequency space")
-    axes = tuple(range(1, e.grid.dim + 1))
-    return e.with_data(np.fft.fftn(e.data, axes=axes, norm="ortho"), spectral=True)
+    return e.with_data(fft_nodes(e.data, e.grid.dim), spectral=True)
 
 
 def fourier_inverse(e: FormField) -> FormField:
     if not e.spectral:
         raise ValueError("field is not in frequency space")
-    axes = tuple(range(1, e.grid.dim + 1))
-    return e.with_data(np.fft.ifftn(e.data, axes=axes, norm="ortho"), spectral=False)
+    return e.with_data(ifft_nodes(e.data, e.grid.dim), spectral=False)
+
+
+def derivative_symbol(grid, alpha: tuple):
+    """The multiplier (i xi)^alpha of d^alpha, broadcastable over the
+    frequency grid (alpha holds one order per axis)."""
+    symbol = None
+    for axis, order in enumerate(alpha, start=1):
+        if order:
+            factor = (1j * grid.freq_field(axis)) ** order
+            symbol = factor if symbol is None else symbol * factor
+    return 1.0 if symbol is None else symbol
+
+
+def harmonic_mask(grid) -> np.ndarray:
+    """Modes where every derivative symbol vanishes (the harmonic modes)."""
+    return grid.freq_radius_sq() == 0.0
+
+
+def _spectrum(e: FormField) -> FormField:
+    """F(E); a frequency-space field is its own spectrum."""
+    return e if e.spectral else fourier(e)
+
+
+def _apply_symbol(e: FormField, op) -> np.ndarray:
+    """Apply a symbol operator in the space of E.
+
+    ``op`` maps the spectrum F(E) to frequency-side data (any stack over
+    the nodes).  That data is returned as is for a spectral E and inverted
+    for a position-space one.
+    """
+    out = op(_spectrum(e))
+    return out if e.spectral else ifft_nodes(out, e.grid.dim)
+
+
+def _unit(dim: int, axis: int, order: int = 1) -> tuple:
+    """The multi-index of d_axis^order."""
+    return tuple(order if j == axis else 0 for j in range(1, dim + 1))
 
 
 def partial_derivative(e: FormField, axis: int, order: int = 1) -> FormField:
     """Spectral partial derivative along a 1-based axis."""
-    xi = e.grid.freq_field(axis)
-    symbol = (1j * xi) ** order
-    if e.spectral:
-        return e.with_data(symbol * e.data)
-    hat = fourier(e)
-    return fourier_inverse(hat.with_data(symbol * hat.data))
+    symbol = derivative_symbol(e.grid, _unit(e.grid.dim, axis, order))
+    return e.with_data(_apply_symbol(e, lambda hat: symbol * hat.data))
 
 
 def exterior_d(e: FormField) -> FormField:
     """Exterior derivative via the frequency-side insertion operator."""
     if e.rank >= e.grid.dim:
         raise ValueError("rank overflow: d on a top-rank form")
-    if e.spectral:
-        return 1j * apply_R(e)
-    hat = fourier(e)
-    return fourier_inverse(1j * apply_R(hat))
+    return e.with_data(_apply_symbol(e, lambda hat: (1j * apply_R(hat)).data),
+                       rank=e.rank + 1)
 
 
 def coderivative_delta(e: FormField) -> FormField:
     """Co-derivative via the frequency-side contraction operator."""
     if e.rank < 1:
         raise ValueError("rank underflow: delta on a rank-0 form")
-    if e.spectral:
-        return 1j * apply_T(e)
-    hat = fourier(e)
-    return fourier_inverse(1j * apply_T(hat))
+    return e.with_data(_apply_symbol(e, lambda hat: (1j * apply_T(hat)).data),
+                       rank=e.rank - 1)
 
 
 def laplacian(e: FormField) -> FormField:
     """Componentwise Laplacian, symbol -|xi|^2 (= d delta + delta d)."""
     symbol = -e.grid.freq_radius_sq()
-    if e.spectral:
-        return e.with_data(symbol * e.data)
-    hat = fourier(e)
-    return fourier_inverse(hat.with_data(symbol * hat.data))
+    return e.with_data(_apply_symbol(e, lambda hat: symbol * hat.data))
 
 
 def d_delta_plus_delta_d(e: FormField) -> FormField:
@@ -84,7 +125,7 @@ def d_delta_plus_delta_d(e: FormField) -> FormField:
 
 def spectral_sobolev_norm(e: FormField, order: float) -> float:
     """Bessel-potential norm ||(1+|xi|^2)^(s/2) F(E)||, any real s."""
-    hat = e if e.spectral else fourier(e)
+    hat = _spectrum(e)
     weight = (1.0 + e.grid.freq_radius_sq()) ** order
     value = np.sum(weight * np.abs(hat.data) ** 2) * e.grid.cell_volume
     return math.sqrt(max(value.real if np.iscomplexobj(value) else value, 0.0))
@@ -99,7 +140,7 @@ class GaffneyReport:
 
 def gaffney_identity_check(phi: FormField) -> GaffneyReport:
     """Compare the full gradient energy with the d/delta graph energy."""
-    hat = phi if phi.spectral else fourier(phi)
+    hat = _spectrum(phi)
     lhs = 0.0
     for axis in range(1, phi.grid.dim + 1):
         xi = phi.grid.freq_field(axis)
@@ -145,14 +186,13 @@ def _assemble(kind: str, e: FormField, partials: dict, rank: int) -> FormField:
 
 
 def gradient(e: FormField) -> dict:
-    """All spectral first partials keyed by 1-based axis."""
-    hat = e if e.spectral else fourier(e)
-    out = {}
-    for axis in range(1, e.grid.dim + 1):
-        xi = e.grid.freq_field(axis)
-        d_hat = hat.with_data(1j * xi * hat.data)
-        out[axis] = d_hat if e.spectral else fourier_inverse(d_hat)
-    return out
+    """All spectral first partials keyed by 1-based axis, from one
+    transform and one stacked inverse."""
+    dim = e.grid.dim
+    symbols = [derivative_symbol(e.grid, _unit(dim, axis))
+               for axis in range(1, dim + 1)]
+    stack = _apply_symbol(e, lambda hat: np.stack([s * hat.data for s in symbols]))
+    return {axis: e.with_data(stack[axis - 1]) for axis in range(1, dim + 1)}
 
 
 def stokes_duality_residual(e: FormField, h: FormField) -> float:

@@ -19,7 +19,8 @@ from itertools import product
 import numpy as np
 
 from .fields import FormField, norm
-from .spectral import coderivative_delta, exterior_d, fourier, fourier_inverse
+from .spectral import (coderivative_delta, derivative_symbol, exterior_d,
+                       fourier, fourier_inverse)
 
 DEFAULT_MAX_ORDER = 3
 
@@ -76,7 +77,6 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
             f"derivative order m={spec.order} exceeds the supported band-limit "
             f"order {max_order}; raise max_order explicitly if the grid resolves it")
     hat = e if e.spectral else None
-    freqs = e.grid.freq_fields()
     total = 0.0
     for alpha in _derivative_orders(e.grid.dim, spec.order):
         k = sum(alpha)
@@ -86,11 +86,8 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
             continue
         if hat is None:
             hat = fourier(e)
-        symbol = np.ones((), np.complex128)
-        for ax, a in enumerate(alpha):
-            if a:
-                symbol = symbol * (1j * freqs[ax]) ** a
-        deriv = hat.with_data(symbol * hat.data) if k else hat
+        deriv = hat.with_data(derivative_symbol(e.grid, alpha) * hat.data) \
+            if k else hat
         if exponent != 0.0:
             deriv = fourier_inverse(deriv)
         total += norm(deriv, exponent) ** 2

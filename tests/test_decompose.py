@@ -142,6 +142,9 @@ def test_solver_rejects_non_coclosed_and_mean():
     const = FormField.from_components(g, 1, {(1,): 1.0})
     with pytest.raises(ValueError, match="zero-mean"):
         solve_coderivative(const)
+    # closed too: the potential's harmonic check rejects it, not its d check
+    with pytest.raises(ValueError, match="zero-mean"):
+        potential_for_exact(const)
 
 
 def test_solver_h1_bound_shape():

@@ -10,6 +10,7 @@ from formprobe.manufactured import (PolyGauss, gaussian_form,
                                     random_dense_media, random_dyadic,
                                     trig_catalog_entry)
 from formprobe.halfspace import restrict_to_half, trace_tangential
+from formprobe.media import make_transformation
 from formprobe.spectral import exterior_d, gradient, partial_derivative
 
 
@@ -139,11 +140,21 @@ def test_random_coclosed_is_coclosed():
 def test_random_dense_media_has_stored_exact_partials():
     g = GridSpec(2, 2.0, 16)
     eps = random_dense_media(g, 1, 3, amplitude=0.4)
-    # entries are band-limited: the stored partials equal the spectral ones
-    stored = eps.hat_partials[1][0, 1]
-    hat = np.fft.fftn(eps.hat[0, 1].astype(complex), norm="ortho")
-    spectral = np.fft.ifftn(1j * g.freq_field(1) * hat, norm="ortho").real
-    assert np.abs(stored - spectral).max() <= 1e-12
+    # the same entries without stored partials take the spectral route
+    bare = make_transformation(g, 1, "dense", hat=eps.hat)
+    nc = eps.hat.shape[0]
+    for axis in (1, 2):
+        spectral = bare.partial_array(axis)
+        for i in range(nc):
+            for j in range(nc):
+                hat = np.fft.fftn(eps.hat[i, j].astype(complex), norm="ortho")
+                reference = np.fft.ifftn(1j * g.freq_field(axis) * hat,
+                                         norm="ortho").real
+                # one transform of the whole entry stack, bitwise per entry
+                assert np.array_equal(spectral[i, j], reference)
+                # entries are band-limited: the stored partials are exact
+                assert np.abs(eps.hat_partials[axis][i, j]
+                              - reference).max() <= 1e-12
 
 
 def test_unknown_kind_rejected():

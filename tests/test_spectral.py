@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,13 @@ def test_assembled_d_delta_match_spectral_operators():
     for q in range(4):
         e = random_band_limited(g, q, seed=6 + q, real=False)
         parts = gradient(e)
+        # one stacked inverse gives each partial bitwise, in either space
+        hat = fourier(e)
+        for axis, hat_part in gradient(hat).items():
+            assert np.array_equal(parts[axis].data,
+                                  partial_derivative(e, axis).data)
+            assert np.array_equal(hat_part.data,
+                                  partial_derivative(hat, axis).data)
         if q < 3:
             assert rel_gap(assemble_d(e, parts), exterior_d(e)) <= 1e-12
         if q > 0:
@@ -199,3 +209,31 @@ def test_rank_guards():
         exterior_d(FormField.zeros(g, 2))
     with pytest.raises(ValueError):
         coderivative_delta(FormField.zeros(g, 0))
+
+
+FFT_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                  "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"}
+
+
+def _names_fft_transform(tree) -> bool:
+    """True when the module names a transform of an ``fft`` namespace
+    (np.fft.fftn, fft.ifftn, ...) or imports one from numpy.fft/scipy.fft."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FFT_TRANSFORMS:
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "fft":
+                return True
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy.fft",
+                                                                "scipy.fft"):
+            if any(alias.name in FFT_TRANSFORMS for alias in node.names):
+                return True
+    return False
+
+
+def test_only_spectral_and_bridge_call_a_transform():
+    import formprobe
+    package = Path(formprobe.__file__).parent
+    callers = {path.name for path in package.glob("*.py")
+               if _names_fft_transform(ast.parse(path.read_text()))}
+    # bridge keeps its own FFT as the independent reference route
+    assert callers == {"spectral.py", "bridge.py"}
