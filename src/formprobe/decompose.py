@@ -35,29 +35,35 @@ class HodgeSplit:
     mean_part: FormField
     iterations: int = 0
     fixed_point_residual: float = 0.0
+    update_history: tuple = ()     # update sizes, before and after each step
 
     def resum(self) -> FormField:
         return self.exact_part + self.coexact_part + self.mean_part
 
 
+def _exact_projection(hat: FormField) -> FormField:
+    """The exact part R T / |xi|^2 of a spectrum; harmonic modes go to 0."""
+    if hat.rank == 0:
+        return hat.with_data(np.zeros_like(hat.data))
+    if hat.rank == hat.grid.dim:
+        return hat.with_data(np.where(harmonic_mask(hat.grid), 0.0, hat.data))
+    exact_hat = apply_R(apply_T(hat))
+    return exact_hat.with_data(_inv_symbol(hat.grid) * exact_hat.data)
+
+
 def _split_spectral(hat: FormField) -> tuple:
     grid = hat.grid
-    inv = _inv_symbol(grid)
     kernel = harmonic_mask(grid)
     mean_hat = hat.with_data(np.where(kernel, hat.data, 0.0))
     nonzero = hat.with_data(np.where(kernel, 0.0, hat.data))
     if hat.rank == 0:
-        exact_hat = hat.with_data(np.zeros_like(hat.data))
         coexact_hat = nonzero
     elif hat.rank == grid.dim:
-        exact_hat = nonzero
         coexact_hat = hat.with_data(np.zeros_like(hat.data))
     else:
-        exact_hat = apply_R(apply_T(nonzero))
-        exact_hat = exact_hat.with_data(inv * exact_hat.data)
         coexact_hat = apply_T(apply_R(nonzero))
-        coexact_hat = coexact_hat.with_data(inv * coexact_hat.data)
-    return exact_hat, coexact_hat, mean_hat
+        coexact_hat = coexact_hat.with_data(_inv_symbol(grid) * coexact_hat.data)
+    return _exact_projection(nonzero), coexact_hat, mean_hat
 
 
 def hodge_decompose(e: FormField, eps: Transformation | None = None,
@@ -66,45 +72,63 @@ def hodge_decompose(e: FormField, eps: Transformation | None = None,
 
     With eps = None the split is the plain orthogonal one, built from the
     frequency-side projectors.  With a material eps the co-exact part is
-    taken in the eps-weighted sense (delta(eps coexact) = 0); it is found
-    by a damping-one fixed-point iteration on the exact component and
-    reported with its final update size.  The iteration raises
-    RuntimeError when it diverges or reaches ``max_iter`` above ``tol``.
+    taken in the eps-weighted sense (delta(eps coexact) = 0): the exact
+    part A solves P eps P A = P eps (E - mean) on the exact range (P the
+    exact projector), by conjugate gradients on the frequency side with
+    reference medium c = (lambda_min + lambda_max) / 2, about sqrt(kappa)
+    steps for a material of contrast kappa.  The update size is
+    ||P eps C|| / (c ||E||) for the co-exact part C, the Richardson update
+    with medium c; the split stops below ``tol`` and raises RuntimeError
+    when it reaches ``max_iter``, meets a NaN or a non-positive curvature.
     """
     if e.spectral:
         raise ValueError("decompose position-space fields")
     hat = fourier(e)
     exact_hat, coexact_hat, mean_hat = _split_spectral(hat)
-    exact = fourier_inverse(exact_hat)
     mean = fourier_inverse(mean_hat)
     if eps is None or eps.is_identity():
-        return HodgeSplit(exact, fourier_inverse(coexact_hat), mean)
+        return HodgeSplit(fourier_inverse(exact_hat),
+                          fourier_inverse(coexact_hat), mean)
 
-    # eps-weighted variant: find exact A with delta(eps (E - mean - A)) = 0.
-    target = e - mean
-    a = exact
+    c = 0.5 * (eps.report.min_rayleigh + eps.report.max_rayleigh)
+
+    def operator(x_hat):  # P eps x / c; 2 transforms
+        eps_x = eps.apply(fourier_inverse(x_hat))
+        return _exact_projection(fourier(eps_x)) * (1.0 / c)
+
     scale = max(norm(e), 1e-300)
-    best = math.inf
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        correction = eps.apply(target - a) - (target - a)
-        update, _, _ = _split_spectral(fourier(target + correction))
-        new_a = fourier_inverse(update)
-        residual = norm(new_a - a) / scale
-        a = new_a
-        if residual <= tol:
-            break
-        best = min(best, residual)
-        if residual > 10.0 * best and it > 10:
+    a_hat = exact_hat
+    r = operator(coexact_hat)  # P eps (E - mean - A) / c at A = P E
+    rr = l2_inner(r, r).real
+    history = [math.sqrt(rr) / scale]
+    p = r
+    it = 0
+    while not history[-1] <= tol and it < max_iter:
+        it += 1
+        q = operator(p)
+        curvature = l2_inner(q, p).real
+        if not curvature > 0.0:  # also catches a NaN
             raise RuntimeError(
-                f"weighted decomposition diverged (update {residual:.3e} "
-                f"after {it} iterations); material contrast too strong "
-                f"for the damping-one iteration")
-    if not residual <= tol:  # also catches a NaN update
+                f"weighted decomposition did not converge (curvature "
+                f"{curvature:.3e} after {it} iterations; last updates "
+                f"{_last_three(history)})")
+        alpha = rr / curvature
+        a_hat = a_hat + alpha * p
+        r = r - alpha * q
+        rr, rr_old = l2_inner(r, r).real, rr
+        history.append(math.sqrt(rr) / scale)
+        p = r + (rr / rr_old) * p
+    if not history[-1] <= tol:  # also catches a NaN update
         raise RuntimeError(
-            f"weighted decomposition did not converge (update {residual:.3e} "
-            f"> tol {tol:.1e} after {max_iter} iterations)")
-    return HodgeSplit(a, target - a, mean, it, residual)
+            f"weighted decomposition did not converge (update "
+            f"{history[-1]:.3e} > tol {tol:.1e} after {it} iterations; "
+            f"last updates {_last_three(history)})")
+    a = fourier_inverse(a_hat)
+    return HodgeSplit(a, e - mean - a, mean, it, history[-1], tuple(history))
+
+
+def _last_three(history: list) -> str:
+    return ", ".join(f"{u:.3e}" for u in history[-3:])
 
 
 def _check_zero_mean(hat: FormField, tol: float):

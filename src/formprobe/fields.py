@@ -518,6 +518,20 @@ def split_tangential_normal(e) -> tuple:
 # inner products
 # ---------------------------------------------------------------------------
 
+# OpenBLAS threads a complex dot product above 10 000 elements, and the
+# worker it wakes then spins on another core after every call; blocks
+# below that size keep the sum on the calling thread.
+_VDOT_BLOCK = 8192
+
+
+def _blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum conj(a) b, as np.vdot over contiguous blocks of _VDOT_BLOCK."""
+    a = a.reshape(-1)
+    b = b.reshape(-1)
+    return sum((np.vdot(a[i:i + _VDOT_BLOCK], b[i:i + _VDOT_BLOCK])
+                for i in range(0, a.size, _VDOT_BLOCK)), 0j)
+
+
 def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> complex:
     """Grid quadrature of rho^(2s) sum_I E_I conj(H_I).
 
@@ -526,7 +540,7 @@ def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> comple
     """
     _check_compatible(e, h)
     if weight_exponent == 0.0:
-        total = np.vdot(h.data, e.data)  # conjugates the second argument
+        total = _blocked_vdot(h.data, e.data)
     else:
         if e.spectral:
             raise ValueError("polynomial weights apply to position-space fields")

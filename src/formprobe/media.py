@@ -10,6 +10,7 @@ positivity and rejects violations with the worst node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -39,6 +40,7 @@ class AdmissibilityError(ValueError):
 class AdmissibilityReport:
     symmetric: bool
     min_rayleigh: float
+    max_rayleigh: float
     worst_node: tuple
     sup_entry: float
     decay: dict | None = None
@@ -217,10 +219,18 @@ class Transformation:
             return None
         if self.hat_partials is not None and axis in self.hat_partials:
             return self.hat_partials[axis]
+        return self._spectral_partials[axis - 1]
+
+    @cached_property
+    def _spectral_partials(self) -> np.ndarray:
+        """Every axis's spectral partial of the entries, stacked: one
+        forward transform and one stacked inverse per material."""
         dim = self.grid.dim
-        alpha = tuple(1 if ax == axis else 0 for ax in range(1, dim + 1))
         hat = fft_nodes(self.hat.astype(np.complex128), dim)
-        return ifft_nodes(derivative_symbol(self.grid, alpha) * hat, dim).real
+        symbols = [derivative_symbol(self.grid, tuple(int(ax == axis)
+                                                      for ax in range(dim)))
+                   for axis in range(dim)]
+        return ifft_nodes(np.stack([s * hat for s in symbols]), dim).real
 
     def solve_rho_block(self, rhs: FormField) -> FormField:
         """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; rhs must be normal."""
@@ -236,7 +246,8 @@ def _verify_scalar(grid, mu_hat) -> AdmissibilityReport:
     values = 1.0 + mu_hat
     worst = float(values.min())
     node = np.unravel_index(int(np.argmin(values)), grid.shape)
-    return AdmissibilityReport(True, worst, node, float(np.abs(mu_hat).max()))
+    return AdmissibilityReport(True, worst, float(values.max()), node,
+                               float(np.abs(mu_hat).max()))
 
 
 def _verify_dense(grid, hat) -> AdmissibilityReport:
@@ -252,7 +263,8 @@ def _verify_dense(grid, hat) -> AdmissibilityReport:
     node_min = eig.min(axis=-1)
     worst = float(node_min.min())
     node = np.unravel_index(int(np.argmin(node_min)), grid.shape)
-    return AdmissibilityReport(symmetric, worst, node, float(np.abs(hat).max()))
+    return AdmissibilityReport(symmetric, worst, float(eig.max()), node,
+                               float(np.abs(hat).max()))
 
 
 def make_transformation(grid: GridSpec, rank: int | None = None,
@@ -272,7 +284,7 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
     if kind == IDENTITY:
         return Transformation(grid, rank, IDENTITY, None, tau, decay_kind,
                               smoothness, None,
-                              AdmissibilityReport(True, 1.0, (), 0.0))
+                              AdmissibilityReport(True, 1.0, 1.0, (), 0.0))
 
     if kind == SCALAR:
         mu_hat = np.broadcast_to(np.asarray(mu_hat, float), grid.shape).copy()

@@ -6,8 +6,8 @@ from formprobe.decompose import (hodge_decompose, potential_for_exact,
                                  solve_coderivative, split_orthogonality)
 from formprobe.fields import FormField, GridSpec, norm
 from formprobe.manufactured import (mean_free, random_band_limited,
-                                    random_coclosed)
-from formprobe.media import scalar_catalog
+                                    random_coclosed, random_dense_media)
+from formprobe.media import make_transformation, scalar_catalog
 from formprobe.spectral import (coderivative_delta, exterior_d,
                                 gaffney_identity_check, spectral_sobolev_norm)
 
@@ -200,18 +200,71 @@ def test_weighted_split_resums_and_coexact_is_material_coclosed():
     assert split.iterations > 0
 
 
-def test_weighted_split_divergence_reported():
+def _assert_split_contracts(split, e, eps, tol=1e-8):
+    """Parts resum to E, d(exact) = 0 and ||delta(eps C)|| is within the
+    bound the stopping rule gives: |xi|_max * lambda_max * tol * ||E||."""
+    assert rel_gap(split.resum(), e) <= 1e-12
+    assert norm(exterior_d(split.exact_part)) <= 1e-10 * norm(e)
+    material = coderivative_delta(eps.apply(split.coexact_part))
+    xi_max = float(np.sqrt(e.grid.freq_radius_sq().max()))
+    assert norm(material) <= xi_max * eps.report.max_rayleigh * tol * norm(e)
+    assert split.update_history[-1] == split.fixed_point_residual <= tol
+    assert len(split.update_history) == split.iterations + 1
+
+
+def test_weighted_split_high_contrast_converges():
+    # contrast far above the contraction threshold of a damping-one loop
     g = GridSpec(2, 3.0, 16)
-    # contrast far above the contraction threshold of the damping-one loop
     eps = scalar_catalog(g, "gauss_well", amplitude=60.0, width=0.05)
     e = random_band_limited(g, 1, 37, real=False)
-    with pytest.raises(RuntimeError, match="diverged"):
-        hodge_decompose(e, eps=eps, max_iter=60)
+    _assert_split_contracts(hodge_decompose(e, eps=eps), e, eps)
+
+
+def test_weighted_split_benchmark_materials_converge():
+    # the amplitudes where the reference medium 1 made the iteration diverge
+    g = GridSpec(3, 3.0, 32)
+    e = random_band_limited(g, 1, 2011)
+    for amplitude in (1.1, 3.0):
+        eps = scalar_catalog(g, "gauss_well", amplitude=amplitude, width=1.0)
+        _assert_split_contracts(hodge_decompose(e, eps=eps), e, eps)
+
+
+def test_weighted_split_iterations_follow_sqrt_contrast():
+    g = GridSpec(2, 3.0, 32)
+    eps = scalar_catalog(g, "gauss_well", amplitude=200.0, width=0.3)
+    kappa = eps.report.max_rayleigh / eps.report.min_rayleigh
+    assert 90.0 <= kappa <= 110.0
+    e = random_band_limited(g, 1, 5, real=False)
+    split = hodge_decompose(e, eps=eps)
+    _assert_split_contracts(split, e, eps)
+    # far below the max_iter default of 200, far above the ~10 steps at
+    # contrast 2: the count grows like sqrt(kappa)
+    assert 30 <= split.iterations <= 100
+
+
+def test_weighted_split_dense_material():
+    g = GridSpec(3, 3.0, 16)
+    eps = random_dense_media(g, 1, 7, amplitude=0.9)
+    e = random_band_limited(g, 1, 9, real=False)
+    _assert_split_contracts(hodge_decompose(e, eps=eps), e, eps)
 
 
 def test_weighted_split_unconverged_raises():
     g = GridSpec(2, 3.0, 32)
     eps = scalar_catalog(g, "gauss_well", amplitude=0.6, width=1.0)
     e = random_band_limited(g, 1, 31, real=False)
-    with pytest.raises(RuntimeError, match="did not converge"):
+    # the message quotes the last three update sizes
+    with pytest.raises(RuntimeError,
+                       match=r"did not converge .*last updates \S+, \S+, \S+\)$"):
         hodge_decompose(e, eps=eps, max_iter=2)
+
+
+def test_weighted_split_indefinite_material_raises():
+    # admissibility bypassed: 1 + mu dips to -0.5, so P eps P is indefinite
+    g = GridSpec(2, 3.0, 16)
+    eps = make_transformation(g, None, "scalar",
+                              mu_hat=-1.5 * np.exp(-g.radius_sq()),
+                              positivity_floor=-10.0)
+    e = random_band_limited(g, 1, 37, real=False)
+    with pytest.raises(RuntimeError, match="did not converge .*curvature"):
+        hodge_decompose(e, eps=eps)

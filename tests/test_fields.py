@@ -289,6 +289,22 @@ def test_l2_inner_orthogonal_covectors():
     assert l2_inner(e, h) == 0.0
 
 
+def test_l2_inner_blocked_sum_on_large_fields():
+    # 3 * 24^3 = 41 472 elements: several blocks and a remainder, each
+    # component crossing a block boundary
+    g = GridSpec(3, 3.0, 24)
+    e = random_band_limited(g, 1, 3, real=False)
+    h = random_band_limited(g, 1, 4, real=False)
+    for a, b in ((e, e), (e, h)):
+        reference = np.vdot(b.data, a.data) * g.cell_volume
+        scale = norm(a) * norm(b)
+        assert abs(l2_inner(a, b) - reference) <= 1e-13 * scale
+    first, rest = np.zeros_like(e.data), h.data.copy()
+    first[0] = e.data[0]
+    rest[0] = 0.0
+    assert l2_inner(e.with_data(first), h.with_data(rest)) == 0.0
+
+
 def test_weighted_inner_refinement_oracle():
     # Gaussian bump with weight s=1 against a doubled-resolution quadrature
     values = {}

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, Region, l2_inner, norm)
-from formprobe.halfspace import (HalfGridField, boundary_grid, diff_quotient,
+from formprobe.halfspace import (HalfGridField, _sign_selfcheck, boundary_grid,
+                                 diff_quotient,
                                  extend_boundary_form, half_norm,
                                  mirror_Sd, mirror_Sdelta,
                                  normal_derivative_reconstruct,
@@ -14,7 +15,8 @@ from formprobe.manufactured import (RadialBump, gaussian_form,
                                     halfspace_member, parity_symmetrized,
                                     random_band_limited, random_dense_media,
                                     random_dyadic, trig_catalog_entry)
-from formprobe.media import make_transformation, scalar_catalog
+from formprobe.media import (make_transformation, reflected_transform,
+                             scalar_catalog)
 from formprobe.spectral import coderivative_delta, exterior_d, gradient
 
 
@@ -352,6 +354,33 @@ def test_reconstruction_against_spectral_gradient(rank):
         {j: restrict_to_half(parts[j]) for j in (1, 2)})
     direct = restrict_to_half(parts[3])
     assert half_norm(rec[3] - direct) <= 1e-8 * max(half_norm(direct), 1e-300)
+
+
+def test_reconstruction_transforms_material_entries_once(monkeypatch):
+    # a transported dense material carries no stored partials
+    g = GridSpec(3, 3.0, 16)
+    e = random_band_limited(g, 1, 42, real=False)
+    eps = reflected_transform(random_dense_media(g, 1, 52, amplitude=0.4), 1)
+    parts = gradient(e)
+    args = (restrict_to_half(e), restrict_to_half(exterior_d(e)),
+            restrict_to_half(coderivative_delta(eps.apply(e))), eps,
+            {j: restrict_to_half(parts[j]) for j in (1, 2)})
+    _sign_selfcheck()  # its transforms run once per process
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            counts[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted("forward", np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted("inverse", np.fft.ifftn))
+    rec = normal_derivative_reconstruct(*args)
+    # one forward transform of the entry stack, one inverse for all axes
+    assert counts == {"forward": 1, "inverse": 1}
+    direct = restrict_to_half(parts[3])
+    assert half_norm(rec[3] - direct) <= 1e-8 * half_norm(direct)
 
 
 def test_reconstruction_scalar_material():
