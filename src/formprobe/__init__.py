@@ -17,8 +17,8 @@ from .weights import BOLD, ROMAN, NormSpec, graph_norm, weighted_sobolev_norm
 from .media import (AdmissibilityError, Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
                     scalar_catalog)
-from .halfspace import (HalfGridField, diff_quotient, mirror_Sd,
-                        mirror_Sdelta, normal_derivative_reconstruct,
+from .halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
+                        normal_derivative_reconstruct,
                         restrict_to_half, shift, stokes_pairing_residual,
                         trace_normal, trace_tangential)
 from .decompose import (HodgeSplit, hodge_decompose, potential_for_exact,
@@ -40,7 +40,7 @@ __all__ = [
     "BOLD", "ROMAN", "NormSpec", "graph_norm", "weighted_sobolev_norm",
     "AdmissibilityError", "Transformation", "make_transformation",
     "reconstruct_from_split", "reflected_transform", "scalar_catalog",
-    "HalfGridField", "diff_quotient", "mirror_Sd", "mirror_Sdelta",
+    "diff_quotient", "mirror_Sd", "mirror_Sdelta",
     "normal_derivative_reconstruct", "restrict_to_half", "shift",
     "stokes_pairing_residual", "trace_normal", "trace_tangential",
     "HodgeSplit", "hodge_decompose", "potential_for_exact",

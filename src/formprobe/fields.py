@@ -12,7 +12,7 @@ periodic box, the half box, the boundary plane or the frequency grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -96,11 +96,14 @@ def star_sign(mi: MultiIndex, dim: int) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic box [-L, L)^N with n points per axis."""
+    """Uniform periodic box [-L, L)^N with n points per axis, or its lower
+    half-box {x_N <= 0} (``half``): the first n/2 + 1 slices along x_N, the
+    boundary plane x_N = 0 last, closed by trapezoid weights."""
 
     dim: int
     half_length: float
     points: int
+    half: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -110,17 +113,37 @@ class GridSpec:
         if self.points < 2 or self.points % 2:
             raise ValueError("points per axis must be even and >= 2")
 
+    def half_box(self) -> "GridSpec":
+        return replace(self, half=True)
+
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_length / self.points
 
     @property
     def shape(self) -> tuple:
-        return (self.points,) * self.dim
+        n = self.points
+        return (n,) * (self.dim - 1) + (n // 2 + 1 if self.half else n,)
 
     @property
     def cell_volume(self) -> float:
         return self.spacing ** self.dim
+
+    @property
+    def quadrature_weights(self) -> np.ndarray | None:
+        """Weights along x_N: None for the plain sum of the periodic box,
+        the trapezoid closure (half weight at both ends) on the half box."""
+        if not self.half:
+            return None
+        w = np.ones(self.shape[-1])
+        w[0] = 0.5
+        w[-1] = 0.5
+        return w
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The part of a periodic-box array (trailing node axes) on this
+        grid's nodes, as a view."""
+        return values[..., : self.shape[-1]]
 
     def axis_coords(self) -> np.ndarray:
         return -self.half_length + self.spacing * np.arange(self.points)
@@ -128,8 +151,8 @@ class GridSpec:
     def coord_field(self, axis: int) -> np.ndarray:
         """Coordinate x_axis broadcastable over the grid (axis is 1-based)."""
         shape = [1] * self.dim
-        shape[axis - 1] = self.points
-        return self.axis_coords().reshape(shape)
+        shape[axis - 1] = self.shape[axis - 1]
+        return self.axis_coords()[: shape[axis - 1]].reshape(shape)
 
     def coord_fields(self) -> tuple:
         return tuple(self.coord_field(j) for j in range(1, self.dim + 1))
@@ -141,6 +164,8 @@ class GridSpec:
         return xi
 
     def freq_field(self, axis: int) -> np.ndarray:
+        if self.half:
+            raise ValueError("a half-box grid has no spectrum")
         shape = [1] * self.dim
         shape[axis - 1] = self.points
         return self.axis_freqs().reshape(shape)
@@ -200,9 +225,11 @@ class Region:
 class FormField:
     """Rank-q alternating form sampled on a grid (complex components).
 
-    ``data`` has shape (C(N, q), n, .., n); component ``k`` belongs to the
-    k-th multi-index of ``multi_indices(N, q)``.  ``spectral`` marks fields
-    living on the discrete frequency grid instead of the position grid.
+    ``data`` has shape (C(N, q),) + grid.shape; component ``k`` belongs to
+    the k-th multi-index of ``multi_indices(N, q)``.  The grid is the
+    periodic box, its half box or a boundary plane.  ``spectral`` marks
+    fields living on the discrete frequency grid instead of the position
+    grid; the half box has none.
     """
 
     grid: GridSpec
@@ -211,6 +238,8 @@ class FormField:
     spectral: bool = False
 
     def __post_init__(self):
+        if self.spectral and self.grid.half:
+            raise ValueError("a half-box grid has no spectrum")
         nc = n_components(self.grid.dim, self.rank)
         expected = (nc,) + self.grid.shape
         if self.data.shape != expected:
@@ -478,10 +507,7 @@ def wedge(e: FormField, f: FormField) -> FormField:
 
 
 def hodge_star(e):
-    """Euclidean Hodge star: (star E)_{I^c} = sign(I, I^c) E_I.
-
-    Acts on any component container with ``with_data`` (the half box too).
-    """
+    """Euclidean Hodge star: (star E)_{I^c} = sign(I, I^c) E_I."""
     dim = e.grid.dim
     return e.with_data(apply_table(sign_table("star", dim, e.rank), e.data),
                        rank=dim - e.rank)
@@ -532,20 +558,31 @@ def _blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
                 for i in range(0, a.size, _VDOT_BLOCK)), 0j)
 
 
+def weighted_inner(e: FormField, h: FormField, w: np.ndarray) -> complex:
+    """Quadrature of sum_I E_I conj(H_I) with weights w along x_N."""
+    _check_compatible(e, h)
+    total = np.sum(w * np.sum(e.data * np.conj(h.data), axis=0))
+    return complex(total * e.grid.cell_volume)
+
+
 def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> complex:
     """Grid quadrature of rho^(2s) sum_I E_I conj(H_I).
 
     The periodic box uses the plain sum times h^N, exact for band-limited
-    integrands.  Polynomial weights apply to position-space fields only.
+    integrands; the half box closes x_N with its grid's trapezoid weights.
+    Polynomial weights apply to position-space fields only.
     """
+    w = e.grid.quadrature_weights
+    if weight_exponent == 0.0 and w is not None:
+        return weighted_inner(e, h, w)
     _check_compatible(e, h)
     if weight_exponent == 0.0:
         total = _blocked_vdot(h.data, e.data)
     else:
         if e.spectral:
             raise ValueError("polynomial weights apply to position-space fields")
-        w = (1.0 + e.grid.radius_sq()) ** weight_exponent
-        total = np.sum(w * (e.data * np.conj(h.data)))
+        rho = (1.0 + e.grid.radius_sq()) ** weight_exponent
+        total = np.sum((rho if w is None else rho * w) * (e.data * np.conj(h.data)))
     return complex(total * e.grid.cell_volume)
 
 

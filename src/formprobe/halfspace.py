@@ -9,119 +9,57 @@ here differentiates one-sidedly: derivatives arrive either analytically
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
-from .fields import (FormField, GridSpec, apply_table, hodge_star,
-                     index_position, l2_inner, n_components, sign_table)
+from .fields import (FormField, GridSpec, apply_table, hodge_star, l2_inner,
+                     sign_table, weighted_inner)
 from .media import Transformation
 
 GREGORY4 = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
 
 
 # ---------------------------------------------------------------------------
-# containers
+# restriction and mirror operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalfGridField:
-    """Form field on the lower half-box including the x_N = 0 plane.
-
-    A plain container: the pointwise operators of ``fields`` act on it
-    through its component array, whose nodes are the first n/2 + 1 slices
-    of the periodic grid along x_N.
-    """
-
-    grid: GridSpec          # the full periodic reference grid
-    rank: int
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.grid.points
-        expected = (n_components(self.grid.dim, self.rank),) \
-            + (n,) * (self.grid.dim - 1) + (n // 2 + 1,)
-        if self.data.shape != expected:
-            raise ValueError(f"half-grid data has shape {self.data.shape}, "
-                             f"expected {expected}")
-        if self.data.dtype != np.complex128:
-            object.__setattr__(self, "data",
-                               np.ascontiguousarray(self.data, np.complex128))
-        self.data.flags.writeable = False
-
-    def component(self, mi) -> np.ndarray:
-        return self.data[index_position(self.grid.dim, tuple(mi))]
-
-    def with_data(self, data: np.ndarray, rank=None) -> "HalfGridField":
-        return HalfGridField(self.grid, self.rank if rank is None else rank, data)
-
-    def __add__(self, other):
-        return self.with_data(self.data + other.data)
-
-    def __sub__(self, other):
-        return self.with_data(self.data - other.data)
-
-    def __mul__(self, factor):
-        return self.with_data(self.data * factor)
-
-    __rmul__ = __mul__
+def restrict_to_half(e: FormField) -> FormField:
+    """Keep the nodes with x_N <= 0 (boundary plane included): a read-only
+    view of E's data on the half-box grid."""
+    half = e.grid.half_box()
+    return FormField(half, e.rank, half.restrict(e.data))
 
 
-def restrict_to_half(e: FormField) -> HalfGridField:
-    """Keep the nodes with x_N <= 0 (boundary plane included)."""
-    n = e.grid.points
-    return HalfGridField(e.grid, e.rank, e.data[..., : n // 2 + 1].copy())
+def _check_half(e: FormField):
+    if not e.grid.half:
+        raise ValueError("this operator needs a field on the half box")
 
 
-def half_quadrature_weights(grid: GridSpec) -> np.ndarray:
-    """Trapezoid closure along x_N: half weight at both interval ends."""
-    w = np.ones(grid.points // 2 + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
-    return w
-
-
-def _weighted_inner(a: HalfGridField, b: HalfGridField, w: np.ndarray) -> complex:
-    """Half-box quadrature of sum_I A_I conj(B_I) with weights w along x_N."""
-    total = np.sum(w * np.sum(a.data * np.conj(b.data), axis=0))
-    return complex(total * a.grid.cell_volume)
-
-
-def half_inner(e: HalfGridField, h: HalfGridField) -> complex:
-    return _weighted_inner(e, h, half_quadrature_weights(e.grid))
-
-
-def half_norm(e: HalfGridField) -> float:
-    return math.sqrt(max(half_inner(e, e).real, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# mirror operators
-# ---------------------------------------------------------------------------
-
-def mirror_Sd(e: HalfGridField) -> FormField:
+def mirror_Sd(e: FormField) -> FormField:
     """Extend across the plane: even where N is absent, odd where present.
 
     The upper half is the pullback under the reflection x_N -> -x_N.
     Commutes with d on reflection-compatible fields and doubles the
     squared norm exactly in the grid quadrature.
     """
+    _check_half(e)
     dim = e.grid.dim
-    n = e.grid.points
+    m = e.grid.shape[-1]
+    box = replace(e.grid, half=False)
     reflection = sign_table(("pullback", tuple(range(1, dim + 1)),
                              (1,) * (dim - 1) + (-1,)), dim, e.rank)
-    out = np.empty((e.data.shape[0],) + e.grid.shape, np.complex128)
-    out[..., : n // 2 + 1] = e.data
+    out = np.empty((e.data.shape[0],) + box.shape, np.complex128)
+    out[..., :m] = e.data
     # x_N = -(L-h) .. -h reversed
-    out[..., n // 2 + 1:] = apply_table(reflection, e.data[..., 1: n // 2][..., ::-1])
-    return FormField(e.grid, e.rank, out)
+    out[..., m:] = apply_table(reflection, e.data[..., 1: m - 1][..., ::-1])
+    return FormField(box, e.rank, out)
 
 
-def mirror_Sdelta(e: HalfGridField) -> FormField:
+def mirror_Sdelta(e: FormField) -> FormField:
     """Dual mirror (-1)^(q(N-q)) star Sd star; commutes with delta."""
     dim = e.grid.dim
     sign = -1.0 if (e.rank * (dim - e.rank)) % 2 else 1.0
@@ -141,11 +79,12 @@ def _step_count(grid: GridSpec, step: float) -> int:
 
 
 def shift(e, axis: int, step: float):
-    """Pullback by the translation x -> x + step e_axis (grid-aligned step)."""
+    """Pullback by the translation x -> x + step e_axis (grid-aligned step);
+    on the half box along the tangential axes only."""
     k = _step_count(e.grid, step)
-    if isinstance(e, HalfGridField) and axis >= e.grid.dim:
-        raise ValueError("normal-axis shift is not defined on half-grid "
-                         "fields (tangential axes only)")
+    if e.grid.half and axis >= e.grid.dim:
+        raise ValueError("normal-axis shift is not defined on the half box "
+                         "(tangential axes only)")
     return e.with_data(np.roll(e.data, -k, axis=axis))
 
 
@@ -167,13 +106,14 @@ def boundary_grid(grid: GridSpec) -> GridSpec:
     return GridSpec(grid.dim - 1, grid.half_length, grid.points)
 
 
-def trace_tangential(e: HalfGridField) -> FormField:
+def trace_tangential(e: FormField) -> FormField:
     """Tangential trace: components without N, restricted to x_N = 0."""
+    _check_half(e)
     out = apply_table(sign_table("trace", e.grid.dim, e.rank), e.data[..., -1])
     return FormField(boundary_grid(e.grid), e.rank, out)
 
 
-def trace_normal(e: HalfGridField) -> FormField:
+def trace_normal(e: FormField) -> FormField:
     """Normal trace (-1)^((q-1) N) star_boundary  gamma_t  star.
 
     The boundary star is taken in the induced orientation of the plane
@@ -190,27 +130,28 @@ def trace_normal(e: HalfGridField) -> FormField:
 
 
 def extend_boundary_form(b: FormField, grid: GridSpec,
-                         width: float | None = None) -> HalfGridField:
+                         width: float | None = None) -> FormField:
     """Right inverse of the tangential trace: constant in x_N times a bump."""
     if b.grid != boundary_grid(grid):
         raise ValueError("boundary form does not match the target grid")
+    half = grid.half_box()
     width = width if width is not None else 0.5 * grid.half_length
-    xn = grid.axis_coords()[: grid.points // 2 + 1]
+    xn = half.coord_field(half.dim)
     with np.errstate(divide="ignore", over="ignore"):
         t = np.clip(np.abs(xn) / width, 0.0, 1.0)
         cutoff = np.where(t < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t * t, 1e-300)), 0.0)
     lifted = apply_table(sign_table("extend", grid.dim, b.rank), b.data)
-    return HalfGridField(grid, b.rank, lifted[..., None] * cutoff)
+    return FormField(half, b.rank, lifted[..., None] * cutoff)
 
 
 # ---------------------------------------------------------------------------
 # Stokes pairing on the half-box
 # ---------------------------------------------------------------------------
 
-def _gregory_weights(grid: GridSpec) -> np.ndarray:
-    m = grid.points // 2 + 1
+def _gregory_weights(half: GridSpec) -> np.ndarray:
+    m = half.shape[-1]
     if m < 7:
-        return half_quadrature_weights(grid)
+        return half.quadrature_weights
     w = np.ones(m)
     for i, c in enumerate(GREGORY4):
         w[i] = c
@@ -218,8 +159,8 @@ def _gregory_weights(grid: GridSpec) -> np.ndarray:
     return w
 
 
-def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,
-                            de: HalfGridField, delta_h: HalfGridField,
+def stokes_pairing_residual(e: FormField, h: FormField,
+                            de: FormField, delta_h: FormField,
                             quadrature: str = "gregory4") -> float:
     """|<dE, H> + <E, delta H> - <gamma_t E, gamma_n H>| on the half-box.
 
@@ -231,6 +172,7 @@ def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,
     """
     if e.rank + 1 != h.rank:
         raise ValueError("pairing needs rank(H) = rank(E) + 1")
+    _check_half(e)
     grid = e.grid
     amp = max(float(np.abs(e.data).max()), float(np.abs(h.data).max()), 1e-300)
     edge = max(float(np.abs(e.data[..., 0]).max()),
@@ -241,10 +183,10 @@ def stokes_pairing_residual(e: HalfGridField, h: HalfGridField,
     if quadrature == "gregory4":
         w = _gregory_weights(grid)
     elif quadrature == "trapezoid":
-        w = half_quadrature_weights(grid)
+        w = grid.quadrature_weights
     else:
         raise ValueError(f"unknown quadrature {quadrature!r}")
-    volume = _weighted_inner(de, h, w) + _weighted_inner(e, delta_h, w)
+    volume = weighted_inner(de, h, w) + weighted_inner(e, delta_h, w)
     boundary = l2_inner(trace_tangential(e), trace_normal(h))
     return abs(volume - boundary)
 
@@ -272,8 +214,8 @@ def _sign_selfcheck() -> bool:
     return True
 
 
-def normal_derivative_reconstruct(e: HalfGridField, de: HalfGridField | None,
-                                  delta_eps_e: HalfGridField | None,
+def normal_derivative_reconstruct(e: FormField, de: FormField | None,
+                                  delta_eps_e: FormField | None,
                                   eps: Transformation,
                                   tangential_partials: dict) -> dict:
     """Recover every first partial of E from dE, delta(eps E) and the
@@ -281,7 +223,7 @@ def normal_derivative_reconstruct(e: HalfGridField, de: HalfGridField | None,
 
     Tangential components get their normal derivative from the d-formula,
     normal components from the delta-formula after removing the material
-    terms and inverting the normal block.  Returns {axis: HalfGridField}.
+    terms and inverting the normal block.  Returns {axis: FormField}.
     """
     _sign_selfcheck()
     dim = e.grid.dim
@@ -296,27 +238,26 @@ def normal_derivative_reconstruct(e: HalfGridField, de: HalfGridField | None,
     tangential = [tangential_partials[j].data for j in range(1, dim)]
 
     # d_N of the tangential components, from (dE)_{I+N}
-    dnorm_tau = np.zeros_like(e.data) if de is None else \
-        _solve_normal_terms(sign_table("R", dim, e.rank), de.data, tangential)
+    dnorm_tau = e.with_data(np.zeros_like(e.data) if de is None else
+                            _solve_normal_terms(sign_table("R", dim, e.rank),
+                                                de.data, tangential))
 
     # tangential partials of eps E via the product rule
-    eps_partials = [eps.apply_data(p) + eps.partial_data(j, e.data)
-                    for j, p in enumerate(tangential, start=1)]
+    eps_partials = [(eps.apply(tangential_partials[j]) + eps.apply_partial(j, e)).data
+                    for j in range(1, dim)]
 
     # d_N of the normal components of eps E, from (delta eps E)_{I-N}
-    dnorm_eps_rho = np.zeros_like(e.data) if delta_eps_e is None else \
-        _solve_normal_terms(sign_table("T", dim, e.rank), delta_eps_e.data,
-                            eps_partials)
+    dnorm_eps_rho = e.with_data(np.zeros_like(e.data) if delta_eps_e is None else
+                                _solve_normal_terms(sign_table("T", dim, e.rank),
+                                                    delta_eps_e.data, eps_partials))
 
     # eps^(rho,rho) d_N E^rho = [d_N(eps E)]^rho - [(d_N eps) E]^rho
     #                            - [eps d_N E^tau]^rho
-    rhs = dnorm_eps_rho \
-        - eps.partial_data(dim, e.data) \
-        - eps.apply_data(dnorm_tau)
-    dnorm_rho = eps.solve_normal_data(rhs, e.rank)
+    rhs = dnorm_eps_rho - eps.apply_partial(dim, e) - eps.apply(dnorm_tau)
+    dnorm_rho = eps.solve_rho_block(rhs)
 
     result = {j: tangential_partials[j] for j in range(1, dim)}
-    result[dim] = e.with_data(dnorm_tau + dnorm_rho)
+    result[dim] = dnorm_tau + dnorm_rho
     return result
 
 

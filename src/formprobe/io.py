@@ -9,6 +9,7 @@ store either a catalog tag or dense per-node perturbation matrices.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -35,59 +36,61 @@ def _read_header(fh, magic: bytes) -> dict:
     return json.loads(fh.readline().decode("utf-8"))
 
 
-def _payload_dtype(header: dict, kind: str) -> np.dtype:
+def _read_payload(fh, header: dict, kind: str, shape: tuple) -> np.ndarray:
+    """The rest of the file as an array of the header's shape and dtype."""
     endian = "<" if header.get("endian", "little") == "little" else ">"
-    return np.dtype(endian + kind)
+    dtype = np.dtype(endian + kind)
+    raw = fh.read()
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"payload has {len(raw)} bytes, the header declares "
+                         f"{expected} (shape {shape}, dtype {dtype.str})")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(kind)
 
 
-# ---------------------------------------------------------------------------
-# form fields
-# ---------------------------------------------------------------------------
+def _check_order(header: dict):
+    if header.get("order") != MULTI_INDEX_ORDER:
+        raise ValueError(f"unsupported multi-index order {header.get('order')!r}")
 
-def save_form_field(path, e: FormField):
-    if e.spectral:
-        raise ValueError("spectral fields are not persisted")
-    header = {"N": e.grid.dim, "q": e.rank, "L": e.grid.half_length,
-              "n": e.grid.points, "order": MULTI_INDEX_ORDER,
-              "endian": "little"}
+
+def _write_form(path, magic: bytes, header: dict, e: FormField):
+    if e.spectral or e.grid.half:
+        raise ValueError("only position-space fields on a periodic grid "
+                         "are persisted")
+    header.update(q=e.rank, L=e.grid.half_length, n=e.grid.points,
+                  order=MULTI_INDEX_ORDER, endian="little")
     with open(path, "wb") as fh:
-        _write_header(fh, FORM_MAGIC, header)
+        _write_header(fh, magic, header)
         fh.write(np.ascontiguousarray(e.data, "<c16").tobytes())
 
 
-def load_form_field(path) -> FormField:
+def _read_form(path, magic: bytes, dim_key: str) -> FormField:
     with open(path, "rb") as fh:
-        header = _read_header(fh, FORM_MAGIC)
-        if header["order"] != MULTI_INDEX_ORDER:
-            raise ValueError(f"unsupported multi-index order {header['order']!r}")
-        grid = GridSpec(header["N"], header["L"], header["n"])
-        nc = n_components(grid.dim, header["q"])
-        raw = np.frombuffer(fh.read(), dtype=_payload_dtype(header, "c16"))
-        data = raw.reshape((nc,) + grid.shape).astype(np.complex128)
-    return FormField(grid, header["q"], data)
+        header = _read_header(fh, magic)
+        _check_order(header)
+        grid = GridSpec(header[dim_key], header["L"], header["n"])
+        shape = (n_components(grid.dim, header["q"]),) + grid.shape
+        return FormField(grid, header["q"], _read_payload(fh, header, "c16", shape))
 
 
 # ---------------------------------------------------------------------------
-# boundary forms (forms on the (N-1)-plane)
+# form fields and boundary forms (forms on the (N-1)-plane)
 # ---------------------------------------------------------------------------
+
+def save_form_field(path, e: FormField):
+    _write_form(path, FORM_MAGIC, {"N": e.grid.dim}, e)
+
+
+def load_form_field(path) -> FormField:
+    return _read_form(path, FORM_MAGIC, "N")
+
 
 def save_boundary_form(path, b: FormField):
-    header = {"N_boundary": b.grid.dim, "q": b.rank, "L": b.grid.half_length,
-              "n": b.grid.points, "order": MULTI_INDEX_ORDER,
-              "endian": "little"}
-    with open(path, "wb") as fh:
-        _write_header(fh, BOUNDARY_MAGIC, header)
-        fh.write(np.ascontiguousarray(b.data, "<c16").tobytes())
+    _write_form(path, BOUNDARY_MAGIC, {"N_boundary": b.grid.dim}, b)
 
 
 def load_boundary_form(path) -> FormField:
-    with open(path, "rb") as fh:
-        header = _read_header(fh, BOUNDARY_MAGIC)
-        grid = GridSpec(header["N_boundary"], header["L"], header["n"])
-        nc = n_components(grid.dim, header["q"])
-        raw = np.frombuffer(fh.read(), dtype=_payload_dtype(header, "c16"))
-        data = raw.reshape((nc,) + grid.shape).astype(np.complex128)
-    return FormField(grid, header["q"], data)
+    return _read_form(path, BOUNDARY_MAGIC, "N_boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -120,24 +123,18 @@ def load_transformation(path) -> Transformation:
     with open(path, "rb") as fh:
         header = _read_header(fh, MEDIA_MAGIC)
         grid = GridSpec(header["N"], header["L"], header["n"])
-        if "catalog" in header:
-            return scalar_catalog(grid, header["catalog"], **header.get("params", {}))
-        kind = header["kind"]
-        if kind == IDENTITY:
-            return make_transformation(grid, header["q"], IDENTITY,
-                                       tau=header["tau"],
-                                       decay_kind=header["decay"],
-                                       smoothness=header["m"])
-        raw = np.frombuffer(fh.read(), dtype=_payload_dtype(header, "f8"))
-        if kind == SCALAR:
-            hat = raw.reshape(grid.shape).astype(float)
-            return make_transformation(grid, header["q"], SCALAR, mu_hat=hat,
-                                       tau=header["tau"],
-                                       decay_kind=header["decay"],
-                                       smoothness=header["m"])
-        nc = n_components(grid.dim, header["q"])
-        hat = raw.reshape((nc, nc) + grid.shape).astype(float)
-        return make_transformation(grid, header["q"], DENSE, hat=hat,
-                                   tau=header["tau"],
-                                   decay_kind=header["decay"],
-                                   smoothness=header["m"])
+        kind = "catalog" if "catalog" in header else header["kind"]
+        if kind == DENSE:
+            shape = (n_components(grid.dim, header["q"]),) * 2 + grid.shape
+        elif kind == SCALAR:
+            shape = grid.shape
+        elif kind in (IDENTITY, "catalog"):
+            shape = (0,)
+        else:
+            raise ValueError(f"unknown transformation kind {kind!r}")
+        hat = _read_payload(fh, header, "f8", shape)
+    if kind == "catalog":
+        return scalar_catalog(grid, header["catalog"], **header.get("params", {}))
+    return make_transformation(grid, header["q"], kind, mu_hat=hat, hat=hat,
+                               tau=header["tau"], decay_kind=header["decay"],
+                               smoothness=header["m"])

@@ -117,7 +117,7 @@ class Transformation:
         return self.kind == IDENTITY
 
     def _check_field(self, e: FormField):
-        if e.grid != self.grid:
+        if e.grid not in (self.grid, self.grid.half_box()):
             raise ValueError("grid mismatch between transformation and field")
         if e.spectral:
             raise ValueError("transformations act on position-space fields")
@@ -141,76 +141,40 @@ class Transformation:
         full[idx, idx] += 1.0
         return full
 
-    # -- action on component arrays -------------------------------------------
-    #
-    # ``data`` has shape (nc,) + nodes, where nodes are the whole grid or its
-    # lower half-box (the first slices along x_N); coefficients are cut to
-    # the same nodes.
-
-    @staticmethod
-    def _on_nodes(values: np.ndarray, data: np.ndarray) -> np.ndarray:
-        return values[..., : data.shape[-1]]
-
-    def apply_data(self, data: np.ndarray) -> np.ndarray:
-        if self.kind == IDENTITY:
-            return data
-        if self.kind == SCALAR:
-            return data * self._on_nodes(self.scalar_field(), data)
-        return data + np.einsum("ij...,j...->i...",
-                                self._on_nodes(self.hat, data), data)
-
-    def partial_data(self, axis: int, data: np.ndarray) -> np.ndarray:
-        """(d_axis eps) applied to the components."""
-        if self.kind == IDENTITY:
-            return np.zeros_like(data)
-        part = self._on_nodes(self.partial_array(axis), data)
-        if self.kind == SCALAR:
-            return data * part
-        return np.einsum("ij...,j...->i...", part, data)
-
-    def solve_normal_data(self, rhs: np.ndarray, rank: int) -> np.ndarray:
-        """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; X^tau = 0."""
-        rho = normal_mask(self.grid.dim, rank)
-        out = np.zeros_like(rhs)
-        if not rho.any():
-            return out
-        if self.kind == IDENTITY:
-            out[rho] = rhs[rho]
-            return out
-        if self.kind == SCALAR:
-            out[rho] = rhs[rho] / self._on_nodes(self.scalar_field(), rhs)
-            return out
-        block = self._on_nodes(self.dense_matrices(), rhs)[rho][:, rho]
-        mats = np.moveaxis(block, (0, 1), (-2, -1))
-        eig = np.linalg.eigvalsh(mats)
-        worst = float(eig.min())
-        if worst < 1e-12:
-            node = np.unravel_index(int(np.argmin(eig.min(axis=-1))),
-                                    mats.shape[:-2])
-            raise AdmissibilityError(
-                f"normal block numerically singular (min eigenvalue {worst:.3e} "
-                f"at node {node}); transformation violates admissibility")
-        vec = np.moveaxis(rhs[rho], 0, -1)[..., None]
-        sol = np.linalg.solve(mats, vec)[..., 0]
-        out[rho] = np.moveaxis(sol, -1, 0)
-        return out
-
     # -- action on fields ----------------------------------------------------
+    #
+    # A field lives on the material's grid or on its half box; the
+    # coefficients are cut to the field's nodes (``GridSpec.restrict``).
 
     def apply(self, e: FormField) -> FormField:
         self._check_field(e)
-        return e if self.kind == IDENTITY else e.with_data(self.apply_data(e.data))
+        if self.kind == IDENTITY:
+            return e
+        if self.kind == SCALAR:
+            return e.with_data(e.data * e.grid.restrict(self.scalar_field()))
+        return e.with_data(e.data + np.einsum("ij...,j...->i...",
+                                              e.grid.restrict(self.hat), e.data))
 
     def apply_inverse(self, e: FormField) -> FormField:
         self._check_field(e)
         if self.kind == IDENTITY:
             return e
         if self.kind == SCALAR:
-            return e.scale_pointwise(1.0 / self.scalar_field())
-        mats = np.moveaxis(self.dense_matrices(), (0, 1), (-2, -1))
+            return e.scale_pointwise(1.0 / e.grid.restrict(self.scalar_field()))
+        mats = np.moveaxis(e.grid.restrict(self.dense_matrices()), (0, 1), (-2, -1))
         vec = np.moveaxis(e.data, 0, -1)[..., None]
         sol = np.linalg.solve(mats, vec)[..., 0]
         return e.with_data(np.moveaxis(sol, -1, 0))
+
+    def apply_partial(self, axis: int, e: FormField) -> FormField:
+        """(d_axis eps) E."""
+        self._check_field(e)
+        if self.kind == IDENTITY:
+            return e.with_data(np.zeros_like(e.data))
+        part = e.grid.restrict(self.partial_array(axis))
+        if self.kind == SCALAR:
+            return e.with_data(e.data * part)
+        return e.with_data(np.einsum("ij...,j...->i...", part, e.data))
 
     def partial_array(self, axis: int) -> np.ndarray | None:
         """d_axis of the perturbation entries: stored closed form if
@@ -233,9 +197,32 @@ class Transformation:
         return ifft_nodes(np.stack([s * hat for s in symbols]), dim).real
 
     def solve_rho_block(self, rhs: FormField) -> FormField:
-        """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; rhs must be normal."""
+        """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; X^tau = 0."""
         self._check_field(rhs)
-        return rhs.with_data(self.solve_normal_data(rhs.data, rhs.rank))
+        rho = normal_mask(rhs.grid.dim, rhs.rank)
+        out = np.zeros_like(rhs.data)
+        if not rho.any():
+            return rhs.with_data(out)
+        if self.kind == IDENTITY:
+            out[rho] = rhs.data[rho]
+        elif self.kind == SCALAR:
+            out[rho] = rhs.data[rho] / rhs.grid.restrict(self.scalar_field())
+        else:
+            block = rhs.grid.restrict(self.dense_matrices())[rho][:, rho]
+            mats = np.moveaxis(block, (0, 1), (-2, -1))
+            eig = np.linalg.eigvalsh(mats)
+            worst = float(eig.min())
+            if worst < 1e-12:
+                node = np.unravel_index(int(np.argmin(eig.min(axis=-1))),
+                                        mats.shape[:-2])
+                raise AdmissibilityError(
+                    f"normal block numerically singular (min eigenvalue "
+                    f"{worst:.3e} at node {node}); transformation violates "
+                    f"admissibility")
+            vec = np.moveaxis(rhs.data[rho], 0, -1)[..., None]
+            sol = np.linalg.solve(mats, vec)[..., 0]
+            out[rho] = np.moveaxis(sol, -1, 0)
+        return rhs.with_data(out)
 
 
 # ---------------------------------------------------------------------------

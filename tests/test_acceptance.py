@@ -18,8 +18,8 @@ from formprobe.decompose import (hodge_decompose, solve_coderivative,
                                  split_orthogonality)
 from formprobe.fields import (GridSpec, Region, apply_R, apply_T,
                               hodge_star, l2_inner, norm)
-from formprobe.halfspace import (diff_quotient, half_norm, mirror_Sd,
-                                 mirror_Sdelta, normal_derivative_reconstruct,
+from formprobe.halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
+                                 normal_derivative_reconstruct,
                                  restrict_to_half, shift,
                                  stokes_pairing_residual, trace_tangential)
 from formprobe.manufactured import (gaussian_form, halfspace_member,
@@ -271,7 +271,7 @@ def test_criterion_08_mirror_operators():
                 half = restrict_to_half(raw)
                 ext = mirror_Sd(half)
                 worst_iso = max(worst_iso,
-                                abs(norm(ext) ** 2 - 2 * half_norm(half) ** 2)
+                                abs(norm(ext) ** 2 - 2 * norm(half) ** 2)
                                 / max(norm(ext) ** 2, 1e-300))
             compat = parity_symmetrized(random_band_limited(grid, q, seed),
                                         "mirror")
@@ -354,8 +354,8 @@ def test_criterion_10_normal_derivative_reconstruction():
             restrict_to_half(e), de, dl, eps,
             {j: restrict_to_half(parts[j]) for j in (1, 2)})
         direct = restrict_to_half(parts[3])
-        worst = max(worst, half_norm(rec[3] - direct)
-                    / max(half_norm(direct), 1e-300))
+        worst = max(worst, norm(rec[3] - direct)
+                    / max(norm(direct), 1e-300))
     assert worst <= 1e-8
     _report("criterion-10 normal-derivative reconstruction", worst, 1e-8)
 

@@ -426,5 +426,5 @@ def test_star_and_media_on_the_half_box_match_the_full_box_bitwise():
                      scalar_catalog(g, "gauss_well"),
                      random_dense_media(g, q, seed=dim + q))
             for eps in media:
-                assert np.array_equal(eps.apply_data(half.data),
+                assert np.array_equal(eps.apply(half).data,
                                       restrict_to_half(eps.apply(e)).data)

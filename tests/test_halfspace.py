@@ -3,21 +3,22 @@ import pytest
 
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, Region, l2_inner, norm)
-from formprobe.halfspace import (HalfGridField, _sign_selfcheck, boundary_grid,
-                                 diff_quotient,
-                                 extend_boundary_form, half_norm,
+from formprobe.halfspace import (_sign_selfcheck, boundary_grid,
+                                 diff_quotient, extend_boundary_form,
                                  mirror_Sd, mirror_Sdelta,
                                  normal_derivative_reconstruct,
                                  restrict_to_half, shift,
                                  stokes_pairing_residual, trace_normal,
                                  trace_tangential)
+from formprobe.io import save_form_field
 from formprobe.manufactured import (RadialBump, gaussian_form,
                                     halfspace_member, parity_symmetrized,
                                     random_band_limited, random_dense_media,
                                     random_dyadic, trig_catalog_entry)
 from formprobe.media import (make_transformation, reflected_transform,
                              scalar_catalog)
-from formprobe.spectral import coderivative_delta, exterior_d, gradient
+from formprobe.spectral import (coderivative_delta, exterior_d, fourier,
+                                gradient, laplacian, spectral_sobolev_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -34,10 +35,86 @@ def test_restrict_keeps_lower_half_plus_plane():
 
 def test_half_norm_trapezoid_weights():
     g = GridSpec(2, 1.0, 8)
-    one = HalfGridField(g, 0, np.ones((1, 8, 5), complex))
+    one = FormField(g.half_box(), 0, np.ones((1, 8, 5), complex))
     # x_N weights: (1/2 + 3 + 1/2) * h = 4h; x' weight: 8h
     expected = np.sqrt(8 * 4.0) * g.spacing
-    assert half_norm(one) == pytest.approx(expected, rel=1e-13)
+    assert norm(one) == pytest.approx(expected, rel=1e-13)
+
+
+def test_restrict_is_a_read_only_view_of_the_parent():
+    g = GridSpec(3, 1.0, 8)
+    e = random_band_limited(g, 1, 2, real=False)
+    before = e.data.copy()
+    half = restrict_to_half(e)
+    assert half.grid == g.half_box() and half.grid.shape == (8, 8, 5)
+    assert np.shares_memory(half.data, e.data)
+    assert not half.data.flags.writeable
+    with pytest.raises(ValueError):
+        half.data[..., 0] = 0.0
+    assert np.array_equal(e.data, before)
+    assert np.array_equal(half.data, before[..., :5])
+
+
+def test_half_box_inner_product_is_the_trapezoid_sum_bitwise():
+    for dim in (1, 2, 3):
+        g = GridSpec(dim, 3.0, 16)
+        w = np.ones(9)
+        w[0] = w[-1] = 0.5
+        for q in range(dim + 1):
+            a = restrict_to_half(random_band_limited(g, q, 3 * q + dim, real=False))
+            b = restrict_to_half(random_band_limited(g, q, 5 * q + dim + 1,
+                                                     real=False))
+            for x, y in ((a, b), (a, a)):
+                ref = complex(np.sum(w * np.sum(x.data * np.conj(y.data), axis=0))
+                              * g.cell_volume)
+                assert l2_inner(x, y) == ref
+            assert norm(a) == np.sqrt(max(ref.real, 0.0))
+            rho = 1.0 + g.radius_sq()[..., :9]
+            weighted = np.sum(rho * w * (a.data * np.conj(b.data))) * g.cell_volume
+            assert l2_inner(a, b, 1.0) == complex(weighted)
+
+
+def test_half_box_field_has_no_spectrum(tmp_path):
+    g = GridSpec(2, 1.0, 8)
+    e = random_band_limited(g, 1, 3)
+    half = restrict_to_half(e)
+    with pytest.raises(ValueError, match="no spectrum"):
+        FormField(g.half_box(), 1, half.data, spectral=True)
+    for op in (fourier, exterior_d, coderivative_delta, laplacian, gradient,
+               lambda f: spectral_sobolev_norm(f, 1.0)):
+        with pytest.raises(ValueError, match="no spectrum"):
+            op(half)
+    with pytest.raises(ValueError, match="periodic grid"):
+        save_form_field(tmp_path / "half.formfld", half)
+    assert not (tmp_path / "half.formfld").exists()
+    for mixed in (lambda: half + e, lambda: e - half, lambda: l2_inner(half, e)):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            mixed()
+
+
+def test_boundary_operators_need_a_half_box_field():
+    g = GridSpec(2, 1.0, 8)
+    e = random_band_limited(g, 1, 3)
+    e0 = random_band_limited(g, 0, 4)
+    for op in (mirror_Sd, mirror_Sdelta, trace_tangential, trace_normal,
+               lambda f: stokes_pairing_residual(e0, f, f, e0)):
+        with pytest.raises(ValueError, match="half box"):
+            op(e)
+
+
+def test_media_act_on_their_own_half_box_only():
+    g = GridSpec(2, 3.0, 16)
+    e = random_band_limited(g, 1, 4, real=False)
+    other = restrict_to_half(random_band_limited(GridSpec(2, 3.0, 8), 1, 4))
+    for eps in (make_transformation(g, 1, "identity"),
+                scalar_catalog(g, "gauss_well"),
+                random_dense_media(g, 1, seed=5)):
+        half = restrict_to_half(e)
+        for act in (eps.apply, eps.apply_inverse, eps.solve_rho_block,
+                    lambda f: eps.apply_partial(2, f)):
+            assert np.array_equal(act(half).data, restrict_to_half(act(e)).data)
+            with pytest.raises(ValueError, match="grid mismatch"):
+                act(other)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +149,7 @@ def test_mirror_sqrt2_isometry():
             half = restrict_to_half(random_band_limited(g, q, 7 * q + 1,
                                                         real=False))
             ext = mirror_Sd(half)
-            assert norm(ext) ** 2 == pytest.approx(2 * half_norm(half) ** 2,
+            assert norm(ext) ** 2 == pytest.approx(2 * norm(half) ** 2,
                                                    rel=1e-12)
 
 
@@ -113,7 +190,7 @@ def test_dual_mirror_isometry_and_delta_commutation():
         e = parity_symmetrized(random_band_limited(g, q, 11 * q), "trace-free")
         half = restrict_to_half(e)
         ext = mirror_Sdelta(half)
-        assert norm(ext) ** 2 == pytest.approx(2 * half_norm(half) ** 2,
+        assert norm(ext) ** 2 == pytest.approx(2 * norm(half) ** 2,
                                                rel=1e-12)
         lhs = coderivative_delta(ext)
         rhs = mirror_Sdelta(restrict_to_half(coderivative_delta(e)))
@@ -353,7 +430,7 @@ def test_reconstruction_against_spectral_gradient(rank):
         restrict_to_half(e), de, dl, eps,
         {j: restrict_to_half(parts[j]) for j in (1, 2)})
     direct = restrict_to_half(parts[3])
-    assert half_norm(rec[3] - direct) <= 1e-8 * max(half_norm(direct), 1e-300)
+    assert norm(rec[3] - direct) <= 1e-8 * max(norm(direct), 1e-300)
 
 
 def test_reconstruction_transforms_material_entries_once(monkeypatch):
@@ -380,7 +457,7 @@ def test_reconstruction_transforms_material_entries_once(monkeypatch):
     # one forward transform of the entry stack, one inverse for all axes
     assert counts == {"forward": 1, "inverse": 1}
     direct = restrict_to_half(parts[3])
-    assert half_norm(rec[3] - direct) <= 1e-8 * half_norm(direct)
+    assert norm(rec[3] - direct) <= 1e-8 * norm(direct)
 
 
 def test_reconstruction_scalar_material():
@@ -395,4 +472,4 @@ def test_reconstruction_scalar_material():
         restrict_to_half(coderivative_delta(eps.apply(e))), eps,
         {1: restrict_to_half(parts[1])})
     direct = restrict_to_half(parts[2])
-    assert half_norm(rec[2] - direct) <= 1e-8 * half_norm(direct)
+    assert norm(rec[2] - direct) <= 1e-8 * norm(direct)
