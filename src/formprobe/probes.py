@@ -11,6 +11,7 @@ aggregated in index order.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -147,58 +148,47 @@ def _interior_sample(e: FormField, eps: Transformation, order: int,
     return row, spectra
 
 
-def _run_ratio_probe(probe: str, variant_scale: str, dim: int, rank: int,
-                     order: int, weight: float, eps_option: str, tau: float,
-                     ensemble: int, grid_points: int, seed: int,
-                     gaffney_pinned_bound: float | None) -> ProbeReport:
-    grid = GridSpec(dim, PROBE_BOX_HALF_LENGTH, grid_points)
-    fine = GridSpec(dim, PROBE_BOX_HALF_LENGTH, 2 * grid_points)
-    eps = media_from_option(eps_option, grid, rank,
-                            "weighted" if variant_scale == BOLD else "interior",
-                            tau)
-    eps_fine = media_from_option(eps_option, fine, rank,
-                                 "weighted" if variant_scale == BOLD else "interior",
-                                 tau)
-    report = ProbeReport(
-        probe=probe,
-        params={"dim": dim, "rank": rank, "order": order, "weight": weight,
-                "tau": tau, "media": eps_option, "ensemble": ensemble,
-                "grid": grid_points, "seed": seed,
-                "box_half_length": PROBE_BOX_HALF_LENGTH})
-    sup = 0.0
-    total = 0.0
-    sup_fine = 0.0
-    for i in range(ensemble):
-        member = gaussian_form(grid, rank, seed + 1000 * i, decay=3.0)
-        row = _interior_sample(member.field(), eps, order, weight,
-                               variant_scale)[0]
+def _run_probe(probe: str, params: dict, variant: str, tau: float,
+               sample) -> ProbeReport:
+    """The ensemble loop of every estimate probe, on its grid and the doubling.
+
+    ``sample(grid, eps, i, checked)`` builds member ``i`` and returns its
+    ratio row, with the member checks if ``checked`` (probe grid only).
+    Only the row leaves ``sample``, so a member and its spectra are freed
+    before its refinement is built.  The caller adds its own flags.
+    """
+    n = params["grid"]
+    grid, fine = (GridSpec(params["dim"], PROBE_BOX_HALF_LENGTH, m) for m in (n, 2 * n))
+    eps, eps_fine = (media_from_option(params["media"], g, params["rank"],
+                                       variant, tau) for g in (grid, fine))
+    report = ProbeReport(probe=probe, params=dict(
+        params, box_half_length=PROBE_BOX_HALF_LENGTH))
+    sup = total = sup_fine = 0.0
+    for i in range(params["ensemble"]):
+        row = sample(grid, eps, i, True)
         row["index"] = i
         report.samples.append(row)
         sup = max(sup, row["ratio"])
         total += row["ratio"]
-        member_fine = gaussian_form(fine, rank, seed + 1000 * i, decay=3.0)
-        fine_row = _interior_sample(member_fine.field(), eps_fine, order,
-                                    weight, variant_scale)[0]
-        sup_fine = max(sup_fine, fine_row["ratio"])
+        sup_fine = max(sup_fine, sample(fine, eps_fine, i, False)["ratio"])
     drift = abs(sup - sup_fine) / max(sup_fine, 1e-300)
-    report.aggregates = {"sup_ratio": sup, "mean_ratio": total / max(ensemble, 1),
+    report.aggregates = {"sup_ratio": sup,
+                         "mean_ratio": total / max(params["ensemble"], 1),
                          "sup_ratio_refined": sup_fine}
-    report.refinement = {"grid": grid_points, "grid_refined": 2 * grid_points,
-                         "sup_drift": drift}
+    report.refinement = {"grid": n, "grid_refined": 2 * n, "sup_drift": drift}
     report.flags["ratios_finite"] = all(math.isfinite(s["ratio"])
                                         for s in report.samples)
     report.flags["stable_under_doubling"] = drift <= 0.10
-    if gaffney_pinned_bound is not None:
-        report.flags["gaffney_pinned_bound"] = sup <= gaffney_pinned_bound
-    if variant_scale == BOLD:
-        diags = []
-        probe_field = gaussian_form(grid, rank, seed, decay=3.0).field()
-        for theta in (1.0, 2.0):
-            diags.append(annulus_split_bound(probe_field, weight,
-                                             tau if tau > 0 else 1.0, theta))
-        report.aggregates["annulus_diagnostics"] = diags
-        report.flags["annulus_split_holds"] = all(d["holds"] for d in diags)
     return report
+
+
+def _gaussian_sample(rank: int, order: int, weight: float, scale: str,
+                     seed: int):
+    """Sample of the interior and weighted probes: Gaussian-envelope members."""
+    def sample(grid, eps, i, checked):
+        e = gaussian_form(grid, rank, seed + 1000 * i, decay=3.0).field()
+        return _interior_sample(e, eps, order, weight, scale)[0]
+    return sample
 
 
 def estimate_probe_interior(dim: int, rank: int, order: int, weight: float,
@@ -210,10 +200,13 @@ def estimate_probe_interior(dim: int, rank: int, order: int, weight: float,
     Gaffney identity, so a hard bound of 1.5 is asserted there; everywhere
     else only finiteness and doubling stability are flagged.
     """
-    pinned = 1.5 if (media == "id" and order == 0 and weight == 0.0) else None
-    return _run_ratio_probe("estimate-interior", ROMAN, dim, rank, order,
-                            weight, media, 1.0, ensemble, grid_points, seed,
-                            pinned)
+    params = {"dim": dim, "rank": rank, "order": order, "weight": weight, "tau": 1.0,
+              "media": media, "ensemble": ensemble, "grid": grid_points, "seed": seed}
+    report = _run_probe("estimate-interior", params, "interior", 1.0,
+                        _gaussian_sample(rank, order, weight, ROMAN, seed))
+    if media == "id" and order == 0 and weight == 0.0:
+        report.flags["gaffney_pinned_bound"] = report.aggregates["sup_ratio"] <= 1.5
+    return report
 
 
 def estimate_probe_weighted(dim: int, rank: int, order: int, weight: float,
@@ -223,9 +216,17 @@ def estimate_probe_weighted(dim: int, rank: int, order: int, weight: float,
     """Ratio probe with weight gain on the data side (strong scale)."""
     if tau <= 0:
         raise ValueError("the weighted estimate requires decay order tau > 0")
-    return _run_ratio_probe("estimate-weighted", BOLD, dim, rank, order,
-                            weight, media, tau, ensemble, grid_points, seed,
-                            None)
+    params = {"dim": dim, "rank": rank, "order": order, "weight": weight, "tau": tau,
+              "media": media, "ensemble": ensemble, "grid": grid_points, "seed": seed}
+    report = _run_probe("estimate-weighted", params, "weighted", tau,
+                        _gaussian_sample(rank, order, weight, BOLD, seed))
+    probe_field = gaussian_form(GridSpec(dim, PROBE_BOX_HALF_LENGTH, grid_points),
+                                rank, seed, decay=3.0).field()
+    diags = [annulus_split_bound(probe_field, weight, tau, theta)
+             for theta in (1.0, 2.0)]
+    report.aggregates["annulus_diagnostics"] = diags
+    report.flags["annulus_split_holds"] = all(d["holds"] for d in diags)
+    return report
 
 
 def validate_halfspace_member(e: FormField, tol: float = 1e-10) -> float:
@@ -256,58 +257,30 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
     product, which the default grid (48 points at the default member band
     limit) keeps resolved; coarser grids may honestly fail that flag.
     """
-    grid = GridSpec(dim, PROBE_BOX_HALF_LENGTH, grid_points)
-    fine = GridSpec(dim, PROBE_BOX_HALF_LENGTH, 2 * grid_points)
-    eps = media_from_option(media, grid, rank, "interior")
-    eps_fine = media_from_option(media, fine, rank, "interior")
     kmax = max(grid_points // 8, 2)  # fixed band limit across the doubling
-    report = ProbeReport(
-        probe="estimate-halfspace",
-        params={"dim": dim, "rank": rank, "order": order, "media": media,
-                "ensemble": ensemble, "grid": grid_points, "seed": seed,
-                "box_half_length": PROBE_BOX_HALF_LENGTH})
-    sup = 0.0
-    total = 0.0
-    sup_fine = 0.0
-    worst_reconstruct = 0.0
-    worst_stokes = 0.0
 
-    def member_ratio(g, material, i):
-        e = halfspace_member(g, rank, seed + 1000 * i, envelope_decay=2.5,
+    def sample(grid, eps, i, checked):
+        e = halfspace_member(grid, rank, seed + 1000 * i, envelope_decay=2.5,
                              kmax=kmax)
         trace_rel = validate_halfspace_member(e)
-        row, spectra = _interior_sample(e, material, order, 0.0, ROMAN)
-        row.update(index=i, trace_norm_rel=trace_rel)
-        return e, spectra, row
-
-    def checked_sample(i):
-        # the member's spectra are dropped before the refined member is built
-        e, (hat, de_hat, delta_eps_hat), row = member_ratio(grid, eps, i)
-        de = fourier_inverse(de_hat) if de_hat is not None else None
-        row["reconstruct_residual"] = _reconstruction_residual(
-            e, eps, hat, de, delta_eps_hat)
-        row["stokes_residual"] = _member_stokes_residual(e, de)
+        row, (hat, de_hat, delta_eps_hat) = _interior_sample(e, eps, order,
+                                                             0.0, ROMAN)
+        row["trace_norm_rel"] = trace_rel
+        if checked:
+            de = fourier_inverse(de_hat) if de_hat is not None else None
+            row["reconstruct_residual"] = _reconstruction_residual(
+                e, eps, hat, de, delta_eps_hat)
+            row["stokes_residual"] = _member_stokes_residual(e, de)
         return row
 
-    for i in range(ensemble):
-        row = checked_sample(i)
-        report.samples.append(row)
-        sup = max(sup, row["ratio"])
-        total += row["ratio"]
-        worst_reconstruct = max(worst_reconstruct, row["reconstruct_residual"])
-        worst_stokes = max(worst_stokes, row["stokes_residual"])
-        sup_fine = max(sup_fine, member_ratio(fine, eps_fine, i)[2]["ratio"])
-    drift = abs(sup - sup_fine) / max(sup_fine, 1e-300)
-    report.aggregates = {"sup_ratio": sup,
-                         "mean_ratio": total / max(ensemble, 1),
-                         "sup_ratio_refined": sup_fine,
-                         "worst_reconstruct_residual": worst_reconstruct,
-                         "worst_stokes_residual": worst_stokes}
-    report.refinement = {"grid": grid_points, "grid_refined": 2 * grid_points,
-                         "sup_drift": drift}
-    report.flags["ratios_finite"] = all(math.isfinite(s["ratio"])
-                                        for s in report.samples)
-    report.flags["stable_under_doubling"] = drift <= 0.10
+    params = {"dim": dim, "rank": rank, "order": order, "media": media,
+              "ensemble": ensemble, "grid": grid_points, "seed": seed}
+    report = _run_probe("estimate-halfspace", params, "interior", 1.0, sample)
+    worst_reconstruct = max([0.0] + [s["reconstruct_residual"]
+                                     for s in report.samples])
+    worst_stokes = max([0.0] + [s["stokes_residual"] for s in report.samples])
+    report.aggregates["worst_reconstruct_residual"] = worst_reconstruct
+    report.aggregates["worst_stokes_residual"] = worst_stokes
     report.flags["traces_vanish"] = all(s["trace_norm_rel"] <= 1e-10
                                         for s in report.samples)
     report.flags["reconstruction_consistent"] = worst_reconstruct <= 1e-8
@@ -330,36 +303,91 @@ def _reconstruction_residual(e: FormField, eps: Transformation,
     rec = normal_derivative_reconstruct(restrict_to_half(e), half_de,
                                         delta_eps_e, eps, half_parts)
     direct = restrict_to_half(parts[e.grid.dim])
-    scale = max(norm(direct), 1e-300)
-    return norm(rec[e.grid.dim] - direct) / scale
+    return norm(rec[e.grid.dim] - direct) / max(norm(direct), 1e-300)
+
+
+def _trace_free_stokes_residual(e: FormField, h: FormField, de: FormField,
+                                delta_h: FormField) -> float:
+    """Trapezoid pairing residual on the half box for trace-free members.
+
+    Their parity makes the trapezoid closure exact, so the warnings about
+    fields not vanishing at the deep end are moot.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return stokes_pairing_residual(restrict_to_half(e), restrict_to_half(h),
+                                       restrict_to_half(de),
+                                       restrict_to_half(delta_h),
+                                       quadrature="trapezoid")
 
 
 def _member_stokes_residual(e: FormField, de: FormField | None) -> float:
     """Pairing residual with H = dE; the exact value is 0 (gamma_t E = 0)."""
     if e.rank >= e.grid.dim:
         return 0.0
-    with warnings.catch_warnings():
-        # parity makes the trapezoid closure exact; deep-end tails are moot
-        warnings.simplefilter("ignore")
-        residual = stokes_pairing_residual(restrict_to_half(e),
-                                           restrict_to_half(de),
-                                           restrict_to_half(de),
-                                           restrict_to_half(coderivative_delta(de)),
-                                           quadrature="trapezoid")
-    scale = max(norm(de) ** 2, 1e-300)
-    return residual / scale
+    residual = _trace_free_stokes_residual(e, de, de, coderivative_delta(de))
+    return residual / max(norm(de) ** 2, 1e-300)
 
 
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
 
-def _record(checks: list, name: str, residual: float, tolerance: float,
-            mode: str = "le"):
-    ok = residual >= tolerance if mode == "ge" else residual <= tolerance
-    checks.append({"name": name, "residual": float(residual),
-                   "tolerance": float(tolerance), "mode": mode,
-                   "pass": bool(ok)})
+# name -> (tolerance, mode), in report order; mode "le" passes at
+# residual <= tolerance, "ge" at residual >= tolerance
+IDENTITIES = {
+    "wedge-graded-anticommutativity": (0.0, "le"),
+    "hodge-star-double-identity": (0.0, "le"),
+    "operator-algebra-RR-zero": (0.0, "le"),
+    "operator-algebra-TT-zero": (0.0, "le"),
+    "operator-algebra-RT-plus-TR": (1e-12, "le"),
+    "fiber-adjointness-R-T": (1e-12, "le"),
+    "tangential-normal-split": (0.0, "le"),
+    "fourier-unitarity": (1e-12, "le"),
+    "fourier-star-commutation": (0.0, "le"),
+    "intertwining-d": (1e-12, "le"),
+    "intertwining-delta": (1e-12, "le"),
+    "intertwining-laplacian": (1e-12, "le"),
+    "complex-dd-zero": (1e-12, "le"),
+    "complex-delta-delta-zero": (1e-12, "le"),
+    "laplacian-equals-d-delta-sum": (1e-12, "le"),
+    "gaffney-identity": (1e-10, "le"),
+    "weak-stokes-duality": (1e-12, "le"),
+    "fourier-monomial-derivatives": (1e-12, "le"),
+    "weight-commutator-d": (1e-8, "le"),
+    "weight-commutator-delta": (1e-8, "le"),
+    "weighted-norm-ordering": (1e-12, "le"),
+    "annulus-splitting-bound": (0.0, "le"),
+    "media-symmetric-pairing": (1e-12, "le"),
+    "media-inverse-roundtrip": (1e-12, "le"),
+    "media-reflection-involution": (1e-12, "le"),
+    "split-reconstruction-roundtrip": (1e-10, "le"),
+    "difference-quotient-product-rule": (0.0, "le"),
+    "difference-quotient-anti-duality": (0.0, "le"),
+    "difference-quotient-first-order-rate": (0.2, "le"),
+    "mirror-sqrt2-isometry": (1e-12, "le"),
+    "mirror-parity-structure": (0.0, "le"),
+    "mirror-support-containment": (0.0, "le"),
+    "mirror-d-commutation": (1e-8, "le"),
+    "mirror-delta-commutation": (1e-8, "le"),
+    "trace-d-commutation": (1e-8, "le"),
+    "trace-data-bijection": (1e-12, "le"),
+    "stokes-pairing-refinement-factor": (8.0, "ge"),
+    "stokes-pairing-trace-free-members": (1e-8, "le"),
+    "normal-derivative-reconstruction": (1e-8, "le"),
+    "hodge-split-resum": (1e-12, "le"),
+    "hodge-split-orthogonality": (1e-10, "le"),
+    "hodge-split-closed-coclosed": (1e-10, "le"),
+    "hodge-projector-idempotence": (1e-12, "le"),
+    "potential-roundtrip": (1e-10, "le"),
+    "coderivative-solver-residual": (1e-10, "le"),
+    "solver-gaffney-consistency": (1e-8, "le"),
+    "bridge-dictionary": (1e-10, "le"),
+    "bridge-roundtrip-exact": (0.0, "le"),
+}
+
+# the weight commutator needs the weight pole resolved: a fixed grid
+COMMUTATOR_GRID_POINTS = 64
 
 
 def _rel_norm(a: FormField, b: FormField) -> float:
@@ -367,44 +395,43 @@ def _rel_norm(a: FormField, b: FormField) -> float:
     return norm(a - b) / scale
 
 
+def _max_abs(e: FormField) -> float:
+    return float(np.abs(e.data).max())
+
+
 def _suite_fields(grid: GridSpec, seed: int) -> dict:
     return {q: random_band_limited(grid, q, seed + 17 * q)
             for q in range(grid.dim + 1)}
 
 
-def _check_pointwise_algebra(checks, grid, exact_grid, seed):
+# Each check yields (name, value) pairs; the suite reports, per name, the
+# largest value yielded (0.0 if none exceeds it).
+
+def _check_pointwise_algebra(grid, exact_grid, seed):
     dim = grid.dim
     # wedge anticommutativity: exact on integer data (complex FMA breaks
     # bitwise commutativity of generic products); double star: exact always
-    worst_wedge = 0.0
-    worst_star = 0.0
     fields = _suite_fields(grid, seed)
     for p in range(dim + 1):
         for q in range(dim + 1 - p):
             ef = random_dyadic(exact_grid, p, seed + 11 * p + q, bits=12)
             ff = random_dyadic(exact_grid, q, seed + 5 + p + 13 * q, bits=12)
             sign = -1.0 if (p * q) % 2 else 1.0
-            gap = np.abs(wedge(ef, ff).data - sign * wedge(ff, ef).data).max()
-            worst_wedge = max(worst_wedge, float(gap))
+            gap = _max_abs(wedge(ef, ff) - sign * wedge(ff, ef))
+            yield "wedge-graded-anticommutativity", gap
     for q in range(dim + 1):
         e = fields[q]
         sign = -1.0 if (q * (dim - q)) % 2 else 1.0
-        gap = np.abs(hodge_star(hodge_star(e)).data - sign * e.data).max()
-        worst_star = max(worst_star, float(gap))
-    _record(checks, "wedge-graded-anticommutativity", worst_wedge, 0.0)
-    _record(checks, "hodge-star-double-identity", worst_star, 0.0)
+        gap = _max_abs(hodge_star(hodge_star(e)) - sign * e)
+        yield "hodge-star-double-identity", gap
 
     # R/T algebra: exact on integer-valued fields, 1e-12 on generic ones
-    worst_rr = worst_tt = 0.0
-    worst_rt = worst_adj = 0.0
     for q in range(dim + 1):
         dyadic = random_dyadic(exact_grid, q, seed + q)
         if q + 2 <= dim:
-            worst_rr = max(worst_rr,
-                           float(np.abs(apply_R(apply_R(dyadic)).data).max()))
+            yield "operator-algebra-RR-zero", _max_abs(apply_R(apply_R(dyadic)))
         if q >= 2:
-            worst_tt = max(worst_tt,
-                           float(np.abs(apply_T(apply_T(dyadic)).data).max()))
+            yield "operator-algebra-TT-zero", _max_abs(apply_T(apply_T(dyadic)))
         e = fields[q]
         r2e = e.scale_pointwise(grid.radius_sq())
         parts = []
@@ -413,68 +440,52 @@ def _check_pointwise_algebra(checks, grid, exact_grid, seed):
         if q > 0:
             parts.append(apply_R(apply_T(e)))
         total = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        worst_rt = max(worst_rt, _rel_norm(total, r2e))
+        yield "operator-algebra-RT-plus-TR", _rel_norm(total, r2e)
         if q < dim:
             h = fields[q + 1]
             lhs = l2_inner(apply_R(e), h)
             rhs = l2_inner(e, apply_T(h))
             scale = max(norm(apply_R(e)) * norm(h), 1e-300)
-            worst_adj = max(worst_adj, abs(lhs - rhs) / scale)
-    _record(checks, "operator-algebra-RR-zero", worst_rr, 0.0)
-    _record(checks, "operator-algebra-TT-zero", worst_tt, 0.0)
-    _record(checks, "operator-algebra-RT-plus-TR", worst_rt, 1e-12)
-    _record(checks, "fiber-adjointness-R-T", worst_adj, 1e-12)
+            yield "fiber-adjointness-R-T", abs(lhs - rhs) / scale
 
     # tangential/normal split: exact resum, exact orthogonality, idempotent
-    worst_split = 0.0
     for q in range(dim + 1):
         e = fields[q]
         tau_part, rho_part = split_tangential_normal(e)
-        worst_split = max(worst_split,
-                          float(np.abs((tau_part + rho_part - e).data).max()),
-                          abs(l2_inner(tau_part, rho_part)),
-                          float(np.abs(split_tangential_normal(tau_part)[1].data).max()))
-    _record(checks, "tangential-normal-split", worst_split, 0.0)
+        yield "tangential-normal-split", _max_abs(tau_part + rho_part - e)
+        yield "tangential-normal-split", abs(l2_inner(tau_part, rho_part))
+        yield "tangential-normal-split", _max_abs(split_tangential_normal(tau_part)[1])
 
 
-def _check_spectral(checks, grid, seed):
+def _check_spectral(grid, seed):
     dim = grid.dim
     fields = _suite_fields(grid, seed + 101)
-    worst_unit = worst_starcomm = 0.0
-    worst_d = worst_delta = worst_lap = 0.0
-    worst_dd = worst_deldel = worst_hodgelap = 0.0
-    worst_gaffney = worst_duality = worst_monomial = 0.0
     for q in range(dim + 1):
         e = fields[q]
         hat = fourier(e)
-        worst_unit = max(worst_unit, abs(norm(hat) / max(norm(e), 1e-300) - 1.0))
-        worst_unit = max(worst_unit, _rel_norm(fourier_inverse(hat), e))
-        worst_starcomm = max(worst_starcomm,
-                             float(np.abs(fourier(hodge_star(e)).data
-                                          - hodge_star(hat).data).max()))
+        yield "fourier-unitarity", abs(norm(hat) / max(norm(e), 1e-300) - 1.0)
+        yield "fourier-unitarity", _rel_norm(fourier_inverse(hat), e)
+        yield ("fourier-star-commutation",
+               _max_abs(fourier(hodge_star(e)) - hodge_star(hat)))
         if q < dim:
             de = exterior_d(e)
-            worst_d = max(worst_d, _rel_norm(fourier(de),
-                                             1j * apply_R(hat)))
+            yield "intertwining-d", _rel_norm(fourier(de), 1j * apply_R(hat))
             if q + 2 <= dim:
-                worst_dd = max(worst_dd, norm(exterior_d(de)) / max(norm(e), 1e-300))
-            h = fields[q + 1]
-            worst_duality = max(worst_duality, stokes_duality_residual(e, h))
+                yield "complex-dd-zero", norm(exterior_d(de)) / max(norm(e), 1e-300)
+            yield "weak-stokes-duality", stokes_duality_residual(e, fields[q + 1])
         if q > 0:
             delta_e = coderivative_delta(e)
-            worst_delta = max(worst_delta,
-                              _rel_norm(fourier(delta_e),
-                                        1j * apply_T(hat)))
+            yield ("intertwining-delta",
+                   _rel_norm(fourier(delta_e), 1j * apply_T(hat)))
             if q >= 2:
-                worst_deldel = max(worst_deldel,
-                                   norm(coderivative_delta(delta_e))
-                                   / max(norm(e), 1e-300))
+                yield ("complex-delta-delta-zero",
+                       norm(coderivative_delta(delta_e)) / max(norm(e), 1e-300))
         lap = laplacian(e)
-        worst_lap = max(worst_lap,
-                        _rel_norm(fourier(lap),
-                                  hat.with_data(-grid.freq_radius_sq() * hat.data)))
-        worst_hodgelap = max(worst_hodgelap, _rel_norm(d_delta_plus_delta_d(e), lap))
-        worst_gaffney = max(worst_gaffney, gaffney_identity_check(e).relative_gap)
+        yield ("intertwining-laplacian",
+               _rel_norm(fourier(lap),
+                         hat.with_data(-grid.freq_radius_sq() * hat.data)))
+        yield "laplacian-equals-d-delta-sum", _rel_norm(d_delta_plus_delta_d(e), lap)
+        yield "gaffney-identity", gaffney_identity_check(e).relative_gap
         # monomial derivative rule d^alpha <-> (i xi)^alpha up to order 3
         for alpha_axis, order in ((1, 1), (min(2, dim), 2), (dim, 3)):
             deriv = e
@@ -483,27 +494,13 @@ def _check_spectral(checks, grid, seed):
             xi = grid.freq_field(alpha_axis)
             direct = fourier(deriv)
             expected = hat.with_data(((1j * xi) ** order) * hat.data)
-            worst_monomial = max(worst_monomial, _rel_norm(direct, expected))
-    _record(checks, "fourier-unitarity", worst_unit, 1e-12)
-    _record(checks, "fourier-star-commutation", worst_starcomm, 0.0)
-    _record(checks, "intertwining-d", worst_d, 1e-12)
-    _record(checks, "intertwining-delta", worst_delta, 1e-12)
-    _record(checks, "intertwining-laplacian", worst_lap, 1e-12)
-    _record(checks, "complex-dd-zero", worst_dd, 1e-12)
-    _record(checks, "complex-delta-delta-zero", worst_deldel, 1e-12)
-    _record(checks, "laplacian-equals-d-delta-sum", worst_hodgelap, 1e-12)
-    _record(checks, "gaffney-identity", worst_gaffney, 1e-10)
-    _record(checks, "weak-stokes-duality", worst_duality, 1e-12)
-    _record(checks, "fourier-monomial-derivatives", worst_monomial, 1e-12)
+            yield "fourier-monomial-derivatives", _rel_norm(direct, expected)
 
 
-def _check_weights(checks, dim, seed):
-    # the commutator needs the weight pole resolved: fixed adequate grid
-    grid = GridSpec(min(dim, 3), 3.0, 64)
-    worst_d = worst_delta = 0.0
+def _check_weights(dim, seed):
+    grid = GridSpec(min(dim, 3), 3.0, COMMUTATOR_GRID_POINTS)
     for q in range(grid.dim + 1):
-        member = gaussian_form(grid, q, seed + 3 * q, decay=3.0)
-        e = member.field()
+        e = gaussian_form(grid, q, seed + 3 * q, decay=3.0).field()
         for s in (-2.0, 1.0):
             weight = rho_power(grid, s)
             weighted = e.scale_pointwise(weight)
@@ -512,18 +509,14 @@ def _check_weights(checks, dim, seed):
                 lhs = exterior_d(weighted)
                 rhs = exterior_d(e).scale_pointwise(weight) \
                     + apply_R(e).scale_pointwise(correction)
-                worst_d = max(worst_d, _rel_norm(lhs, rhs))
+                yield "weight-commutator-d", _rel_norm(lhs, rhs)
             if q > 0:
                 lhs = coderivative_delta(weighted)
                 rhs = coderivative_delta(e).scale_pointwise(weight) \
                     + apply_T(e).scale_pointwise(correction)
-                worst_delta = max(worst_delta, _rel_norm(lhs, rhs))
-    _record(checks, "weight-commutator-d", worst_d, 1e-8)
-    _record(checks, "weight-commutator-delta", worst_delta, 1e-8)
+                yield "weight-commutator-delta", _rel_norm(lhs, rhs)
 
     # norm ordering and the annulus splitting inequality
-    violation = 0.0
-    annulus_ok = True
     small = GridSpec(min(dim, 3), 3.0, 32)
     for q in (0, min(1, small.dim)):
         e = gaussian_form(small, q, seed + 7 * q, decay=3.0).field()
@@ -532,43 +525,36 @@ def _check_weights(checks, dim, seed):
                 bold = weighted_sobolev_norm(e, NormSpec(m, s, BOLD))
                 roman = weighted_sobolev_norm(e, NormSpec(m, s, ROMAN))
                 low = weighted_sobolev_norm(e, NormSpec(m, s - m, BOLD))
-                violation = max(violation, roman - bold, low - roman)
+                yield "weighted-norm-ordering", roman - bold
+                yield "weighted-norm-ordering", low - roman
         for theta in (1.0, 2.0):
             for tau in (0.5, 1.0, 2.0):
-                annulus_ok &= annulus_split_bound(e, 0.0, tau, theta)["holds"]
-    _record(checks, "weighted-norm-ordering", max(violation, 0.0), 1e-12)
-    _record(checks, "annulus-splitting-bound", 0.0 if annulus_ok else 1.0, 0.0)
+                holds = annulus_split_bound(e, 0.0, tau, theta)["holds"]
+                yield "annulus-splitting-bound", 0.0 if holds else 1.0
 
 
-def _check_media(checks, grid, exact_grid, seed):
+def _check_media(grid, exact_grid, seed):
     dim = grid.dim
     fields = _suite_fields(grid, seed + 211)
     eps_scalar = scalar_catalog(grid, "gauss_well", amplitude=1.0, width=1.0)
-    worst_sym = worst_inv = worst_reflect = worst_recon = 0.0
     for q in range(dim + 1):
         e, h = fields[q], _suite_fields(grid, seed + 503)[q]
         lhs = l2_inner(eps_scalar.apply(e), h)
         rhs = l2_inner(e, eps_scalar.apply(h))
-        worst_sym = max(worst_sym,
-                        abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        worst_inv = max(worst_inv,
-                        _rel_norm(eps_scalar.apply_inverse(eps_scalar.apply(e)), e))
+        yield ("media-symmetric-pairing",
+               abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        yield ("media-inverse-roundtrip",
+               _rel_norm(eps_scalar.apply_inverse(eps_scalar.apply(e)), e))
         twice = reflected_transform(reflected_transform(eps_scalar, q), q)
-        worst_reflect = max(worst_reflect,
-                            float(np.abs(twice.hat - eps_scalar.hat).max()))
+        yield ("media-reflection-involution",
+               float(np.abs(twice.hat - eps_scalar.hat).max()))
         tau_part, _ = split_tangential_normal(e)
         g_rho = split_tangential_normal(eps_scalar.apply(e))[1]
-        worst_recon = max(worst_recon,
-                          _rel_norm(reconstruct_from_split(tau_part, g_rho,
-                                                           eps_scalar), e))
-    _record(checks, "media-symmetric-pairing", worst_sym, 1e-12)
-    _record(checks, "media-inverse-roundtrip", worst_inv, 1e-12)
-    _record(checks, "media-reflection-involution", worst_reflect, 1e-12)
-    _record(checks, "split-reconstruction-roundtrip", worst_recon, 1e-10)
+        yield ("split-reconstruction-roundtrip",
+               _rel_norm(reconstruct_from_split(tau_part, g_rho, eps_scalar), e))
 
     # difference-quotient product rule and anti-duality: exact on dyadic data
     h_step = exact_grid.spacing
-    worst_rule = worst_dual = 0.0
     rng = np.random.default_rng(seed + 7)
     for q in (0, min(1, dim)):
         f = random_dyadic(exact_grid, q, seed + q, bits=10)
@@ -578,16 +564,13 @@ def _check_media(checks, grid, exact_grid, seed):
         quot_mu = (np.roll(mu_full, -1, axis=0) - mu_full) / h_step
         rhs = diff_quotient(f, 1, h_step).scale_pointwise(mu_full) \
             + shift(f, 1, h_step).scale_pointwise(quot_mu)
-        worst_rule = max(worst_rule, float(np.abs((lhs - rhs).data).max()))
+        yield "difference-quotient-product-rule", _max_abs(lhs - rhs)
         pair = l2_inner(diff_quotient(f, 1, h_step), g) \
             + l2_inner(f, diff_quotient(g, 1, -h_step))
-        worst_dual = max(worst_dual, abs(pair))
-    _record(checks, "difference-quotient-product-rule", worst_rule, 0.0)
-    _record(checks, "difference-quotient-anti-duality", worst_dual, 0.0)
+        yield "difference-quotient-anti-duality", abs(pair)
 
     # first-order convergence of the difference quotient on the catalog
     rate_grid = GridSpec(min(dim, 2), 1.0, 64)
-    worst_rate = 0.0
     for idx in range(2):
         entry = trig_catalog_entry(rate_grid, 0, idx)
         e = entry.field()
@@ -595,54 +578,44 @@ def _check_media(checks, grid, exact_grid, seed):
         err = [norm(diff_quotient(e, 1, k * rate_grid.spacing) - exact)
                for k in (2, 1)]
         ratio = err[0] / max(err[1], 1e-300)
-        worst_rate = max(worst_rate, abs(ratio - 2.0))
-    _record(checks, "difference-quotient-first-order-rate", worst_rate, 0.2)
+        yield "difference-quotient-first-order-rate", abs(ratio - 2.0)
 
 
-def _check_halfspace(checks, grid, seed):
+def _check_halfspace(grid, seed):
     dim = grid.dim
-    worst_iso = worst_parity = worst_support = 0.0
-    worst_dcomm = worst_deltacomm = 0.0
     for q in range(dim + 1):
         base = random_band_limited(grid, q, seed + 31 * q)
         mirror_compatible = parity_symmetrized(base, "mirror")
         half = restrict_to_half(mirror_compatible)
         extended = mirror_Sd(half)
-        worst_iso = max(worst_iso,
-                        abs(norm(extended) ** 2 - 2.0 * norm(half) ** 2)
-                        / max(norm(extended) ** 2, 1e-300))
-        worst_parity = max(worst_parity,
-                           float(np.abs(extended.data
-                                        - mirror_compatible.data).max())
-                           / max(float(np.abs(extended.data).max()), 1e-300))
+        yield ("mirror-sqrt2-isometry",
+               abs(norm(extended) ** 2 - 2.0 * norm(half) ** 2)
+               / max(norm(extended) ** 2, 1e-300))
+        yield ("mirror-parity-structure", _max_abs(extended - mirror_compatible)
+               / max(_max_abs(extended), 1e-300))
         if q < dim:
-            worst_dcomm = max(worst_dcomm,
-                              _rel_norm(exterior_d(extended),
-                                        mirror_Sd(restrict_to_half(
-                                            exterior_d(mirror_compatible)))))
+            yield ("mirror-d-commutation",
+                   _rel_norm(exterior_d(extended),
+                             mirror_Sd(restrict_to_half(
+                                 exterior_d(mirror_compatible)))))
         dual_compatible = parity_symmetrized(base, "trace-free")
         dual_half = restrict_to_half(dual_compatible)
         dual_ext = mirror_Sdelta(dual_half)
         if q > 0:
-            worst_deltacomm = max(worst_deltacomm,
-                                  _rel_norm(coderivative_delta(dual_ext),
-                                            mirror_Sdelta(restrict_to_half(
-                                                coderivative_delta(dual_compatible)))))
+            yield ("mirror-delta-commutation",
+                   _rel_norm(coderivative_delta(dual_ext),
+                             mirror_Sdelta(restrict_to_half(
+                                 coderivative_delta(dual_compatible)))))
         # support containment on masks
         ball = Region(grid, "ball", radius=grid.half_length / 2)
         mask = ball.mask() & (grid.coord_field(dim) <= 0)
         masked = mirror_compatible.scale_pointwise(mask.astype(float))
         outside = ~ball.mask()
         leak = np.abs(mirror_Sd(restrict_to_half(masked)).data[:, outside])
-        worst_support = max(worst_support, float(leak.max()) if leak.size else 0.0)
-    _record(checks, "mirror-sqrt2-isometry", worst_iso, 1e-12)
-    _record(checks, "mirror-parity-structure", worst_parity, 0.0)
-    _record(checks, "mirror-support-containment", worst_support, 0.0)
-    _record(checks, "mirror-d-commutation", worst_dcomm, 1e-8)
-    _record(checks, "mirror-delta-commutation", worst_deltacomm, 1e-8)
+        yield ("mirror-support-containment",
+               float(leak.max()) if leak.size else 0.0)
 
     # traces: boundary-derivative commutation and the data bijection
-    worst_trace = worst_bijection = 0.0
     for q in range(dim):
         e = random_band_limited(grid, q, seed + 77 * (q + 1))
         half = restrict_to_half(e)
@@ -650,7 +623,7 @@ def _check_halfspace(checks, grid, seed):
         if q < dim - 1:
             lhs = exterior_d(traced)
             rhs = trace_tangential(restrict_to_half(exterior_d(e)))
-            worst_trace = max(worst_trace, _rel_norm(lhs, rhs))
+            yield "trace-d-commutation", _rel_norm(lhs, rhs)
         plane = half.data[..., -1]
         rebuilt = apply_table(sign_table("extend", dim, q), traced.data)
         if q >= 1:
@@ -661,14 +634,12 @@ def _check_halfspace(checks, grid, seed):
                                  hodge_star(trace_normal(half)).data)
             rebuilt = rebuilt + sign * apply_table(sign_table("star", dim, dim - q),
                                                    lifted)
-        worst_bijection = max(worst_bijection,
-                              float(np.abs(rebuilt - plane).max())
-                              / max(float(np.abs(plane).max()), 1e-300))
-    _record(checks, "trace-d-commutation", worst_trace, 1e-8)
-    _record(checks, "trace-data-bijection", worst_bijection, 1e-12)
+        yield ("trace-data-bijection",
+               float(np.abs(rebuilt - plane).max())
+               / max(float(np.abs(plane).max()), 1e-300))
 
 
-def _check_stokes(checks, dim, seed):
+def _check_stokes(dim, seed):
     use_dim = min(dim, 3)
     residuals = {}
     for n in (32, 64):
@@ -679,99 +650,78 @@ def _check_stokes(checks, dim, seed):
             restrict_to_half(e_m.field()), restrict_to_half(h_m.field()),
             restrict_to_half(e_m.d().field()),
             restrict_to_half(h_m.delta().field()))
-    factor = residuals[32] / max(residuals[64], 1e-300)
-    _record(checks, "stokes-pairing-refinement-factor", factor, 8.0, mode="ge")
+    yield ("stokes-pairing-refinement-factor",
+           residuals[32] / max(residuals[64], 1e-300))
 
     # vanishing tangential trace by odd/even symmetrization: the trapezoid
     # closure has no end corrections for these reflection-symmetric members
     grid = GridSpec(use_dim, 3.0, 32)
-    worst = 0.0
     for q in range(use_dim):
         e = halfspace_member(grid, q, seed + 8 + q, envelope_decay=2.5)
         h = halfspace_member(grid, q + 1, seed + 9 + q, envelope_decay=2.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = stokes_pairing_residual(
-                restrict_to_half(e), restrict_to_half(h),
-                restrict_to_half(exterior_d(e)),
-                restrict_to_half(coderivative_delta(h)),
-                quadrature="trapezoid")
-        worst = max(worst, res / max(norm(e) * norm(h), 1e-300))
-    _record(checks, "stokes-pairing-trace-free-members", worst, 1e-8)
+        res = _trace_free_stokes_residual(e, h, exterior_d(e),
+                                          coderivative_delta(h))
+        yield ("stokes-pairing-trace-free-members",
+               res / max(norm(e) * norm(h), 1e-300))
 
 
-def _check_reconstruction(checks, dim, seed):
+def _check_reconstruction(dim, seed):
     use_dim = min(dim, 3)
     grid = GridSpec(use_dim, 3.0, 32)
-    worst = 0.0
     for q in range(use_dim + 1):
         e = random_band_limited(grid, q, seed + 13 * q)
         eps = random_dense_media(grid, q, seed + 29 * (q + 1), amplitude=0.4)
-        parts = gradient(e)
-        de = restrict_to_half(exterior_d(e)) if q < use_dim else None
-        delta_eps = restrict_to_half(coderivative_delta(eps.apply(e))) \
-            if q > 0 else None
-        half_parts = {j: restrict_to_half(parts[j]) for j in range(1, use_dim)}
-        rec = normal_derivative_reconstruct(restrict_to_half(e), de,
-                                            delta_eps, eps, half_parts)
-        direct = restrict_to_half(parts[use_dim])
-        worst = max(worst, norm(rec[use_dim] - direct)
-                    / max(norm(direct), 1e-300))
-    _record(checks, "normal-derivative-reconstruction", worst, 1e-8)
+        hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
+        de = fourier_inverse(de_hat) if de_hat is not None else None
+        yield ("normal-derivative-reconstruction",
+               _reconstruction_residual(e, eps, hat, de, delta_eps_hat))
 
 
-def _check_decomposition(checks, grid, seed):
+def _check_decomposition(grid, seed):
     dim = grid.dim
-    worst_resum = worst_orth = worst_closed = worst_idem = 0.0
-    worst_pot = worst_solver = worst_sg = 0.0
     for q in range(dim + 1):
         e = random_band_limited(grid, q, seed + 41 * q)
         split = hodge_decompose(e)
-        worst_resum = max(worst_resum, _rel_norm(split.resum(), e))
-        worst_orth = max(worst_orth, split_orthogonality(split))
+        yield "hodge-split-resum", _rel_norm(split.resum(), e)
+        yield "hodge-split-orthogonality", split_orthogonality(split)
         scale = max(norm(e), 1e-300)
         if q < dim:
-            worst_closed = max(worst_closed,
-                               norm(exterior_d(split.exact_part)) / scale)
+            yield ("hodge-split-closed-coclosed",
+                   norm(exterior_d(split.exact_part)) / scale)
         if q > 0:
-            worst_closed = max(worst_closed,
-                               norm(coderivative_delta(split.coexact_part)) / scale)
+            yield ("hodge-split-closed-coclosed",
+                   norm(coderivative_delta(split.coexact_part)) / scale)
         again = hodge_decompose(split.exact_part)
-        worst_idem = max(worst_idem, _rel_norm(again.exact_part, split.exact_part))
-        worst_idem = max(worst_idem, norm(again.coexact_part) / scale)
+        yield ("hodge-projector-idempotence",
+               _rel_norm(again.exact_part, split.exact_part))
+        yield "hodge-projector-idempotence", norm(again.coexact_part) / scale
         if q > 0:
             phi = potential_for_exact(split.exact_part)
-            worst_pot = max(worst_pot,
-                            norm(exterior_d(phi) - split.exact_part) / scale)
+            yield ("potential-roundtrip",
+                   norm(exterior_d(phi) - split.exact_part) / scale)
         if q < dim:
             coclosed = random_coclosed(grid, q, seed + 83 * (q + 1))
             if norm(coclosed) > 0:
                 sol = solve_coderivative(coclosed)
-                worst_solver = max(worst_solver, sol.residual)
-                gr = gaffney_identity_check(sol.potential)
-                worst_sg = max(worst_sg, gr.relative_gap)
-    _record(checks, "hodge-split-resum", worst_resum, 1e-12)
-    _record(checks, "hodge-split-orthogonality", worst_orth, 1e-10)
-    _record(checks, "hodge-split-closed-coclosed", worst_closed, 1e-10)
-    _record(checks, "hodge-projector-idempotence", worst_idem, 1e-12)
-    _record(checks, "potential-roundtrip", worst_pot, 1e-10)
-    _record(checks, "coderivative-solver-residual", worst_solver, 1e-10)
-    _record(checks, "solver-gaffney-consistency", worst_sg, 1e-8)
+                yield "coderivative-solver-residual", sol.residual
+                yield ("solver-gaffney-consistency",
+                       gaffney_identity_check(sol.potential).relative_gap)
 
 
-def _check_bridge(checks, seed):
+def bridge_sample(grid: GridSpec, seed: int, i: int) -> bridge_mod.VectorFieldN3:
+    """Vector field i of a bridge check: band-limited components from seeds
+    seed + 3i + j."""
+    return bridge_mod.VectorFieldN3(
+        grid, np.stack([random_band_limited(grid, 0, seed + 3 * i + j).data[0]
+                        for j in range(3)]))
+
+
+def _check_bridge(seed):
     grid = GridSpec(3, 3.0, 32)
-    worst = 0.0
-    exact_roundtrip = True
     for i in range(3):
-        v = bridge_mod.VectorFieldN3(
-            grid, np.stack([random_band_limited(grid, 0, seed + 3 * i + j).data[0]
-                            for j in range(3)]))
-        res = bridge_mod.bridge_residuals(v)
-        worst = max(worst, max(res.values()))
-        exact_roundtrip &= bridge_mod.roundtrip_exact(v)
-    _record(checks, "bridge-dictionary", worst, 1e-10)
-    _record(checks, "bridge-roundtrip-exact", 0.0 if exact_roundtrip else 1.0, 0.0)
+        v = bridge_sample(grid, seed, i)
+        yield "bridge-dictionary", max(bridge_mod.bridge_residuals(v).values())
+        yield "bridge-roundtrip-exact", 0.0 if bridge_mod.roundtrip_exact(v) else 1.0
 
 
 def run_identity_suite(dim: int, grid_points: int = 32, seed: int = 0) -> ProbeReport:
@@ -781,32 +731,39 @@ def run_identity_suite(dim: int, grid_points: int = 32, seed: int = 0) -> ProbeR
     3).  Exactness checks run on a fixed dyadic grid (L = 1, n = 32; n = 16
     at N = 4) where integer-valued data keeps the arithmetic exact, and the
     weight commutator runs on the fixed grid that resolves the weight
-    (n = 64).
+    (n = 64).  Each name of ``IDENTITIES`` a check yields gets one line, in
+    table order; a name the table lacks raises ValueError.
     """
     if dim > 4:
         raise ValueError("identity suite is sized for dimensions up to 4")
     grid = GridSpec(dim, 3.0, grid_points)
     exact_grid = GridSpec(dim, 1.0, 16 if dim >= 4 else 32)
-    checks: list = []
-    _check_pointwise_algebra(checks, grid, exact_grid, seed)
-    _check_spectral(checks, grid, seed)
-    _check_weights(checks, dim, seed)
-    _check_media(checks, grid, exact_grid, seed)
-    _check_halfspace(checks, grid, seed)
-    _check_stokes(checks, dim, seed)
-    _check_reconstruction(checks, dim, seed)
-    _check_decomposition(checks, grid, seed)
+    checks = [_check_pointwise_algebra(grid, exact_grid, seed),
+              _check_spectral(grid, seed), _check_weights(dim, seed),
+              _check_media(grid, exact_grid, seed),
+              _check_halfspace(grid, seed), _check_stokes(dim, seed),
+              _check_reconstruction(dim, seed),
+              _check_decomposition(grid, seed)]
     if dim == 3:
-        _check_bridge(checks, seed)
+        checks.append(_check_bridge(seed))
+    worst: dict = {}
+    for name, value in itertools.chain.from_iterable(checks):
+        if name not in IDENTITIES:
+            raise ValueError(f"identity check {name!r} is not in IDENTITIES")
+        worst[name] = max(worst.get(name, 0.0), value)
+    rows = [{"name": name, "residual": float(worst[name]), "tolerance": tol,
+             "mode": mode, "pass": bool(worst[name] >= tol if mode == "ge"
+                                        else worst[name] <= tol)}
+            for name, (tol, mode) in IDENTITIES.items() if name in worst]
     report = ProbeReport(
         probe="identities",
         params={"dim": dim, "grid": grid_points, "seed": seed,
                 "box_half_length": 3.0, "exactness_grid": exact_grid.points,
-                "commutator_grid": 64},
-        samples=checks)
-    report.aggregates = {"n_total": len(checks),
-                         "n_pass": sum(1 for c in checks if c["pass"]),
-                         "worst_failures": [c["name"] for c in checks
+                "commutator_grid": COMMUTATOR_GRID_POINTS},
+        samples=rows)
+    report.aggregates = {"n_total": len(rows),
+                         "n_pass": sum(c["pass"] for c in rows),
+                         "worst_failures": [c["name"] for c in rows
                                             if not c["pass"]]}
-    report.flags["all_identities_pass"] = all(c["pass"] for c in checks)
+    report.flags["all_identities_pass"] = all(c["pass"] for c in rows)
     return report

@@ -9,7 +9,8 @@ from formprobe.halfspace import _sign_selfcheck
 from formprobe.io import save_transformation
 from formprobe.manufactured import halfspace_member, random_band_limited
 from formprobe.media import scalar_catalog
-from formprobe.probes import (PROBE_BOX_HALF_LENGTH, _member_spectra,
+from formprobe import probes
+from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _member_spectra,
                               _member_stokes_residual,
                               _reconstruction_residual,
                               estimate_probe_interior,
@@ -18,10 +19,16 @@ from formprobe.probes import (PROBE_BOX_HALF_LENGTH, _member_spectra,
                               validate_halfspace_member)
 from formprobe.spectral import fourier_inverse
 
+# the bridge rows run at N = 3 only
+NON_BRIDGE_IDENTITIES = [name for name in IDENTITIES
+                         if name not in ("bridge-dictionary",
+                                         "bridge-roundtrip-exact")]
+
 
 def test_identity_suite_passes_and_reports_every_check():
     report = run_identity_suite(2, 24, seed=5)
     assert report.passed
+    assert [c["name"] for c in report.samples] == NON_BRIDGE_IDENTITIES
     names = {c["name"] for c in report.samples}
     for expected in ("operator-algebra-RR-zero", "gaffney-identity",
                      "mirror-sqrt2-isometry", "hodge-split-resum",
@@ -95,12 +102,52 @@ def test_identity_suite_dimension_four_six_component_forms():
     report = run_identity_suite(4, 16, seed=0)
     assert report.passed
     assert report.params["exactness_grid"] == 16
+    assert [c["name"] for c in report.samples] == NON_BRIDGE_IDENTITIES
+
+
+def test_identity_suite_rejects_a_name_missing_from_the_table(monkeypatch):
+    def unlisted(grid, exact_grid, seed):
+        yield "no-such-identity", 0.0
+
+    monkeypatch.setattr(probes, "_check_pointwise_algebra", unlisted)
+    with pytest.raises(ValueError, match="no-such-identity"):
+        run_identity_suite(2, 16, seed=0)
 
 
 def test_halfspace_probe_flags():
     report = halfspace_probe(2, 1, 0, "id", ensemble=4, grid_points=32, seed=5)
     assert report.passed
     assert report.aggregates["worst_reconstruct_residual"] <= 1e-8
+
+
+RATIO_ROW = {"numerator", "denominator", "ratio", "index"}
+RATIO_AGGREGATES = {"sup_ratio", "mean_ratio", "sup_ratio_refined"}
+DOUBLING_FLAGS = ["ratios_finite", "stable_under_doubling"]
+
+
+@pytest.mark.parametrize("run, row, aggregates, flags", [
+    (lambda: estimate_probe_interior(2, 1, 0, 0.0, "id", ensemble=2,
+                                     grid_points=16, seed=1),
+     RATIO_ROW, RATIO_AGGREGATES, DOUBLING_FLAGS + ["gaffney_pinned_bound"]),
+    (lambda: estimate_probe_weighted(2, 1, 0, 0.0, tau=1.0, media="scalar",
+                                     ensemble=2, grid_points=16, seed=1),
+     RATIO_ROW, RATIO_AGGREGATES | {"annulus_diagnostics"},
+     DOUBLING_FLAGS + ["annulus_split_holds"]),
+    (lambda: halfspace_probe(2, 1, 0, "scalar", ensemble=2, grid_points=32,
+                             seed=1),
+     RATIO_ROW | {"trace_norm_rel", "reconstruct_residual", "stokes_residual"},
+     RATIO_AGGREGATES | {"worst_reconstruct_residual", "worst_stokes_residual"},
+     DOUBLING_FLAGS + ["traces_vanish", "reconstruction_consistent",
+                       "stokes_residual_small"]),
+], ids=["interior", "weighted", "halfspace"])
+def test_estimate_probe_report_fields(run, row, aggregates, flags):
+    # the flags keep the order the CLI prints them in
+    report = run()
+    assert len(report.samples) == 2
+    assert set(report.samples[0]) == row
+    assert set(report.aggregates) == aggregates
+    assert set(report.refinement) == {"grid", "grid_refined", "sup_drift"}
+    assert list(report.flags) == flags
 
 
 def test_halfspace_member_checks_reuse_the_member_spectra(monkeypatch):
