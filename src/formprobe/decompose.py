@@ -16,12 +16,11 @@ import numpy as np
 
 from .fields import FormField, apply_R, apply_T, l2_inner, norm
 from .media import Transformation
-from .spectral import (coderivative_delta, exterior_d, fourier,
-                       fourier_inverse, harmonic_mask, spectral_sobolev_norm)
+from .spectral import fourier, fourier_inverse, harmonic_mask
 
 
-def _inv_symbol(grid) -> np.ndarray:
-    r2 = grid.freq_radius_sq()
+def _inv_symbol(r2: np.ndarray) -> np.ndarray:
+    """1 / |xi|^2 off the harmonic modes, 0 on them."""
     out = np.zeros_like(r2)
     nz = r2 != 0.0
     out[nz] = 1.0 / r2[nz]
@@ -48,22 +47,27 @@ def _exact_projection(hat: FormField) -> FormField:
     if hat.rank == hat.grid.dim:
         return hat.with_data(np.where(harmonic_mask(hat.grid), 0.0, hat.data))
     exact_hat = apply_R(apply_T(hat))
-    return exact_hat.with_data(_inv_symbol(hat.grid) * exact_hat.data)
+    return exact_hat.with_data(_inv_symbol(hat.grid.freq_radius_sq())
+                               * exact_hat.data)
+
+
+def coexact_projection(hat: FormField) -> FormField:
+    """The co-exact part T R / |xi|^2 of a spectrum; harmonic modes go to 0."""
+    if hat.rank == hat.grid.dim:
+        return hat.with_data(np.zeros_like(hat.data))
+    r2 = hat.grid.freq_radius_sq()
+    nonzero = hat.with_data(np.where(r2 == 0.0, 0.0, hat.data))
+    if hat.rank == 0:
+        return nonzero
+    coexact_hat = apply_T(apply_R(nonzero))
+    return coexact_hat.with_data(_inv_symbol(r2) * coexact_hat.data)
 
 
 def _split_spectral(hat: FormField) -> tuple:
-    grid = hat.grid
-    kernel = harmonic_mask(grid)
+    kernel = harmonic_mask(hat.grid)
     mean_hat = hat.with_data(np.where(kernel, hat.data, 0.0))
     nonzero = hat.with_data(np.where(kernel, 0.0, hat.data))
-    if hat.rank == 0:
-        coexact_hat = nonzero
-    elif hat.rank == grid.dim:
-        coexact_hat = hat.with_data(np.zeros_like(hat.data))
-    else:
-        coexact_hat = apply_T(apply_R(nonzero))
-        coexact_hat = coexact_hat.with_data(_inv_symbol(grid) * coexact_hat.data)
-    return _exact_projection(nonzero), coexact_hat, mean_hat
+    return _exact_projection(nonzero), coexact_projection(hat), mean_hat
 
 
 def hodge_decompose(e: FormField, eps: Transformation | None = None,
@@ -131,28 +135,32 @@ def _last_three(history: list) -> str:
     return ", ".join(f"{u:.3e}" for u in history[-3:])
 
 
-def _check_zero_mean(hat: FormField, tol: float):
-    """Reject a spectrum whose harmonic modes carry more than tol of its
-    largest coefficient."""
-    mean_mass = float(np.abs(np.where(harmonic_mask(hat.grid), hat.data, 0.0)).max())
+def _check_zero_mean(hat: FormField, r2: np.ndarray, tol: float):
+    """Reject a spectrum whose harmonic modes (r2 = |xi|^2 = 0) carry more
+    than tol of its largest coefficient."""
+    mean_mass = float(np.abs(np.where(r2 == 0.0, hat.data, 0.0)).max())
     if mean_mass > tol * max(float(np.abs(hat.data).max()), 1e-300):
         raise ValueError(f"input has a harmonic component ({mean_mass:.3e}); "
                          "remove the mean mode first: zero-mean data needed")
 
 
 def potential_for_exact(e_exact: FormField, tol: float = 1e-8) -> FormField:
-    """Potential with d(potential) = E for a closed zero-mean E."""
+    """Potential with d(potential) = E for a closed zero-mean E.
+
+    Two transforms: E forward and the potential back; the closedness check
+    ||d E|| = ||R F(E)|| is taken on the spectrum (Parseval).
+    """
     if e_exact.rank < 1:
         raise ValueError("rank-0 fields have no potential")
     hat = fourier(e_exact)
-    _check_zero_mean(hat, tol)
+    r2 = e_exact.grid.freq_radius_sq()
+    _check_zero_mean(hat, r2, tol)
     if e_exact.rank < e_exact.grid.dim:
-        closed_res = norm(exterior_d(e_exact))
+        closed_res = norm(apply_R(hat))
         if closed_res > tol * max(norm(e_exact), 1e-300):
             raise ValueError(f"input is not closed: ||d E|| = {closed_res:.3e}")
-    inv = _inv_symbol(e_exact.grid)
     phi_hat = apply_T(hat)
-    phi_hat = phi_hat.with_data(-1j * inv * phi_hat.data)
+    phi_hat = phi_hat.with_data(-1j * _inv_symbol(r2) * phi_hat.data)
     return fourier_inverse(phi_hat)
 
 
@@ -169,30 +177,33 @@ class CoderivativeSolution:
 def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
     """Solve delta H = E for co-closed zero-mean E, H = -i F^-1(R F E / r^2).
 
-    Stated for N >= 3; the periodic box has no issue at N = 2, which is
-    permitted but flagged as outside the hypothesis.
+    Two transforms: E forward and H back.  The co-closedness check
+    ||delta E|| = ||T F(E)||, the residual ||i T F(H) - F(E)|| and the
+    norms of H are taken on the spectrum (Parseval).  Stated for N >= 3;
+    the periodic box has no issue at N = 2, which is permitted but flagged
+    as outside the hypothesis.
     """
     if e.rank >= e.grid.dim:
         raise ValueError("co-derivative solve needs rank < N")
     hat = fourier(e)
-    _check_zero_mean(hat, tol)
+    r2 = e.grid.freq_radius_sq()
+    _check_zero_mean(hat, r2, tol)
     scale = max(norm(e), 1e-300)
     if e.rank > 0:
-        coclosed_res = norm(coderivative_delta(e)) / scale
+        coclosed_res = norm(apply_T(hat)) / scale
         if coclosed_res > tol:
             raise ValueError(f"input is not co-closed: relative "
                              f"||delta E|| = {coclosed_res:.3e}")
-    inv = _inv_symbol(e.grid)
     h_hat = apply_R(hat)
-    h_hat = h_hat.with_data(-1j * inv * h_hat.data)
-    h = fourier_inverse(h_hat)
-    residual = norm(coderivative_delta(h) - e) / scale
-    ratio = spectral_sobolev_norm(h_hat, 1.0) / scale
-    grad_sq = np.sum(e.grid.freq_radius_sq() * np.abs(h_hat.data) ** 2) \
-        * e.grid.cell_volume
-    return CoderivativeSolution(h, residual, ratio, norm(h_hat) / scale,
-                                math.sqrt(max(grad_sq, 0.0)) / scale,
-                                e.grid.dim < 3)
+    h_hat = h_hat.with_data(-1j * _inv_symbol(r2) * h_hat.data)
+    residual = norm(1j * apply_T(h_hat) - hat) / scale
+    power = np.sum(np.abs(h_hat.data) ** 2, axis=0) * e.grid.cell_volume
+    l2_sq = float(np.sum(power))
+    grad_sq = float(np.sum(r2 * power))
+    return CoderivativeSolution(fourier_inverse(h_hat), residual,
+                                math.sqrt(l2_sq + grad_sq) / scale,
+                                math.sqrt(l2_sq) / scale,
+                                math.sqrt(grad_sq) / scale, e.grid.dim < 3)
 
 
 def split_orthogonality(split: HodgeSplit) -> float:

@@ -14,7 +14,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .decompose import hodge_decompose
+from .decompose import coexact_projection
 from .fields import (FormField, GridSpec, Region, multi_indices,
                      n_components, normal_mask, sign_table)
 from .media import DECAY_NONE, make_transformation, pullback_grid_map
@@ -347,14 +347,10 @@ def random_dense_media(grid: GridSpec, rank: int, seed: int,
 # fast array-space random fields
 # ---------------------------------------------------------------------------
 
-def random_band_limited(grid: GridSpec, rank: int, seed: int,
-                        kmax: int | None = None, real: bool = True) -> FormField:
-    """Seeded band-limited random field, grid-independent as a function.
-
-    The Fourier coefficients live on the fixed index cube |k|_inf <= kmax
-    drawn from the seed alone, so refining the grid reproduces the same
-    continuum field.
-    """
+def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
+                           kmax: int | None) -> np.ndarray:
+    """Unitary spectrum of the seeded band-limited field: coefficients on
+    the fixed index cube |k|_inf <= kmax drawn from the seed alone."""
     if kmax is None:
         kmax = max(grid.points // BAND_LIMIT_FRACTION, 1)
     if kmax >= grid.points // 2:
@@ -375,7 +371,19 @@ def random_band_limited(grid: GridSpec, rank: int, seed: int,
         phases = np.multiply.outer(phases, phase_1d)
     for c in range(nc):
         data[c][target] = scale * phases * cube[c]
-    field_ = FormField(grid, rank, ifft_nodes(data, grid.dim))
+    return data
+
+
+def random_band_limited(grid: GridSpec, rank: int, seed: int,
+                        kmax: int | None = None, real: bool = True) -> FormField:
+    """Seeded band-limited random field, grid-independent as a function.
+
+    The Fourier coefficients live on the fixed index cube |k|_inf <= kmax
+    drawn from the seed alone, so refining the grid reproduces the same
+    continuum field.
+    """
+    spectrum = _band_limited_spectrum(grid, rank, seed, kmax)
+    field_ = FormField(grid, rank, ifft_nodes(spectrum, grid.dim))
     if real:
         field_ = field_.with_data(field_.data.real.astype(np.complex128))
     return field_
@@ -406,9 +414,18 @@ def mean_free(e: FormField) -> FormField:
 
 def random_coclosed(grid: GridSpec, rank: int, seed: int,
                     kmax: int | None = None) -> FormField:
-    """Random co-closed zero-mean field (a T-range projection)."""
-    base = random_band_limited(grid, rank, seed, kmax)
-    return hodge_decompose(base).coexact_part
+    """Random co-closed zero-mean field: the co-exact part of
+    ``random_band_limited(grid, rank, seed, kmax)``.
+
+    One transform: the real part is taken on the frequency side,
+    (D(k) + conj(D(-k))) / 2, then projected by T R / |xi|^2 and inverted.
+    """
+    spectrum = _band_limited_spectrum(grid, rank, seed, kmax)
+    axes = tuple(range(1, grid.dim + 1))
+    reflected = np.roll(np.flip(spectrum, axes), 1, axes)  # D(-k)
+    hat = FormField(grid, rank, 0.5 * (spectrum + np.conj(reflected)),
+                    spectral=True)
+    return fourier_inverse(coexact_projection(hat))
 
 
 def parity_symmetrized(e: FormField, parity: str) -> FormField:

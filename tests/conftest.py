@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from formprobe.fields import FormField, GridSpec, norm
 
@@ -22,3 +23,16 @@ def grid2(n: int = 32, L: float = 3.0) -> GridSpec:
 
 def grid3(n: int = 24, L: float = 3.0) -> GridSpec:
     return GridSpec(3, L, n)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch) -> list:
+    """Names of the numpy transforms called while the test runs; clear the
+    list to start a new count."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

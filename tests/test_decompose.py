@@ -147,6 +147,35 @@ def test_solver_rejects_non_coclosed_and_mean():
         potential_for_exact(const)
 
 
+def test_solver_residual_matches_position_space():
+    # the residual is taken on the spectrum; delta H - E in position space
+    # must give the same value up to round-off
+    for dim in (3, 4):
+        g = GridSpec(dim, 2.0, 16)
+        for q in range(dim):
+            e = random_coclosed(g, q, 40 * dim + q, kmax=4)
+            sol = solve_coderivative(e)
+            direct = norm(coderivative_delta(sol.potential) - e) / norm(e)
+            assert abs(sol.residual - direct) <= 1e-14
+
+
+def test_solver_and_potential_transform_budget(fft_calls):
+    # solve: E forward, H back; potential: E forward, phi back
+    for dim in (3, 4):
+        g = GridSpec(dim, 2.0, 8)
+        for q in range(dim + 1):
+            split = hodge_decompose(random_band_limited(g, q, 11 * dim + q,
+                                                        real=False))
+            if q < dim:
+                fft_calls.clear()
+                solve_coderivative(split.coexact_part)
+                assert fft_calls == ["fftn", "ifftn"]
+            if q > 0:
+                fft_calls.clear()
+                potential_for_exact(split.exact_part)
+                assert len(fft_calls) <= 2
+
+
 def test_solver_h1_bound_shape():
     # both pieces of the H^1 energy are reported and consistent:
     # ||H||^2 + |||xi| F(H)||^2 = ||H||_{H^1}^2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import max_abs, rel_gap
+from formprobe.decompose import hodge_decompose
 from formprobe.fields import GridSpec, Region, norm
 from formprobe.manufactured import (PolyGauss, gaussian_form,
                                     generate_manufactured, halfspace_member,
@@ -135,6 +136,20 @@ def test_random_coclosed_is_coclosed():
     g = GridSpec(3, 2.0, 16)
     e = random_coclosed(g, 1, 13)
     assert norm(coderivative_delta(e)) <= 1e-12 * norm(e)
+
+
+def test_random_coclosed_matches_hodge_route(fft_calls):
+    # one inverse transform per field, and the same field as the co-exact
+    # part of the band-limited field it projects
+    for dim in (3, 4):
+        g = GridSpec(dim, 2.0, 16)
+        for q in range(dim + 1):
+            fft_calls.clear()
+            e = random_coclosed(g, q, 60 * dim + q, kmax=4)
+            assert fft_calls == ["ifftn"]
+            base = random_band_limited(g, q, 60 * dim + q, kmax=4)
+            old = hodge_decompose(base).coexact_part
+            assert norm(e - old) <= 1e-13 * norm(old)
 
 
 def test_random_dense_media_has_stored_exact_partials():

@@ -44,6 +44,18 @@ def test_identity_suite_deterministic_bytes():
     assert a == b
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_identity_suite_rejects_dimension_below_two(dim, monkeypatch):
+    # rejected before any check runs
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(probes, "_check_pointwise_algebra", no_check)
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        run_identity_suite(dim, 16)
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        main(["identities", "--dim", str(dim), "--grid", "16"])
+
+
 def test_interior_probe_gaffney_pinned_bound():
     report = estimate_probe_interior(2, 1, 0, 0.0, "id", ensemble=8,
                                      grid_points=16, seed=1)
