@@ -1,6 +1,7 @@
 """Command-line harness: identity suite, estimate probes, bridge check.
 
-Exit code 0 means every asserted invariant passed.  Reports are JSON
+Exit code 0 means every asserted invariant passed, 1 that a check
+failed and 2 that the arguments were rejected.  Reports are JSON
 documents (one per run) with deterministic bytes for a fixed parameter
 set and seed; an optional CSV carries the per-sample ratios.
 """
@@ -128,8 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as err:  # rejected by the library: argparse's status 2
+        parser.exit(2, f"{parser.prog}: error: {err}\n")
 
 
 if __name__ == "__main__":

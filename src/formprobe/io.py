@@ -135,6 +135,6 @@ def load_transformation(path) -> Transformation:
         hat = _read_payload(fh, header, "f8", shape)
     if kind == "catalog":
         return scalar_catalog(grid, header["catalog"], **header.get("params", {}))
-    return make_transformation(grid, header["q"], kind, mu_hat=hat, hat=hat,
+    return make_transformation(grid, header["q"], kind, hat=hat,
                                tau=header["tau"], decay_kind=header["decay"],
                                smoothness=header["m"])

@@ -329,18 +329,12 @@ def random_dense_media(grid: GridSpec, rank: int, seed: int,
             polys[(i, j)] = _random_trig(grid, rng, kmax, terms=3)
     scale = amplitude / nc
     hat = np.zeros((nc, nc) + grid.shape)
-    partials = {ax: np.zeros((nc, nc) + grid.shape)
-                for ax in range(1, grid.dim + 1)}
     for (i, j), poly in polys.items():
         values = poly.eval(grid).real
         peak = max(float(np.abs(values).max()), 1e-300)
         hat[i, j] = hat[j, i] = scale * values / peak
-        for ax in range(1, grid.dim + 1):
-            dval = poly.partial(ax).eval(grid).real
-            partials[ax][i, j] = partials[ax][j, i] = scale * dval / peak
     return make_transformation(grid, rank, "dense", hat=hat,
-                               decay_kind=DECAY_NONE, smoothness=1,
-                               hat_partials=partials)
+                               decay_kind=DECAY_NONE, smoothness=1)
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,10 @@ class Transformation:
     """Nodewise symmetric positive-definite map on rank-q fibers.
 
     ``hat`` stores only the perturbation: full matrices are id + hat.
-    Scalar transformations hold a single field mu_hat and act on any rank.
-    ``hat_calculus`` optionally carries closed-form entry objects (with
-    eval/partial) used by the decay verification.
+    Scalar transformations hold a single field and act on any rank.
+    ``hat_calculus`` optionally carries the closed-form entry of a scalar
+    kind (an object with eval/partial); the entry partials and the decay
+    verification then take exact derivatives from it.
     """
 
     grid: GridSpec
@@ -107,9 +108,8 @@ class Transformation:
     tau: float = 0.0
     decay_kind: str = DECAY_NONE
     smoothness: int = 0
-    hat_partials: dict | None = field(default=None, repr=False)
     report: AdmissibilityReport | None = None
-    hat_calculus: tuple | None = field(default=None, repr=False)
+    hat_calculus: object | None = field(default=None, repr=False)
 
     # -- basic queries -------------------------------------------------------
 
@@ -126,7 +126,7 @@ class Transformation:
                              f"got rank {e.rank}")
 
     def scalar_field(self) -> np.ndarray:
-        """Full scalar coefficient 1 + mu_hat (scalar kind only)."""
+        """Full scalar coefficient 1 + hat (scalar kind only)."""
         if self.kind != SCALAR:
             raise ValueError("not a scalar transformation")
         return 1.0 + self.hat
@@ -177,19 +177,20 @@ class Transformation:
         return e.with_data(np.einsum("ij...,j...->i...", part, e.data))
 
     def partial_array(self, axis: int) -> np.ndarray | None:
-        """d_axis of the perturbation entries: stored closed form if
-        available, otherwise spectral (exact for band-limited entries)."""
+        """d_axis of the perturbation entries."""
         if self.kind == IDENTITY:
             return None
-        if self.hat_partials is not None and axis in self.hat_partials:
-            return self.hat_partials[axis]
-        return self._spectral_partials[axis - 1]
+        return self._partials[axis - 1]
 
     @cached_property
-    def _spectral_partials(self) -> np.ndarray:
-        """Every axis's spectral partial of the entries, stacked: one
-        forward transform and one stacked inverse per material."""
+    def _partials(self) -> np.ndarray:
+        """Every axis's partial of the entries, stacked: from the closed
+        form if there is one, else one forward transform and one stacked
+        inverse (exact for band-limited entries)."""
         dim = self.grid.dim
+        if self.hat_calculus is not None:
+            return np.stack([np.real(self.hat_calculus.partial(axis).eval(self.grid))
+                             for axis in range(1, dim + 1)])
         hat = fft_nodes(self.hat.astype(np.complex128), dim)
         symbols = [derivative_symbol(self.grid, tuple(int(ax == axis)
                                                       for ax in range(dim)))
@@ -229,12 +230,12 @@ class Transformation:
 # construction and verification
 # ---------------------------------------------------------------------------
 
-def _verify_scalar(grid, mu_hat) -> AdmissibilityReport:
-    values = 1.0 + mu_hat
+def _verify_scalar(grid, hat) -> AdmissibilityReport:
+    values = 1.0 + hat
     worst = float(values.min())
     node = np.unravel_index(int(np.argmin(values)), grid.shape)
     return AdmissibilityReport(True, worst, float(values.max()), node,
-                               float(np.abs(mu_hat).max()))
+                               float(np.abs(hat).max()))
 
 
 def _verify_dense(grid, hat) -> AdmissibilityReport:
@@ -255,33 +256,35 @@ def _verify_dense(grid, hat) -> AdmissibilityReport:
 
 
 def make_transformation(grid: GridSpec, rank: int | None = None,
-                        kind: str = IDENTITY, *, mu_hat=None, hat=None,
+                        kind: str = IDENTITY, *, hat=None,
                         tau: float = 0.0, decay_kind: str = DECAY_NONE,
-                        smoothness: int = 0, hat_partials: dict | None = None,
-                        hat_calculus: tuple | None = None,
+                        smoothness: int = 0, hat_calculus=None,
                         positivity_floor: float = 1e-10) -> Transformation:
     """Build and verify a transformation.
 
     kind "identity" needs nothing; "scalar" takes the perturbation field
-    mu_hat (full coefficient is 1 + mu_hat); "dense" takes the perturbation
+    hat (full coefficient is 1 + hat), or evaluates it on the grid from
+    its closed-form entry hat_calculus; "dense" takes the perturbation
     matrices hat of shape (nc, nc) + grid.shape for the given rank.
     Non-symmetric or non-positive inputs are rejected with the worst node
     and Rayleigh quotient in the error.
     """
     if kind == IDENTITY:
         return Transformation(grid, rank, IDENTITY, None, tau, decay_kind,
-                              smoothness, None,
+                              smoothness,
                               AdmissibilityReport(True, 1.0, 1.0, (), 0.0))
 
     if kind == SCALAR:
-        mu_hat = np.broadcast_to(np.asarray(mu_hat, float), grid.shape).copy()
-        report = _verify_scalar(grid, mu_hat)
+        if hat is None:
+            hat = np.real(hat_calculus.eval(grid))
+        hat = np.broadcast_to(np.asarray(hat, float), grid.shape).copy()
+        report = _verify_scalar(grid, hat)
         if report.min_rayleigh < positivity_floor:
             raise AdmissibilityError(
                 f"positivity violation: coefficient {report.min_rayleigh:.6g} "
                 f"at node {report.worst_node}", report)
-        return Transformation(grid, rank, SCALAR, mu_hat, tau, decay_kind,
-                              smoothness, hat_partials, report, hat_calculus)
+        return Transformation(grid, rank, SCALAR, hat, tau, decay_kind,
+                              smoothness, report, hat_calculus)
     if kind == DENSE:
         if rank is None:
             raise ValueError("dense transformations need a rank")
@@ -299,7 +302,7 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
                 f"positivity violation: Rayleigh quotient "
                 f"{report.min_rayleigh:.6g} at node {report.worst_node}", report)
         return Transformation(grid, rank, DENSE, hat, tau, decay_kind,
-                              smoothness, hat_partials, report, hat_calculus)
+                              smoothness, report)
     raise ValueError(f"unknown transformation kind {kind!r}")
 
 
@@ -315,31 +318,17 @@ def scalar_catalog(grid: GridSpec, tag: str, *, amplitude: float = 1.0,
     "radial_power": 1 + a (1+r^2)^(-tau/2), second-kind decay of order tau.
     """
     from .manufactured import PolyGauss
-    r2 = grid.radius_sq()
-    coords = grid.coord_fields()
     zero_alpha = (0,) * grid.dim
     if tag == "gauss_well":
-        hat = amplitude * np.exp(-width * r2)
-        partials = {j + 1: -2.0 * width * coords[j] * hat
-                    for j in range(grid.dim)}
         entry = PolyGauss(grid.dim, width, (0.0,) * grid.dim,
                           {zero_alpha: amplitude})
-        return make_transformation(grid, None, SCALAR, mu_hat=hat, tau=tau,
-                                   decay_kind=DECAY_SECOND, smoothness=3,
-                                   hat_partials=partials,
-                                   hat_calculus=(entry,))
-    if tag == "radial_power":
-        base = (1.0 + r2) ** (-tau / 2.0)
-        hat = amplitude * base
-        partials = {j + 1: -amplitude * tau * coords[j]
-                    * (1.0 + r2) ** (-tau / 2.0 - 1.0)
-                    for j in range(grid.dim)}
+    elif tag == "radial_power":
         entry = RhoPolynomial(grid.dim, {-tau / 2.0: {zero_alpha: amplitude}})
-        return make_transformation(grid, None, SCALAR, mu_hat=hat, tau=tau,
-                                   decay_kind=DECAY_SECOND, smoothness=3,
-                                   hat_partials=partials,
-                                   hat_calculus=(entry,))
-    raise ValueError(f"unknown scalar catalog tag {tag!r}")
+    else:
+        raise ValueError(f"unknown scalar catalog tag {tag!r}")
+    return make_transformation(grid, None, SCALAR, tau=tau,
+                               decay_kind=DECAY_SECOND, smoothness=3,
+                               hat_calculus=entry)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +387,24 @@ def _pullback_component_matrix(dim: int, rank: int, sigma: tuple,
     return table_matrix(sign_table(("pullback", sigma, flips), dim, rank))
 
 
+class _Transported:
+    """Closed-form entry mu o tau for tau_j(x) = flips_j x_sigma(j), on the
+    periodic box (``pullback_grid_map``), with the chain rule
+    d_i (mu o tau)(x) = flips_j (d_j mu)(tau x) where sigma(j) = i."""
+
+    def __init__(self, entry, sigma: tuple, flips: tuple, sign: float = 1.0):
+        self.entry, self.sigma, self.flips, self.sign = entry, sigma, flips, sign
+
+    def eval(self, grid: GridSpec) -> np.ndarray:
+        return self.sign * pullback_grid_map(self.entry.eval(grid),
+                                             self.sigma, self.flips)
+
+    def partial(self, axis: int) -> "_Transported":
+        j = self.sigma.index(axis) + 1
+        return _Transported(self.entry.partial(j), self.sigma, self.flips,
+                            self.sign * self.flips[j - 1])
+
+
 def transported_transform(eps: Transformation, rank: int, sigma: tuple,
                           flips: tuple) -> Transformation:
     """Transport eps under an orthogonal signed-permutation change of chart.
@@ -413,22 +420,13 @@ def transported_transform(eps: Transformation, rank: int, sigma: tuple,
     if eps.kind == IDENTITY:
         return eps
     if eps.kind == SCALAR:
-        moved = pullback_grid_map(eps.hat, sigma, flips)
-        parts = None
-        if eps.hat_partials is not None:
-            # chain rule for tau_i = flips_i x_sigma(i):
-            # d_i (mu o tau)(x) = flips_i (d_sigma(i) mu)(tau x)
-            parts = {}
-            for i in range(1, dim + 1):
-                src = eps.hat_partials.get(sigma[i - 1])
-                if src is None:
-                    parts = None
-                    break
-                parts[i] = flips[i - 1] * pullback_grid_map(src, sigma, flips)
-        return make_transformation(eps.grid, eps.rank, SCALAR, mu_hat=moved,
+        calculus = None if eps.hat_calculus is None \
+            else _Transported(eps.hat_calculus, sigma, flips)
+        return make_transformation(eps.grid, eps.rank, SCALAR,
+                                   hat=pullback_grid_map(eps.hat, sigma, flips),
                                    tau=eps.tau, decay_kind=eps.decay_kind,
                                    smoothness=eps.smoothness,
-                                   hat_partials=parts)
+                                   hat_calculus=calculus)
     # dense: eps_tau(x) = det * (-1)^(q(N-q)) H_(N-q) P_(N-q) H_q eps(tau x) P_q^(-1)
     inv_sigma = tuple(sigma.index(i) + 1 for i in range(1, dim + 1))
     inv_flips = tuple(flips[inv_sigma[i - 1] - 1] for i in range(1, dim + 1))
@@ -468,6 +466,13 @@ def reflected_transform(eps: Transformation, rank: int | None = None) -> Transfo
 # decay-class verification on annulus samples
 # ---------------------------------------------------------------------------
 
+# (inner, outer) annuli in half lengths: exact derivatives are sampled out
+# to the box corners, spectral ones inside the wrap-free window
+EXACT_ANNULI = ((0.50, 0.80), (0.90, 1.30))
+SPECTRAL_ANNULI = ((0.30, 0.45), (0.45, 0.62))
+DECAY_GROWTH_SLACK = 1.75
+
+
 def _smooth_radial_window(grid: GridSpec, flat_radius: float,
                           zero_radius: float) -> np.ndarray:
     """C^inf window, 1 inside flat_radius and 0 beyond zero_radius."""
@@ -479,52 +484,41 @@ def _smooth_radial_window(grid: GridSpec, flat_radius: float,
     return f_fall / (f_rise + f_fall)
 
 
-def verify_decay(eps: Transformation, inner: tuple = None,
-                 outer: tuple = None, growth_slack: float = 1.75) -> dict:
+def verify_decay(eps: Transformation) -> dict:
     """Sample |d^alpha hat| rho^power over two annuli and compare.
 
     power is tau for first-kind decay and tau + |alpha| for second kind;
     the weight is rho = (1+r^2)^(1/2), which keeps a perturbation exactly
     at the decay boundary flat instead of pre-asymptotically rising.  The
     class is consistent when the weighted sup does not grow from the inner
-    annulus to the outer one beyond the slack factor.  Derivatives are
-    spectral; since the perturbation is not box-periodic, a smooth radial
-    window (identically 1 on the sampled annuli) is applied first so the
-    wrap-around kink cannot pollute the samples.
+    annulus to the outer one beyond DECAY_GROWTH_SLACK.  Derivatives come
+    from the closed form if there is one, else they are spectral, taken
+    after a smooth radial window (identically 1 on the sampled annuli)
+    removes the wrap-around kink of the non-periodic perturbation.
     """
     if eps.kind == IDENTITY:
         return {"kind": eps.decay_kind, "tau": eps.tau, "orders": {},
                 "consistent": True}
     grid = eps.grid
     L = grid.half_length
-    if eps.hat_calculus is not None:
-        # exact derivatives everywhere: sample out to the box corners
-        inner = inner or (0.50 * L, 0.80 * L)
-        outer = outer or (0.90 * L, 1.30 * L)
-        window = None
-    else:
-        # spectral derivatives need the wrap-free windowed region
-        inner = inner or (0.30 * L, 0.45 * L)
-        outer = outer or (0.45 * L, 0.62 * L)
-        window = _smooth_radial_window(grid, 0.65 * L, 0.95 * L)
+    exact = eps.hat_calculus is not None
+    inner, outer = L * np.array(EXACT_ANNULI if exact else SPECTRAL_ANNULI)
     r = np.sqrt(grid.radius_sq())
     weight_base = np.sqrt(1.0 + grid.radius_sq())
     masks = {"inner": (inner[0] < r) & (r < inner[1]),
              "outer": (outer[0] < r) & (r < outer[1])}
-    if eps.hat_calculus is not None:
+    if exact:
         def derive(alpha):
-            fields = []
-            for entry in eps.hat_calculus:
-                obj = entry
-                for ax, a in enumerate(alpha):
-                    for _ in range(a):
-                        obj = obj.partial(ax + 1)
-                fields.append(np.abs(np.asarray(obj.eval(grid))))
-            return fields
+            obj = eps.hat_calculus
+            for ax, a in enumerate(alpha):
+                for _ in range(a):
+                    obj = obj.partial(ax + 1)
+            return [np.abs(obj.eval(grid))]
     else:
         # the entries (the upper triangle of a dense kind) as one stack
         entries = eps.hat[None] if eps.kind == SCALAR \
             else eps.hat[np.triu_indices(eps.hat.shape[0])]
+        window = _smooth_radial_window(grid, 0.65 * L, 0.95 * L)
         hat = fft_nodes((window * entries).astype(np.complex128), grid.dim)
 
         def derive(alpha):
@@ -545,7 +539,7 @@ def verify_decay(eps: Transformation, inner: tuple = None,
                     worst = max(worst,
                                 float((deriv * weight_base ** power)[mask].max()))
                 sups[name] = worst
-            ok = sups["outer"] <= growth_slack * max(sups["inner"], 1e-300)
+            ok = sups["outer"] <= DECAY_GROWTH_SLACK * max(sups["inner"], 1e-300)
             consistent = consistent and ok
             orders[alpha] = {"inner": sups["inner"], "outer": sups["outer"],
                              "bounded": ok}

@@ -99,6 +99,12 @@ def media_from_option(option: str, grid: GridSpec, rank: int,
         return scalar_catalog(grid, "gauss_well", amplitude=1.0, width=1.0)
     if option.startswith("file:"):
         eps = load_transformation(option[5:])
+        if eps.hat_calculus is not None and eps.grid.dim == grid.dim:
+            # a closed-form material (a catalog file) is rebuilt on any grid
+            return make_transformation(grid, eps.rank, eps.kind, tau=eps.tau,
+                                       decay_kind=eps.decay_kind,
+                                       smoothness=eps.smoothness,
+                                       hat_calculus=eps.hat_calculus)
         if eps.grid != grid:
             raise ValueError(f"media file grid {eps.grid} does not match the "
                              f"probe grid {grid}")
@@ -542,9 +548,10 @@ def _check_weights(dim, seed):
 def _check_media(grid, exact_grid, seed):
     dim = grid.dim
     fields = _suite_fields(grid, seed + 211)
+    partners = _suite_fields(grid, seed + 503)
     eps_scalar = scalar_catalog(grid, "gauss_well", amplitude=1.0, width=1.0)
     for q in range(dim + 1):
-        e, h = fields[q], _suite_fields(grid, seed + 503)[q]
+        e, h = fields[q], partners[q]
         lhs = l2_inner(eps_scalar.apply(e), h)
         rhs = l2_inner(e, eps_scalar.apply(h))
         yield ("media-symmetric-pairing",

@@ -292,7 +292,7 @@ def test_weighted_split_indefinite_material_raises():
     # admissibility bypassed: 1 + mu dips to -0.5, so P eps P is indefinite
     g = GridSpec(2, 3.0, 16)
     eps = make_transformation(g, None, "scalar",
-                              mu_hat=-1.5 * np.exp(-g.radius_sq()),
+                              hat=-1.5 * np.exp(-g.radius_sq()),
                               positivity_floor=-10.0)
     e = random_band_limited(g, 1, 37, real=False)
     with pytest.raises(RuntimeError, match="did not converge .*curvature"):

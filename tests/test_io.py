@@ -144,7 +144,7 @@ def materials(draw):
             "decay_kind": draw(st.sampled_from(("none", "first-kind"))),
             "smoothness": draw(st.integers(0, 3))}
     if kind == "scalar":
-        return make_transformation(g, None, kind, mu_hat=rng.uniform(-0.5, 0.5, g.shape),
+        return make_transformation(g, None, kind, hat=rng.uniform(-0.5, 0.5, g.shape),
                                    **meta)
     nc = n_components(g.dim, q)
     a = rng.uniform(-0.2, 0.2, (nc, nc) + g.shape) / nc

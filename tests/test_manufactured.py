@@ -9,9 +9,8 @@ from formprobe.manufactured import (PolyGauss, gaussian_form,
                                     mean_free, parity_symmetrized,
                                     random_band_limited, random_coclosed,
                                     random_dense_media, random_dyadic,
-                                    trig_catalog_entry)
+                                    trig_catalog_entry, _random_trig)
 from formprobe.halfspace import restrict_to_half, trace_tangential
-from formprobe.media import make_transformation
 from formprobe.spectral import exterior_d, gradient, partial_derivative
 
 
@@ -155,11 +154,19 @@ def test_random_coclosed_matches_hodge_route(fft_calls):
 def test_random_dense_media_has_stored_exact_partials():
     g = GridSpec(2, 2.0, 16)
     eps = random_dense_media(g, 1, 3, amplitude=0.4)
-    # the same entries without stored partials take the spectral route
-    bare = make_transformation(g, 1, "dense", hat=eps.hat)
+    # the entries' closed-form partials, rebuilt from the same seeded
+    # trigonometric polynomials in the same order
+    rng = np.random.default_rng(3)
     nc = eps.hat.shape[0]
+    exact = {}
+    for i in range(nc):
+        for j in range(i, nc):
+            poly = _random_trig(g, rng, 2, terms=3)
+            peak = np.abs(poly.eval(g).real).max()
+            exact[i, j] = exact[j, i] = [0.4 / nc * poly.partial(axis).eval(g).real
+                                         / peak for axis in (1, 2)]
     for axis in (1, 2):
-        spectral = bare.partial_array(axis)
+        spectral = eps.partial_array(axis)
         for i in range(nc):
             for j in range(nc):
                 hat = np.fft.fftn(eps.hat[i, j].astype(complex), norm="ortho")
@@ -167,9 +174,8 @@ def test_random_dense_media_has_stored_exact_partials():
                                          norm="ortho").real
                 # one transform of the whole entry stack, bitwise per entry
                 assert np.array_equal(spectral[i, j], reference)
-                # entries are band-limited: the stored partials are exact
-                assert np.abs(eps.hat_partials[axis][i, j]
-                              - reference).max() <= 1e-12
+                # entries are band-limited: the spectral partials are exact
+                assert np.abs(exact[i, j][axis - 1] - spectral[i, j]).max() <= 1e-12
 
 
 def test_unknown_kind_rejected():

@@ -4,11 +4,12 @@ import pytest
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, l2_inner, norm,
                               split_tangential_normal)
-from formprobe.manufactured import random_band_limited, random_dense_media
-from formprobe.media import (AdmissibilityError, make_transformation,
-                             reconstruct_from_split, reflected_transform,
-                             scalar_catalog, transported_transform,
-                             verify_decay)
+from formprobe.manufactured import (PolyGauss, random_band_limited,
+                                    random_dense_media)
+from formprobe.media import (AdmissibilityError, RhoPolynomial,
+                             make_transformation, reconstruct_from_split,
+                             reflected_transform, scalar_catalog,
+                             transported_transform, verify_decay)
 
 
 def test_identity_transformation():
@@ -78,6 +79,77 @@ def test_rank_binding_enforced():
 
 
 # ---------------------------------------------------------------------------
+# entry partials
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", (GridSpec(2, 3.0, 32), GridSpec(3, 3.0, 16)))
+def test_catalog_partials_match_hand_formulas(grid, monkeypatch):
+    calls = []
+    for cls in (PolyGauss, RhoPolynomial):
+        monkeypatch.setattr(cls, "partial", lambda self, axis, f=cls.partial:
+                            calls.append(axis) or f(self, axis))
+    a, w, tau = 0.7, 1.3, 1.5
+    r2 = grid.radius_sq()
+    coords = grid.coord_fields()
+    formulas = {"gauss_well": [-2.0 * w * x * a * np.exp(-w * r2) for x in coords],
+                "radial_power": [-a * tau * x * (1.0 + r2) ** (-tau / 2.0 - 1.0)
+                                 for x in coords]}
+    for tag, reference in formulas.items():
+        eps = scalar_catalog(grid, tag, amplitude=a, width=w, tau=tau)
+        # no partial is evaluated until one is asked for, then all at once
+        assert calls == []
+        for axis, ref in enumerate(reference, start=1):
+            got = eps.partial_array(axis)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert calls == list(range(1, grid.dim + 1))
+        calls.clear()
+
+
+def _moved_poly_gauss(entry, sigma, flips):
+    """The closed form of entry(tau x), tau_i(x) = flips_i x_sigma(i)."""
+    center = [0.0] * entry.dim
+    for i, s in enumerate(sigma):
+        center[s - 1] = flips[i] * entry.center[i]
+    poly = {}
+    for alpha, c in entry.poly.items():
+        moved = [0] * entry.dim
+        for i, s in enumerate(sigma):
+            moved[s - 1] = alpha[i]
+        poly[tuple(moved)] = c * np.prod([f ** a for f, a in zip(flips, alpha)])
+    return PolyGauss(entry.dim, entry.decay, tuple(center), poly)
+
+
+@pytest.mark.parametrize("sigma, flips", [((1, 2), (1, -1)), ((2, 1), (1, 1)),
+                                          ((2, 3, 1), (1, -1, 1))])
+def test_transported_closed_form_partials(sigma, flips):
+    dim = len(sigma)
+    g = GridSpec(dim, 3.0, 32 if dim == 2 else 16)
+    # off-centre, and below 1e-16 on the box faces, where the periodic
+    # grid action of x -> -x identifies -L with L
+    pad = (0,) * (dim - 2)
+    entry = PolyGauss(dim, 6.0, (0.4, -0.3, 0.2)[:dim],
+                      {(0, 0) + pad: 0.5, (1, 0) + pad: 0.3,
+                       (0, 2) + pad: -0.2, (1, 1) + pad: 0.1})
+    eps = make_transformation(g, None, "scalar", hat_calculus=entry, tau=1.0,
+                              decay_kind="second-kind", smoothness=2)
+    moved = transported_transform(eps, 0, sigma, flips)
+    target = _moved_poly_gauss(entry, sigma, flips)
+    pairs = [(moved.hat, target.eval(g).real)]
+    pairs += [(moved.partial_array(axis), target.partial(axis).eval(g).real)
+              for axis in range(1, dim + 1)]
+    for got, ref in pairs:
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_reflected_catalog_keeps_exact_decay_check():
+    g = GridSpec(2, 3.0, 48)
+    eps = scalar_catalog(g, "gauss_well", amplitude=1.0, width=1.0, tau=1.0)
+    moved = reflected_transform(eps, 0)
+    assert moved.hat_calculus is not None
+    assert verify_decay(moved) == verify_decay(eps)
+
+
+# ---------------------------------------------------------------------------
 # split reconstruction
 # ---------------------------------------------------------------------------
 
@@ -141,7 +213,7 @@ def test_reflection_moves_scalar_coefficient():
     x1, x2 = g.coord_fields()
     hat = np.exp(-((x1 - 0.3) ** 2) - (x2 - 0.5) ** 2) * 0.5
     hat = np.broadcast_to(hat, g.shape).copy()
-    eps = make_transformation(g, None, "scalar", mu_hat=hat)
+    eps = make_transformation(g, None, "scalar", hat=hat)
     moved = reflected_transform(eps, 0)
     n = g.points
     idx = (-np.arange(n)) % n

@@ -7,7 +7,8 @@ from formprobe.cli import main
 from formprobe.fields import GridSpec
 from formprobe.halfspace import _sign_selfcheck
 from formprobe.io import save_transformation
-from formprobe.manufactured import halfspace_member, random_band_limited
+from formprobe.manufactured import (halfspace_member, random_band_limited,
+                                    random_dense_media)
 from formprobe.media import scalar_catalog
 from formprobe import probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _member_spectra,
@@ -52,8 +53,9 @@ def test_identity_suite_rejects_dimension_below_two(dim, monkeypatch):
     monkeypatch.setattr(probes, "_check_pointwise_algebra", no_check)
     with pytest.raises(ValueError, match="dimension >= 2"):
         run_identity_suite(dim, 16)
-    with pytest.raises(ValueError, match="dimension >= 2"):
+    with pytest.raises(SystemExit) as err:
         main(["identities", "--dim", str(dim), "--grid", "16"])
+    assert err.value.code == 2
 
 
 def test_interior_probe_gaffney_pinned_bound():
@@ -207,9 +209,20 @@ def test_media_option_resolution(tmp_path):
     assert np.allclose(loaded.hat, eps.hat)
     with pytest.raises(ValueError):
         media_from_option("granite", g, 1)
-    wrong_grid = GridSpec(2, 3.0, 32)
+    # a catalog file is rebuilt on any grid of its dimension
+    other = GridSpec(2, 3.0, 32)
+    rebuilt = media_from_option(f"file:{path}", other, 1)
+    assert np.array_equal(rebuilt.hat,
+                          scalar_catalog(other, "gauss_well", amplitude=0.5).hat)
     with pytest.raises(ValueError, match="grid"):
-        media_from_option(f"file:{path}", wrong_grid, 1)
+        media_from_option(f"file:{path}", GridSpec(3, 3.0, 16), 1)
+    # a raw file must match the probe grid
+    raw = tmp_path / "dense.formeps"
+    save_transformation(raw, random_dense_media(g, 1, 5))
+    assert np.array_equal(media_from_option(f"file:{raw}", g, 1).hat,
+                          random_dense_media(g, 1, 5).hat)
+    with pytest.raises(ValueError, match="does not match the probe grid"):
+        media_from_option(f"file:{raw}", other, 1)
 
 
 def test_probe_report_csv(tmp_path):
@@ -261,6 +274,36 @@ def test_cli_estimate_halfspace_and_weighted(tmp_path):
                  "--rank", "1", "--order", "0", "--weight", "0",
                  "--tau", "1.0", "--media", "scalar", "--ensemble", "3",
                  "--grid", "16", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("variant, tag, params", [
+    ("interior", "gauss_well", {"amplitude": 1.0, "width": 1.0}),
+    ("weighted", "radial_power", {"amplitude": 0.5, "tau": 1.0}),
+    ("halfspace", "gauss_well", {"amplitude": 1.0, "width": 1.0})])
+def test_cli_estimate_catalog_file_on_another_grid(variant, tag, params, tmp_path):
+    # the file's grid matches neither the probe grid nor its doubling
+    path = tmp_path / "eps.formeps"
+    save_transformation(path, scalar_catalog(GridSpec(2, 1.0, 8), tag, **params),
+                        catalog_tag=tag, catalog_params=params)
+    ratios = {}
+    for media in ("scalar", f"file:{path}"):
+        out = tmp_path / "report.json"
+        grid = [] if variant == "halfspace" else ["--grid", "16"]
+        assert main(["estimate", "--variant", variant, "--dim", "2",
+                     "--media", media, "--ensemble", "2", "--seed", "3",
+                     "--out", str(out)] + grid) == 0
+        ratios[media] = [s["ratio"] for s in json.loads(out.read_text())["samples"]]
+    np.testing.assert_allclose(ratios[f"file:{path}"], ratios["scalar"],
+                               rtol=1e-12, atol=0)
+
+
+def test_cli_rejected_arguments_exit_with_status_two(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", "weighted", "--dim", "2", "--tau", "0",
+              "--grid", "16", "--ensemble", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == ("formprobe: error: the weighted estimate "
+                                       "requires decay order tau > 0\n")
 
 
 def test_cli_halfspace_default_grid_resolves_material_product():
