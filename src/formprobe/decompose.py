@@ -153,7 +153,7 @@ def potential_for_exact(e_exact: FormField, tol: float = 1e-8) -> FormField:
     if e_exact.rank < 1:
         raise ValueError("rank-0 fields have no potential")
     hat = fourier(e_exact)
-    r2 = e_exact.grid.freq_radius_sq()
+    r2 = hat.grid.freq_radius_sq()
     _check_zero_mean(hat, r2, tol)
     if e_exact.rank < e_exact.grid.dim:
         closed_res = norm(apply_R(hat))
@@ -186,7 +186,7 @@ def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
     if e.rank >= e.grid.dim:
         raise ValueError("co-derivative solve needs rank < N")
     hat = fourier(e)
-    r2 = e.grid.freq_radius_sq()
+    r2 = hat.grid.freq_radius_sq()
     _check_zero_mean(hat, r2, tol)
     scale = max(norm(e), 1e-300)
     if e.rank > 0:
@@ -197,9 +197,8 @@ def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
     h_hat = apply_R(hat)
     h_hat = h_hat.with_data(-1j * _inv_symbol(r2) * h_hat.data)
     residual = norm(1j * apply_T(h_hat) - hat) / scale
-    power = np.sum(np.abs(h_hat.data) ** 2, axis=0) * e.grid.cell_volume
-    l2_sq = float(np.sum(power))
-    grad_sq = float(np.sum(r2 * power))
+    l2_sq = norm(h_hat) ** 2
+    grad_sq = l2_inner(h_hat.scale_pointwise(r2), h_hat).real
     return CoderivativeSolution(fourier_inverse(h_hat), residual,
                                 math.sqrt(l2_sq + grad_sq) / scale,
                                 math.sqrt(l2_sq) / scale,

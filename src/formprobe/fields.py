@@ -1,8 +1,9 @@
 """Grids, multi-indices and the pointwise algebra of alternating forms.
 
 A rank-q form on an N-dimensional periodic box is stored as a stack of
-C(N, q) complex scalar fields, one per strictly increasing multi-index,
-in lexicographic multi-index order.  Every signed map between components
+C(N, q) scalar fields, one per strictly increasing multi-index, in
+lexicographic multi-index order: float64 for a real form, complex128 for
+a complex one and for every spectrum.  Every signed map between components
 (wedge splits, Hodge star, R and T, the tangential/normal split, traces,
 mirrors and axis pullbacks) is a cached ``sign_table`` built from
 ``merge_sign`` and applied by the one kernel ``apply_table``, on the
@@ -96,9 +97,16 @@ def star_sign(mi: MultiIndex, dim: int) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic box [-L, L)^N with n points per axis, or its lower
-    half-box {x_N <= 0} (``half``): the first n/2 + 1 slices along x_N, the
-    boundary plane x_N = 0 last, closed by trapezoid weights."""
+    """Uniform periodic box [-L, L)^N with n points per axis, or its half
+    layout (``half``): the first n/2 + 1 slices along the last axis.
+
+    In position space the half layout is the lower half-box {x_N <= 0},
+    the boundary plane x_N = 0 last, closed by trapezoid weights.  On the
+    frequency side it is the half spectrum of a real field (k_N = 0 ..
+    n/2, the rfftn layout), whose Parseval weights are twice the
+    trapezoid weights: 1 on the planes k_N = 0 and n/2, which are their
+    own mirror images, and 2 on the others, which stand for k and -k.
+    """
 
     dim: int
     half_length: float
@@ -115,6 +123,9 @@ class GridSpec:
 
     def half_box(self) -> "GridSpec":
         return replace(self, half=True)
+
+    def periodic_box(self) -> "GridSpec":
+        return replace(self, half=False)
 
     @property
     def spacing(self) -> float:
@@ -164,11 +175,11 @@ class GridSpec:
         return xi
 
     def freq_field(self, axis: int) -> np.ndarray:
-        if self.half:
-            raise ValueError("a half-box grid has no spectrum")
+        """Frequency xi_axis broadcastable over the frequency grid; the half
+        layout keeps k_N = 0 .. n/2 (Nyquist last, zeroed)."""
         shape = [1] * self.dim
-        shape[axis - 1] = self.points
-        return self.axis_freqs().reshape(shape)
+        shape[axis - 1] = self.shape[axis - 1]
+        return self.axis_freqs()[: shape[axis - 1]].reshape(shape)
 
     def freq_fields(self) -> tuple:
         return tuple(self.freq_field(j) for j in range(1, self.dim + 1))
@@ -223,13 +234,15 @@ class Region:
 
 @dataclass(frozen=True)
 class FormField:
-    """Rank-q alternating form sampled on a grid (complex components).
+    """Rank-q alternating form sampled on a grid.
 
     ``data`` has shape (C(N, q),) + grid.shape; component ``k`` belongs to
     the k-th multi-index of ``multi_indices(N, q)``.  The grid is the
     periodic box, its half box or a boundary plane.  ``spectral`` marks
     fields living on the discrete frequency grid instead of the position
-    grid; the half box has none.
+    grid: the full spectrum of a complex field, or on the half layout the
+    half spectrum of a real one.  Real position data is held as float64,
+    complex data and every spectrum as complex128.
     """
 
     grid: GridSpec
@@ -238,16 +251,15 @@ class FormField:
     spectral: bool = False
 
     def __post_init__(self):
-        if self.spectral and self.grid.half:
-            raise ValueError("a half-box grid has no spectrum")
         nc = n_components(self.grid.dim, self.rank)
         expected = (nc,) + self.grid.shape
         if self.data.shape != expected:
             raise ValueError(f"component array has shape {self.data.shape}, "
                              f"expected {expected}")
-        if self.data.dtype != np.complex128:
-            object.__setattr__(self, "data",
-                               np.ascontiguousarray(self.data, np.complex128))
+        complex_ = self.spectral or np.iscomplexobj(self.data)
+        dtype = np.complex128 if complex_ else np.float64
+        if self.data.dtype != dtype:
+            object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype))
         self.data.flags.writeable = False
 
     # -- construction -------------------------------------------------------
@@ -255,13 +267,14 @@ class FormField:
     @classmethod
     def zeros(cls, grid: GridSpec, rank: int, spectral: bool = False) -> "FormField":
         nc = n_components(grid.dim, rank)
-        return cls(grid, rank, np.zeros((nc,) + grid.shape, np.complex128), spectral)
+        return cls(grid, rank, np.zeros((nc,) + grid.shape), spectral)
 
     @classmethod
     def from_components(cls, grid: GridSpec, rank: int, comps: dict,
                         spectral: bool = False) -> "FormField":
         """Build from a {multi-index: scalar field} mapping; missing = 0."""
-        out = np.zeros((n_components(grid.dim, rank),) + grid.shape, np.complex128)
+        out = np.zeros((n_components(grid.dim, rank),) + grid.shape,
+                       np.result_type(np.float64, *comps.values()))
         for mi, values in comps.items():
             mi = validate_multi_index(mi, grid.dim)
             if len(mi) != rank:
@@ -454,15 +467,16 @@ def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
     source[s], source[s] * factors[f] when factors are given, or
     source[f][s] when ``source`` is a sequence of stacks, one per factor
     (d and delta assembled from given partials).  Each target adds its
-    terms in table order; a paired table sums each pair first.
+    terms in table order; a paired table sums each pair first.  The output
+    is real when every input is.
     """
     if not isinstance(source, np.ndarray):
-        nodes, term = source[0].shape[1:], lambda s, f: source[f][s]
+        inputs, term = source, lambda s, f: source[f][s]
     elif factors is None:
-        nodes, term = source.shape[1:], lambda s, f: source[s]
+        inputs, term = [source], lambda s, f: source[s]
     else:
-        nodes, term = source.shape[1:], lambda s, f: source[s] * factors[f]
-    out = np.empty((table.targets,) + nodes, np.complex128)
+        inputs, term = [source, *factors], lambda s, f: source[s] * factors[f]
+    out = np.empty((table.targets,) + inputs[0].shape[1:], np.result_type(*inputs))
     step = 2 if table.paired else 1
     last = -1
     for i in range(0, len(table.entries), step):
@@ -570,14 +584,21 @@ def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> comple
 
     The periodic box uses the plain sum times h^N, exact for band-limited
     integrands; the half box closes x_N with its grid's trapezoid weights.
-    Polynomial weights apply to position-space fields only.
+    On the frequency side the sum is Parseval's: plain on a full spectrum;
+    on a half spectrum each mode counts for itself and its mirror -k
+    (twice the trapezoid weights) and the sum is real.  Polynomial weights
+    apply to position-space fields only.
     """
     w = e.grid.quadrature_weights
-    if weight_exponent == 0.0 and w is not None:
+    if weight_exponent == 0.0 and w is not None and not e.spectral:
         return weighted_inner(e, h, w)
     _check_compatible(e, h)
     if weight_exponent == 0.0:
         total = _blocked_vdot(h.data, e.data)
+        if w is not None:  # a half spectrum: weight 2, 1 on its end planes
+            total = (2.0 * total
+                     - _blocked_vdot(h.data[..., 0], e.data[..., 0])
+                     - _blocked_vdot(h.data[..., -1], e.data[..., -1])).real
     else:
         if e.spectral:
             raise ValueError("polynomial weights apply to position-space fields")

@@ -10,7 +10,6 @@ here differentiates one-sidedly: derivatives arrive either analytically
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby
 
@@ -49,10 +48,10 @@ def mirror_Sd(e: FormField) -> FormField:
     _check_half(e)
     dim = e.grid.dim
     m = e.grid.shape[-1]
-    box = replace(e.grid, half=False)
+    box = e.grid.periodic_box()
     reflection = sign_table(("pullback", tuple(range(1, dim + 1)),
                              (1,) * (dim - 1) + (-1,)), dim, e.rank)
-    out = np.empty((e.data.shape[0],) + box.shape, np.complex128)
+    out = np.empty((e.data.shape[0],) + box.shape, e.data.dtype)
     out[..., :m] = e.data
     # x_N = -(L-h) .. -h reversed
     out[..., m:] = apply_table(reflection, e.data[..., 1: m - 1][..., ::-1])
@@ -271,7 +270,8 @@ def _solve_normal_terms(table, assembled: np.ndarray,
     reached by no such row get 0.
     """
     normal_axis = len(tangential)
-    out = np.zeros((table.sources,) + assembled.shape[1:], np.complex128)
+    out = np.zeros((table.sources,) + assembled.shape[1:],
+                   np.result_type(assembled, *tangential))
     for target, row in groupby(table.entries, key=lambda entry: entry[0]):
         (_, source, sign, axis), *rest = row
         if axis != normal_axis:

@@ -28,24 +28,34 @@ BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 # ---------------------------------------------------------------------------
 
 class TrigPoly:
-    """Finite Fourier sum  sum_k c_k exp(i pi k.x / L)  on the box."""
+    """Finite Fourier sum  sum_k c_k exp(i pi k.x / L)  on the box.
+
+    Hermitian coefficients (c_-k = conj(c_k)) make a real function, which
+    is evaluated in float64.
+    """
 
     def __init__(self, dim: int, half_length: float, coeffs: dict):
         self.dim = dim
         self.half_length = half_length
         self.coeffs = {tuple(k): complex(c) for k, c in coeffs.items() if c != 0}
 
+    def _hermitian(self) -> bool:
+        return all(self.coeffs.get(tuple(-kj for kj in k)) == c.conjugate()
+                   for k, c in self.coeffs.items())
+
     def eval(self, grid: GridSpec) -> np.ndarray:
         if grid.dim != self.dim or grid.half_length != self.half_length:
             raise ValueError("grid does not match the component geometry")
-        out = np.zeros(grid.shape, np.complex128)
+        real = self._hermitian()
+        out = np.zeros(grid.shape, np.float64 if real else np.complex128)
         coords = grid.coord_fields()
         for k, c in sorted(self.coeffs.items()):
             phase = np.zeros(grid.shape)
             for ax, kj in enumerate(k):
                 if kj:
                     phase = phase + kj * coords[ax]
-            out += c * np.exp(1j * np.pi / self.half_length * phase)
+            term = c * np.exp(1j * np.pi / self.half_length * phase)
+            out += term.real if real else term
         return out
 
     def partial(self, axis: int) -> "TrigPoly":
@@ -69,14 +79,16 @@ class PolyGauss:
         self.poly = {tuple(a): complex(c) for a, c in poly.items() if c != 0}
 
     def eval(self, grid: GridSpec) -> np.ndarray:
+        """Values on the grid, in float64 when every coefficient is real."""
         coords = [c - c0 for c, c0 in zip(grid.coord_fields(), self.center)]
         r2 = np.zeros(grid.shape)
         for c in coords:
             r2 = r2 + c * c
         envelope = np.exp(-self.decay * r2)
-        out = np.zeros(grid.shape, np.complex128)
+        real = all(c.imag == 0.0 for c in self.poly.values())
+        out = np.zeros(grid.shape, np.float64 if real else np.complex128)
         for alpha, c in sorted(self.poly.items()):
-            term = np.full(grid.shape, c)
+            term = np.full(grid.shape, c.real if real else c)
             for ax, a in enumerate(alpha):
                 if a:
                     term = term * coords[ax] ** a
@@ -131,15 +143,18 @@ class RadialBump:
         return values, u, inside
 
     def eval(self, grid: GridSpec) -> np.ndarray:
+        """Values on the grid, in float64 for a real amplitude."""
         values, u, inside = self._base(grid)
+        amplitude = self.amplitude.real if self.amplitude.imag == 0.0 \
+            else self.amplitude
         if self.gradient_axis == 0:
-            return self.amplitude * values.astype(np.complex128)
+            return amplitude * values
         x = np.broadcast_to(grid.coord_field(self.gradient_axis)
                             - self.center[self.gradient_axis - 1], grid.shape)
         safe = np.where(inside, (1.0 - u) ** 2, 1.0)
         deriv = np.where(inside,
                          -2.0 * x / self.radius ** 2 / safe * values, 0.0)
-        return self.amplitude * deriv.astype(np.complex128)
+        return amplitude * deriv
 
     def partial(self, axis: int) -> "RadialBump":
         if self.gradient_axis != 0:
@@ -160,9 +175,9 @@ class ComponentSum:
         self.terms = [t for t in terms if t is not None]
 
     def eval(self, grid: GridSpec) -> np.ndarray:
-        out = np.zeros(grid.shape, np.complex128)
+        out = np.zeros(grid.shape)
         for t in self.terms:
-            out += t.eval(grid)
+            out = out + t.eval(grid)
         return out
 
     def partial(self, axis: int) -> "ComponentSum":
@@ -185,13 +200,11 @@ class ManufacturedForm:
     comps: dict = field(repr=False)   # multi-index -> component object
 
     def field(self) -> FormField:
-        data = np.zeros((n_components(self.grid.dim, self.rank),)
-                        + self.grid.shape, np.complex128)
-        for pos, mi in enumerate(multi_indices(self.grid.dim, self.rank)):
-            comp = self.comps.get(mi)
-            if comp is not None:
-                data[pos] = comp.eval(self.grid)
-        return FormField(self.grid, self.rank, data)
+        """The form on its grid; real when every component is."""
+        comps = [self.comps.get(mi) for mi in multi_indices(self.grid.dim, self.rank)]
+        return FormField(self.grid, self.rank, np.stack(
+            [np.zeros(self.grid.shape) if c is None else c.eval(self.grid)
+             for c in comps]))
 
     def partial(self, axis: int) -> "ManufacturedForm":
         return ManufacturedForm(self.grid, self.rank,
@@ -342,9 +355,12 @@ def random_dense_media(grid: GridSpec, rank: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
-                           kmax: int | None) -> np.ndarray:
-    """Unitary spectrum of the seeded band-limited field: coefficients on
-    the fixed index cube |k|_inf <= kmax drawn from the seed alone."""
+                           kmax: int | None, real: bool) -> tuple:
+    """Frequency grid and unitary spectrum of the seeded band-limited field:
+    coefficients on the fixed index cube |k|_inf <= kmax drawn from the
+    seed alone.  A real field takes the Hermitian part of the cube,
+    (D(k) + conj(D(-k))) / 2, and keeps its half k_N >= 0 on the half
+    layout."""
     if kmax is None:
         kmax = max(grid.points // BAND_LIMIT_FRACTION, 1)
     if kmax >= grid.points // 2:
@@ -354,18 +370,22 @@ def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
     side = 2 * kmax + 1
     cube = rng.standard_normal((nc,) + (side,) * grid.dim) \
         + 1j * rng.standard_normal((nc,) + (side,) * grid.dim)
-    data = np.zeros((nc,) + grid.shape, np.complex128)
-    n = grid.points
     scale = grid.points ** (grid.dim / 2.0)
     offsets = np.arange(-kmax, kmax + 1)
-    target = np.ix_(*([offsets % n] * grid.dim))
     phase_1d = (-1.0) ** np.abs(offsets)
     phases = phase_1d
     for _ in range(grid.dim - 1):
         phases = np.multiply.outer(phases, phase_1d)
-    for c in range(nc):
-        data[c][target] = scale * phases * cube[c]
-    return data
+    values = scale * phases * cube
+    layout, last = grid, offsets
+    if real:
+        flipped = np.flip(values, tuple(range(1, grid.dim + 1)))  # D(-k)
+        values = (0.5 * (values + np.conj(flipped)))[..., kmax:]
+        layout, last = grid.half_box(), offsets[kmax:]
+    data = np.zeros((nc,) + layout.shape, np.complex128)
+    n = grid.points
+    data[(slice(None),) + np.ix_(*[offsets % n] * (grid.dim - 1), last % n)] = values
+    return layout, data
 
 
 def random_band_limited(grid: GridSpec, rank: int, seed: int,
@@ -374,13 +394,11 @@ def random_band_limited(grid: GridSpec, rank: int, seed: int,
 
     The Fourier coefficients live on the fixed index cube |k|_inf <= kmax
     drawn from the seed alone, so refining the grid reproduces the same
-    continuum field.
+    continuum field.  The real field (the real part of the complex one)
+    costs one irfftn, the complex one an ifftn.
     """
-    spectrum = _band_limited_spectrum(grid, rank, seed, kmax)
-    field_ = FormField(grid, rank, ifft_nodes(spectrum, grid.dim))
-    if real:
-        field_ = field_.with_data(field_.data.real.astype(np.complex128))
-    return field_
+    layout, spectrum = _band_limited_spectrum(grid, rank, seed, kmax, real)
+    return FormField(grid, rank, ifft_nodes(spectrum, layout))
 
 
 def random_dyadic(grid: GridSpec, rank: int, seed: int,
@@ -402,7 +420,7 @@ def random_dyadic(grid: GridSpec, rank: int, seed: int,
 def mean_free(e: FormField) -> FormField:
     """Remove the discrete harmonic modes (zero derivative symbol)."""
     hat = fourier(e)
-    return fourier_inverse(hat.with_data(np.where(harmonic_mask(e.grid), 0.0,
+    return fourier_inverse(hat.with_data(np.where(harmonic_mask(hat.grid), 0.0,
                                                   hat.data)))
 
 
@@ -411,15 +429,12 @@ def random_coclosed(grid: GridSpec, rank: int, seed: int,
     """Random co-closed zero-mean field: the co-exact part of
     ``random_band_limited(grid, rank, seed, kmax)``.
 
-    One transform: the real part is taken on the frequency side,
-    (D(k) + conj(D(-k))) / 2, then projected by T R / |xi|^2 and inverted.
+    One transform: the Hermitian half spectrum of that field is projected
+    by T R / |xi|^2 and inverted.
     """
-    spectrum = _band_limited_spectrum(grid, rank, seed, kmax)
-    axes = tuple(range(1, grid.dim + 1))
-    reflected = np.roll(np.flip(spectrum, axes), 1, axes)  # D(-k)
-    hat = FormField(grid, rank, 0.5 * (spectrum + np.conj(reflected)),
-                    spectral=True)
-    return fourier_inverse(coexact_projection(hat))
+    layout, spectrum = _band_limited_spectrum(grid, rank, seed, kmax, real=True)
+    return fourier_inverse(coexact_projection(FormField(layout, rank, spectrum,
+                                                        spectral=True)))
 
 
 def parity_symmetrized(e: FormField, parity: str) -> FormField:

@@ -191,11 +191,11 @@ class Transformation:
         if self.hat_calculus is not None:
             return np.stack([np.real(self.hat_calculus.partial(axis).eval(self.grid))
                              for axis in range(1, dim + 1)])
-        hat = fft_nodes(self.hat.astype(np.complex128), dim)
-        symbols = [derivative_symbol(self.grid, tuple(int(ax == axis)
-                                                      for ax in range(dim)))
+        half = self.grid.half_box()  # the half spectrum of the real entries
+        hat = fft_nodes(self.hat, half)
+        symbols = [derivative_symbol(half, tuple(int(ax == axis) for ax in range(dim)))
                    for axis in range(dim)]
-        return ifft_nodes(np.stack([s * hat for s in symbols]), dim).real
+        return ifft_nodes(np.stack([s * hat for s in symbols]), half)
 
     def solve_rho_block(self, rhs: FormField) -> FormField:
         """Solve eps^(rho,rho) X^rho = rhs^rho nodewise; X^tau = 0."""
@@ -519,10 +519,11 @@ def verify_decay(eps: Transformation) -> dict:
         entries = eps.hat[None] if eps.kind == SCALAR \
             else eps.hat[np.triu_indices(eps.hat.shape[0])]
         window = _smooth_radial_window(grid, 0.65 * L, 0.95 * L)
-        hat = fft_nodes((window * entries).astype(np.complex128), grid.dim)
+        half = grid.half_box()  # the half spectrum of the real entries
+        hat = fft_nodes(window * entries, half)
 
         def derive(alpha):
-            return np.abs(ifft_nodes(derivative_symbol(grid, alpha) * hat, grid.dim))
+            return np.abs(ifft_nodes(derivative_symbol(half, alpha) * hat, half))
 
     orders = {}
     consistent = True

@@ -88,28 +88,39 @@ class ProbeReport:
                 writer.writerow({k: row.get(k, "") for k in keys})
 
 
-def media_from_option(option: str, grid: GridSpec, rank: int,
-                      variant: str = "interior", tau: float = 1.0) -> Transformation:
-    """Resolve the CLI media selector: id | scalar | file:PATH."""
+def _media_resolver(option: str, rank: int, variant: str, tau: float):
+    """The CLI media selector id | scalar | file:PATH as a function from a
+    grid to the material on it; a file is read once, here."""
     if option == "id":
-        return make_transformation(grid, rank, "identity")
+        return lambda grid: make_transformation(grid, rank, "identity")
     if option == "scalar":
         if variant == "weighted":
-            return scalar_catalog(grid, "radial_power", amplitude=0.5, tau=tau)
-        return scalar_catalog(grid, "gauss_well", amplitude=1.0, width=1.0)
+            return lambda grid: scalar_catalog(grid, "radial_power",
+                                               amplitude=0.5, tau=tau)
+        return lambda grid: scalar_catalog(grid, "gauss_well", amplitude=1.0,
+                                           width=1.0)
     if option.startswith("file:"):
         eps = load_transformation(option[5:])
-        if eps.hat_calculus is not None and eps.grid.dim == grid.dim:
-            # a closed-form material (a catalog file) is rebuilt on any grid
-            return make_transformation(grid, eps.rank, eps.kind, tau=eps.tau,
-                                       decay_kind=eps.decay_kind,
-                                       smoothness=eps.smoothness,
-                                       hat_calculus=eps.hat_calculus)
-        if eps.grid != grid:
-            raise ValueError(f"media file grid {eps.grid} does not match the "
-                             f"probe grid {grid}")
-        return eps
+
+        def on_grid(grid):
+            if eps.hat_calculus is not None and eps.grid.dim == grid.dim:
+                # a closed-form material (a catalog file) is rebuilt on any grid
+                return make_transformation(grid, eps.rank, eps.kind, tau=eps.tau,
+                                           decay_kind=eps.decay_kind,
+                                           smoothness=eps.smoothness,
+                                           hat_calculus=eps.hat_calculus)
+            if eps.grid != grid:
+                raise ValueError(f"media file grid {eps.grid} does not match "
+                                 f"the probe grid {grid}")
+            return eps
+        return on_grid
     raise ValueError(f"unknown media option {option!r}")
+
+
+def media_from_option(option: str, grid: GridSpec, rank: int,
+                      variant: str = "interior", tau: float = 1.0) -> Transformation:
+    """Resolve the CLI media selector id | scalar | file:PATH on one grid."""
+    return _media_resolver(option, rank, variant, tau)(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +176,8 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
     """
     n = params["grid"]
     grid, fine = (GridSpec(params["dim"], PROBE_BOX_HALF_LENGTH, m) for m in (n, 2 * n))
-    eps, eps_fine = (media_from_option(params["media"], g, params["rank"],
-                                       variant, tau) for g in (grid, fine))
+    eps, eps_fine = map(_media_resolver(params["media"], params["rank"], variant,
+                                       tau), (grid, fine))
     report = ProbeReport(probe=probe, params=dict(
         params, box_half_length=PROBE_BOX_HALF_LENGTH))
     sup = total = sup_fine = 0.0
@@ -489,7 +500,7 @@ def _check_spectral(grid, seed):
         lap = laplacian(e)
         yield ("intertwining-laplacian",
                _rel_norm(fourier(lap),
-                         hat.with_data(-grid.freq_radius_sq() * hat.data)))
+                         hat.with_data(-hat.grid.freq_radius_sq() * hat.data)))
         yield "laplacian-equals-d-delta-sum", _rel_norm(d_delta_plus_delta_d(e), lap)
         yield "gaffney-identity", gaffney_identity_check(e).relative_gap
         # monomial derivative rule d^alpha <-> (i xi)^alpha up to order 3
@@ -497,7 +508,7 @@ def _check_spectral(grid, seed):
             deriv = e
             for _ in range(order):
                 deriv = partial_derivative(deriv, alpha_axis)
-            xi = grid.freq_field(alpha_axis)
+            xi = hat.grid.freq_field(alpha_axis)
             direct = fourier(deriv)
             expected = hat.with_data(((1j * xi) ** order) * hat.data)
             yield "fourier-monomial-derivatives", _rel_norm(direct, expected)

@@ -2,7 +2,10 @@
 
 The transform is the componentwise unitary FFT, and ``fft_nodes`` /
 ``ifft_nodes`` are the package's one entry point to it (the N = 3 bridge
-keeps its own as the independent reference route).  Derivatives never
+keeps its own as the independent reference route).  A real form is
+transformed to its half spectrum (rfftn over the node axes, the last one
+halved), on the half layout of its grid, and comes back real; a complex
+form keeps the full spectrum.  Derivatives never
 touch finite differences here: each operator is a symbol applied on the
 frequency side (``derivative_symbol`` builds (i xi)^alpha; d and delta
 are the coordinate-multiplication operators R and T on the frequencies),
@@ -12,7 +15,6 @@ Laplacian and the Gaffney identity) hold to round-off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,31 +23,46 @@ from .fields import (FormField, apply_R, apply_T, apply_table, l2_inner, norm,
                      sign_table)
 
 
-def fft_nodes(data: np.ndarray, dim: int) -> np.ndarray:
-    """Unitary FFT over the trailing ``dim`` node axes of any stack.
+def fft_nodes(data: np.ndarray, grid) -> np.ndarray:
+    """Unitary FFT over the trailing node axes of any stack, onto the
+    frequency grid ``grid``: rfftn of real data onto the half layout, fftn
+    onto the periodic box.
 
     With ``ifft_nodes`` the one call into numpy's transforms; both look
     ``numpy.fft`` up at call time, so a wrapper bound there sees every
     transform the package makes.
     """
-    return np.fft.fftn(data, axes=tuple(range(-dim, 0)), norm="ortho")
+    axes = tuple(range(-grid.dim, 0))
+    if grid.half:
+        return np.fft.rfftn(data, axes=axes, norm="ortho")
+    return np.fft.fftn(data, axes=axes, norm="ortho")
 
 
-def ifft_nodes(data: np.ndarray, dim: int) -> np.ndarray:
-    return np.fft.ifftn(data, axes=tuple(range(-dim, 0)), norm="ortho")
+def ifft_nodes(data: np.ndarray, grid) -> np.ndarray:
+    """Inverse of ``fft_nodes`` from the frequency grid ``grid``: irfftn
+    from the half layout (real output on the full box), else ifftn."""
+    axes = tuple(range(-grid.dim, 0))
+    if grid.half:
+        return np.fft.irfftn(data, s=(grid.points,) * grid.dim, axes=axes,
+                             norm="ortho")
+    return np.fft.ifftn(data, axes=axes, norm="ortho")
 
 
 def fourier(e: FormField) -> FormField:
-    """Componentwise unitary FFT; the result lives on the frequency grid."""
+    """Componentwise unitary FFT; the result lives on the frequency grid,
+    the half layout for a real field."""
     if e.spectral:
         raise ValueError("field is already in frequency space")
-    return e.with_data(fft_nodes(e.data, e.grid.dim), spectral=True)
+    if e.grid.half:
+        raise ValueError("a half-box field has no spectrum")
+    freq = e.grid if np.iscomplexobj(e.data) else e.grid.half_box()
+    return FormField(freq, e.rank, fft_nodes(e.data, freq), spectral=True)
 
 
 def fourier_inverse(e: FormField) -> FormField:
     if not e.spectral:
         raise ValueError("field is not in frequency space")
-    return e.with_data(ifft_nodes(e.data, e.grid.dim), spectral=False)
+    return FormField(e.grid.periodic_box(), e.rank, ifft_nodes(e.data, e.grid))
 
 
 def derivative_symbol(grid, alpha: tuple):
@@ -73,11 +90,12 @@ def _apply_symbol(e: FormField, op) -> np.ndarray:
     """Apply a symbol operator in the space of E.
 
     ``op`` maps the spectrum F(E) to frequency-side data (any stack over
-    the nodes).  That data is returned as is for a spectral E and inverted
-    for a position-space one.
+    its nodes, so symbols come from the spectrum's grid).  That data is
+    returned as is for a spectral E and inverted for a position-space one.
     """
-    out = op(_spectrum(e))
-    return out if e.spectral else ifft_nodes(out, e.grid.dim)
+    hat = _spectrum(e)
+    out = op(hat)
+    return out if e.spectral else ifft_nodes(out, hat.grid)
 
 
 def _unit(dim: int, axis: int, order: int = 1) -> tuple:
@@ -87,8 +105,9 @@ def _unit(dim: int, axis: int, order: int = 1) -> tuple:
 
 def partial_derivative(e: FormField, axis: int, order: int = 1) -> FormField:
     """Spectral partial derivative along a 1-based axis."""
-    symbol = derivative_symbol(e.grid, _unit(e.grid.dim, axis, order))
-    return e.with_data(_apply_symbol(e, lambda hat: symbol * hat.data))
+    alpha = _unit(e.grid.dim, axis, order)
+    return e.with_data(_apply_symbol(
+        e, lambda hat: derivative_symbol(hat.grid, alpha) * hat.data))
 
 
 def exterior_d(e: FormField) -> FormField:
@@ -109,8 +128,8 @@ def coderivative_delta(e: FormField) -> FormField:
 
 def laplacian(e: FormField) -> FormField:
     """Componentwise Laplacian, symbol -|xi|^2 (= d delta + delta d)."""
-    symbol = -e.grid.freq_radius_sq()
-    return e.with_data(_apply_symbol(e, lambda hat: symbol * hat.data))
+    return e.with_data(_apply_symbol(
+        e, lambda hat: -hat.grid.freq_radius_sq() * hat.data))
 
 
 def d_delta_plus_delta_d(e: FormField) -> FormField:
@@ -126,9 +145,7 @@ def d_delta_plus_delta_d(e: FormField) -> FormField:
 def spectral_sobolev_norm(e: FormField, order: float) -> float:
     """Bessel-potential norm ||(1+|xi|^2)^(s/2) F(E)||, any real s."""
     hat = _spectrum(e)
-    weight = (1.0 + e.grid.freq_radius_sq()) ** order
-    value = np.sum(weight * np.abs(hat.data) ** 2) * e.grid.cell_volume
-    return math.sqrt(max(value.real if np.iscomplexobj(value) else value, 0.0))
+    return norm(hat.scale_pointwise((1.0 + hat.grid.freq_radius_sq()) ** (order / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -141,10 +158,8 @@ class GaffneyReport:
 def gaffney_identity_check(phi: FormField) -> GaffneyReport:
     """Compare the full gradient energy with the d/delta graph energy."""
     hat = _spectrum(phi)
-    lhs = 0.0
-    for axis in range(1, phi.grid.dim + 1):
-        xi = phi.grid.freq_field(axis)
-        lhs += np.sum(np.abs(xi * hat.data) ** 2) * phi.grid.cell_volume
+    lhs = sum(norm(hat.scale_pointwise(hat.grid.freq_field(axis))) ** 2
+              for axis in range(1, phi.grid.dim + 1))
     rhs = 0.0
     if phi.rank < phi.grid.dim:
         rhs += norm(1j * apply_R(hat)) ** 2
@@ -189,9 +204,12 @@ def gradient(e: FormField) -> dict:
     """All spectral first partials keyed by 1-based axis, from one
     transform and one stacked inverse."""
     dim = e.grid.dim
-    symbols = [derivative_symbol(e.grid, _unit(dim, axis))
-               for axis in range(1, dim + 1)]
-    stack = _apply_symbol(e, lambda hat: np.stack([s * hat.data for s in symbols]))
+
+    def op(hat):
+        return np.stack([derivative_symbol(hat.grid, _unit(dim, axis)) * hat.data
+                         for axis in range(1, dim + 1)])
+
+    stack = _apply_symbol(e, op)
     return {axis: e.with_data(stack[axis - 1]) for axis in range(1, dim + 1)}
 
 

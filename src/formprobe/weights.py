@@ -86,7 +86,7 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
             continue
         if hat is None:
             hat = fourier(e)
-        deriv = hat.with_data(derivative_symbol(e.grid, alpha) * hat.data) \
+        deriv = hat.with_data(derivative_symbol(hat.grid, alpha) * hat.data) \
             if k else hat
         if exponent != 0.0:
             deriv = fourier_inverse(deriv)

@@ -27,10 +27,11 @@ def grid3(n: int = 24, L: float = 3.0) -> GridSpec:
 
 @pytest.fixture
 def fft_calls(monkeypatch) -> list:
-    """Names of the numpy transforms called while the test runs; clear the
-    list to start a new count."""
+    """Names of the numpy transforms called while the test runs, complex
+    (fftn, ifftn) and real (rfftn, irfftn); clear the list to start a new
+    count."""
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)

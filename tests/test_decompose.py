@@ -160,20 +160,22 @@ def test_solver_residual_matches_position_space():
 
 
 def test_solver_and_potential_transform_budget(fft_calls):
-    # solve: E forward, H back; potential: E forward, phi back
-    for dim in (3, 4):
-        g = GridSpec(dim, 2.0, 8)
-        for q in range(dim + 1):
-            split = hodge_decompose(random_band_limited(g, q, 11 * dim + q,
-                                                        real=False))
-            if q < dim:
-                fft_calls.clear()
-                solve_coderivative(split.coexact_part)
-                assert fft_calls == ["fftn", "ifftn"]
-            if q > 0:
-                fft_calls.clear()
-                potential_for_exact(split.exact_part)
-                assert len(fft_calls) <= 2
+    # solve: E forward, H back; potential: E forward, phi back; a real
+    # field takes the real transforms, a complex one the complex ones
+    for real, budget in ((False, ["fftn", "ifftn"]), (True, ["rfftn", "irfftn"])):
+        for dim in (3, 4):
+            g = GridSpec(dim, 2.0, 8)
+            for q in range(dim + 1):
+                split = hodge_decompose(random_band_limited(g, q, 11 * dim + q,
+                                                            real=real))
+                if q < dim:
+                    fft_calls.clear()
+                    solve_coderivative(split.coexact_part)
+                    assert fft_calls == budget
+                if q > 0:
+                    fft_calls.clear()
+                    potential_for_exact(split.exact_part)
+                    assert fft_calls == budget
 
 
 def test_solver_h1_bound_shape():
@@ -297,3 +299,44 @@ def test_weighted_split_indefinite_material_raises():
     e = random_band_limited(g, 1, 37, real=False)
     with pytest.raises(RuntimeError, match="did not converge .*curvature"):
         hodge_decompose(e, eps=eps)
+
+
+def _as_complex(e: FormField) -> FormField:
+    return e.with_data(e.data.astype(complex))
+
+
+def _check_routes(real: FormField, full: FormField, what: str, scale: float):
+    """Float64 on the real route, complex128 on the complex one, and the two
+    agree to 1e-13 relative to ``scale`` (the input size: a split part may
+    vanish)."""
+    assert real.data.dtype == np.float64, what
+    assert full.data.dtype == np.complex128, what
+    assert norm(real - full) <= 1e-13 * scale, what
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+def test_solvers_keep_real_fields_real_and_agree_with_complex_route(dim):
+    g = GridSpec(dim, 2.0, 8 if dim == 4 else 16)
+    for q in range(dim + 1):
+        if q < dim:
+            e = random_coclosed(g, q, 31 * dim + q, kmax=3)
+            real, full = solve_coderivative(e), solve_coderivative(_as_complex(e))
+            _check_routes(real.potential, full.potential, f"solve q={q}",
+                          norm(full.potential))
+            for name in ("h1_ratio", "l2_ratio", "gradient_ratio"):
+                a, b = getattr(real, name), getattr(full, name)
+                assert abs(a - b) <= 1e-13 * b, name
+            assert max(real.residual, full.residual) <= 1e-13
+        e = random_band_limited(g, q, 37 * dim + q)
+        materials = [None, scalar_catalog(g, "gauss_well", amplitude=0.5),
+                     random_dense_media(g, q, 41 * dim + q, amplitude=0.4)]
+        for eps in materials:
+            real, full = hodge_decompose(e, eps), hodge_decompose(_as_complex(e), eps)
+            assert real.iterations == full.iterations
+            for part in ("exact_part", "coexact_part", "mean_part"):
+                _check_routes(getattr(real, part), getattr(full, part),
+                              f"{part} q={q} eps={eps and eps.kind}", norm(e))
+            if eps is None and q > 0:
+                phi = potential_for_exact(full.exact_part)
+                _check_routes(potential_for_exact(real.exact_part), phi,
+                              f"potential q={q}", norm(phi))

@@ -6,12 +6,13 @@ import pytest
 from formprobe.cli import main
 from formprobe.fields import GridSpec
 from formprobe.halfspace import _sign_selfcheck
-from formprobe.io import save_transformation
+from formprobe.io import load_transformation, save_transformation
 from formprobe.manufactured import (halfspace_member, random_band_limited,
                                     random_dense_media)
 from formprobe.media import scalar_catalog
 from formprobe import probes
-from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _member_spectra,
+from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
+                              _member_spectra,
                               _member_stokes_residual,
                               _reconstruction_residual,
                               estimate_probe_interior,
@@ -19,6 +20,7 @@ from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _member_spectra
                               media_from_option, run_identity_suite,
                               validate_halfspace_member)
 from formprobe.spectral import fourier_inverse
+from formprobe.weights import ROMAN
 
 # the bridge rows run at N = 3 only
 NON_BRIDGE_IDENTITIES = [name for name in IDENTITIES
@@ -164,29 +166,20 @@ def test_estimate_probe_report_fields(run, row, aggregates, flags):
     assert list(report.flags) == flags
 
 
-def test_halfspace_member_checks_reuse_the_member_spectra(monkeypatch):
+def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     # a default member: N = 3, rank 1, n = 48, scalar media
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
     eps = media_from_option("scalar", grid, 1)
     e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
     hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
     _sign_selfcheck()  # its transforms run once per process
-    counts = {"forward": 0, "inverse": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.fft, "fftn", counted("forward", np.fft.fftn))
-    monkeypatch.setattr(np.fft, "ifftn", counted("inverse", np.fft.ifftn))
+    fft_calls.clear()
     de = fourier_inverse(de_hat)
     rec = _reconstruction_residual(e, eps, hat, de, delta_eps_hat)
     stokes = _member_stokes_residual(e, de)
     # three partials, dE and delta(eps E) inverted, then one forward and
-    # inverse pair for delta(dE)
-    assert counts == {"forward": 1, "inverse": 6}
+    # inverse pair for delta(dE), all on the real route
+    assert sorted(fft_calls) == ["irfftn"] * 6 + ["rfftn"]
     assert rec <= 1e-8 and stokes <= 1e-6
 
 
@@ -223,6 +216,41 @@ def test_media_option_resolution(tmp_path):
                           random_dense_media(g, 1, 5).hat)
     with pytest.raises(ValueError, match="does not match the probe grid"):
         media_from_option(f"file:{raw}", other, 1)
+
+
+def test_media_file_is_read_once_per_probe(tmp_path, monkeypatch):
+    # one read serves the probe grid and its doubling
+    path = tmp_path / "well.formeps"
+    save_transformation(path, scalar_catalog(GridSpec(2, 3.0, 8), "gauss_well"),
+                        catalog_tag="gauss_well")
+    reads = []
+
+    def counted(p):
+        reads.append(p)
+        return load_transformation(p)
+
+    monkeypatch.setattr(probes, "load_transformation", counted)
+    option = f"file:{path}"
+    for run in (lambda: estimate_probe_interior(2, 1, 0, 0.0, option, ensemble=1,
+                                                grid_points=16),
+                lambda: halfspace_probe(2, 1, 0, option, ensemble=1, grid_points=16)):
+        reads.clear()
+        assert len(run().samples) == 1
+        assert reads == [str(path)]
+
+
+def test_halfspace_member_transform_budget(fft_calls):
+    # a member is one real inverse; its ratio row takes one real forward
+    # transform, and one more of eps E with a material
+    grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
+    fft_calls.clear()
+    e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=2)
+    assert fft_calls == ["irfftn"]
+    for media, budget in (("id", ["rfftn"]), ("scalar", ["rfftn", "rfftn"])):
+        eps = media_from_option(media, grid, 1)
+        fft_calls.clear()
+        _interior_sample(e, eps, 1, 0.0, ROMAN)
+        assert fft_calls == budget, media
 
 
 def test_probe_report_csv(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
-                              hodge_star, norm)
+                              hodge_star, l2_inner, n_components, norm)
 from formprobe.manufactured import random_band_limited
 from formprobe.spectral import (assemble_d, assemble_delta,
                                 coderivative_delta, d_delta_plus_delta_d,
@@ -237,3 +237,70 @@ def test_only_spectral_and_bridge_call_a_transform():
                if _names_fft_transform(ast.parse(path.read_text()))}
     # bridge keeps its own FFT as the independent reference route
     assert callers == {"spectral.py", "bridge.py"}
+
+
+# ---------------------------------------------------------------------------
+# the real route: half spectrum, float64 fields
+# ---------------------------------------------------------------------------
+
+def _generic_field(g, q, seed, real):
+    """Random data with content up to the Nyquist planes."""
+    rng = np.random.default_rng(seed)
+    shape = (n_components(g.dim, q),) + g.shape
+    data = rng.standard_normal(shape)
+    if not real:
+        data = data + 1j * rng.standard_normal(shape)
+    return FormField(g, q, data)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+def test_parseval_on_half_and_full_spectra(dim):
+    # n/2 odd (10) and even (12): the half layout ends on a Nyquist plane
+    # either way, with weight 1 like the k_N = 0 plane
+    for n in (10, 12):
+        g = GridSpec(dim, 2.0, n)
+        for q in range(dim + 1):
+            for real in (True, False):
+                e = _generic_field(g, q, 100 * n + 10 * q + real, real)
+                h = _generic_field(g, q, 200 * n + 10 * q + real, real)
+                hat, h_hat = fourier(e), fourier(h)
+                assert hat.grid == (g.half_box() if real else g)
+                assert abs(norm(hat) - norm(e)) <= 1e-12 * norm(e)
+                assert abs(spectral_sobolev_norm(e, 0.0) - norm(e)) <= 1e-12 * norm(e)
+                pair = l2_inner(e, h)
+                assert abs(l2_inner(hat, h_hat) - pair) <= 1e-12 * norm(e) * norm(h)
+                # a nontrivial symbol: ||(1+|xi|^2)^(1/2) F(E)||^2 is
+                # ||E||^2 plus the squared norms of the first partials
+                h1_sq = norm(e) ** 2 + sum(norm(p) ** 2 for p in gradient(e).values())
+                assert abs(spectral_sobolev_norm(e, 1.0) ** 2 - h1_sq) <= 1e-12 * h1_sq
+                assert gaffney_identity_check(e).relative_gap <= 1e-12
+
+
+def _operators(q, dim):
+    ops = {"laplacian": laplacian,
+           "partial": lambda f: partial_derivative(f, dim, 2)}
+    for axis in range(1, dim + 1):
+        ops[f"gradient {axis}"] = lambda f, axis=axis: gradient(f)[axis]
+    if q < dim:
+        ops["d"] = exterior_d
+    if q > 0:
+        ops["delta"] = coderivative_delta
+    return ops
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+def test_real_route_stays_real_and_agrees_with_the_complex_route(dim):
+    g = GridSpec(dim, 2.0, 8 if dim == 4 else 16)
+    for q in range(dim + 1):
+        e = random_band_limited(g, q, 9 * dim + q)
+        c = e.with_data(e.data.astype(complex))  # the same field, complex
+        assert e.data.dtype == np.float64 and c.data.dtype == np.complex128
+        assert fourier(c).grid == g
+        for name, op in _operators(q, dim).items():
+            real, full = op(e), op(c)
+            assert real.data.dtype == np.float64, name
+            assert full.data.dtype == np.complex128, name
+            assert rel_gap(real, full) <= 1e-13, name
+            # and on the frequency side: half and full spectra
+            assert op(fourier(e)).grid == g.half_box(), name
+            assert op(fourier(c)).grid == g, name

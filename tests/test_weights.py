@@ -254,3 +254,22 @@ def test_annulus_split_bound_holds_and_rejects_bad_tau():
             assert out["c_theta"] == pytest.approx(expected_c)
     with pytest.raises(ValueError):
         annulus_split_bound(e, 0.0, 0.0, 1.0)
+
+
+def test_weighted_norms_agree_on_real_and_complex_routes():
+    # a real member takes the half spectrum, the same field held complex the
+    # full one; every norm agrees to 1e-13 relative, in either space
+    g = GridSpec(3, 3.0, 16)
+    eps = scalar_catalog(g, "gauss_well", amplitude=0.5)
+    for q in range(4):
+        e = gaussian_form(g, q, 5 + q, decay=3.0).field()
+        c = e.with_data(e.data.astype(complex))
+        assert e.data.dtype == np.float64
+        for spec in (NormSpec(2, 0.0), NormSpec(1, 1.0, BOLD), NormSpec(2, -1.0)):
+            for a, b in ((e, c), (fourier(e), fourier(c))):
+                real, full = weighted_sobolev_norm(a, spec), weighted_sobolev_norm(b, spec)
+                assert abs(real - full) <= 1e-13 * full
+        kinds = (["D"] if q < 3 else []) + (["Delta"] if q > 0 else [])
+        for kind in kinds:
+            real = graph_norm(e, kind, 1.0, BOLD, eps)
+            assert abs(real - graph_norm(c, kind, 1.0, BOLD, eps)) <= 1e-13 * real
