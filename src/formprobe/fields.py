@@ -501,6 +501,7 @@ def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
             out[t] += value
         else:
             out[t] -= value
+        del value  # a product is freed before the next one is made
         last = t
     out[last + 1:] = 0.0
     return out
@@ -579,6 +580,19 @@ def weighted_inner(e: FormField, h: FormField, w: np.ndarray) -> complex:
     return complex(total * e.grid.cell_volume)
 
 
+@lru_cache(maxsize=8)
+def _inner_weight(grid: GridSpec, exponent: float) -> np.ndarray:
+    """(1 + r^2)^s on the grid, times the trapezoid weights along x_N on a
+    half box: the weight of ``l2_inner`` at exponent s, built once per
+    (grid, s) and read-only."""
+    weight = (1.0 + grid.radius_sq()) ** exponent
+    w = grid.quadrature_weights
+    if w is not None:
+        weight = weight * w
+    weight.flags.writeable = False
+    return weight
+
+
 def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> complex:
     """Grid quadrature of rho^(2s) sum_I E_I conj(H_I).
 
@@ -602,8 +616,8 @@ def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> comple
     else:
         if e.spectral:
             raise ValueError("polynomial weights apply to position-space fields")
-        rho = (1.0 + e.grid.radius_sq()) ** weight_exponent
-        total = np.sum((rho if w is None else rho * w) * (e.data * np.conj(h.data)))
+        total = np.sum(_inner_weight(e.grid, float(weight_exponent))
+                       * (e.data * np.conj(h.data)))
     return complex(total * e.grid.cell_volume)
 
 

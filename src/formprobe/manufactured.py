@@ -18,7 +18,8 @@ from .decompose import coexact_projection
 from .fields import (FormField, GridSpec, Region, multi_indices,
                      n_components, normal_mask, sign_table)
 from .media import DECAY_NONE, make_transformation, pullback_grid_map
-from .spectral import fourier, fourier_inverse, harmonic_mask, ifft_nodes
+from .spectral import (embed_cube, fourier, fourier_inverse, harmonic_mask,
+                       ifft_nodes)
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 
@@ -356,9 +357,10 @@ def random_dense_media(grid: GridSpec, rank: int, seed: int,
 
 def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
                            kmax: int | None, real: bool) -> tuple:
-    """Frequency grid and unitary spectrum of the seeded band-limited field:
-    coefficients on the fixed index cube |k|_inf <= kmax drawn from the
-    seed alone.  A real field takes the Hermitian part of the cube,
+    """Frequency grid, band limit and unitary spectrum of the seeded
+    band-limited field, as its index cube |k|_inf <= kmax (see
+    ``spectral.embed_cube``): coefficients drawn from the seed alone.
+    A real field takes the Hermitian part of the cube,
     (D(k) + conj(D(-k))) / 2, and keeps its half k_N >= 0 on the half
     layout."""
     if kmax is None:
@@ -371,21 +373,15 @@ def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
     cube = rng.standard_normal((nc,) + (side,) * grid.dim) \
         + 1j * rng.standard_normal((nc,) + (side,) * grid.dim)
     scale = grid.points ** (grid.dim / 2.0)
-    offsets = np.arange(-kmax, kmax + 1)
-    phase_1d = (-1.0) ** np.abs(offsets)
+    phase_1d = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
     phases = phase_1d
     for _ in range(grid.dim - 1):
         phases = np.multiply.outer(phases, phase_1d)
     values = scale * phases * cube
-    layout, last = grid, offsets
-    if real:
-        flipped = np.flip(values, tuple(range(1, grid.dim + 1)))  # D(-k)
-        values = (0.5 * (values + np.conj(flipped)))[..., kmax:]
-        layout, last = grid.half_box(), offsets[kmax:]
-    data = np.zeros((nc,) + layout.shape, np.complex128)
-    n = grid.points
-    data[(slice(None),) + np.ix_(*[offsets % n] * (grid.dim - 1), last % n)] = values
-    return layout, data
+    if not real:
+        return grid, kmax, values
+    flipped = np.flip(values, tuple(range(1, grid.dim + 1)))  # D(-k)
+    return grid.half_box(), kmax, (0.5 * (values + np.conj(flipped)))[..., kmax:]
 
 
 def random_band_limited(grid: GridSpec, rank: int, seed: int,
@@ -394,11 +390,13 @@ def random_band_limited(grid: GridSpec, rank: int, seed: int,
 
     The Fourier coefficients live on the fixed index cube |k|_inf <= kmax
     drawn from the seed alone, so refining the grid reproduces the same
-    continuum field.  The real field (the real part of the complex one)
-    costs one irfftn, the complex one an ifftn.
+    continuum field.  The real field (the real part of the complex one) is
+    the irfftn of that cube's Hermitian half, made over the lines that
+    cross the cube only (bitwise the full irfftn, in a fraction of its
+    work and memory); the complex one is an ifftn.
     """
-    layout, spectrum = _band_limited_spectrum(grid, rank, seed, kmax, real)
-    return FormField(grid, rank, ifft_nodes(spectrum, layout))
+    layout, kmax, cube = _band_limited_spectrum(grid, rank, seed, kmax, real)
+    return FormField(grid, rank, ifft_nodes(cube, layout, kmax))
 
 
 def random_dyadic(grid: GridSpec, rank: int, seed: int,
@@ -432,9 +430,9 @@ def random_coclosed(grid: GridSpec, rank: int, seed: int,
     One transform: the Hermitian half spectrum of that field is projected
     by T R / |xi|^2 and inverted.
     """
-    layout, spectrum = _band_limited_spectrum(grid, rank, seed, kmax, real=True)
-    return fourier_inverse(coexact_projection(FormField(layout, rank, spectrum,
-                                                        spectral=True)))
+    layout, kmax, cube = _band_limited_spectrum(grid, rank, seed, kmax, real=True)
+    spectrum = FormField(layout, rank, embed_cube(cube, layout, kmax), spectral=True)
+    return fourier_inverse(coexact_projection(spectrum))
 
 
 def parity_symmetrized(e: FormField, parity: str) -> FormField:

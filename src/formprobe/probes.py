@@ -132,37 +132,56 @@ def _ratio(numerator: float, denominator: float) -> float:
     return 0.0 if denominator == 0.0 else numerator / denominator
 
 
-def _member_spectra(e: FormField, eps: Transformation) -> tuple:
-    """F(E), F(dE) and F(delta(eps E)) from one transform of E.
+def _member_spectra(e: FormField, eps: Transformation):
+    """F(E), F(dE) and F(delta(eps E)) in turn, from one transform of E.
 
-    A non-identity material costs one more transform, of eps E.  The
-    derivative slots are None at the rank where the operator is undefined.
+    A non-identity material costs one more transform, of eps E, made after
+    F(E) is let go.  The derivative slots are None at the rank where the
+    operator is undefined.  Each spectrum is made when the next one is
+    asked for, so a caller that drops each before asking holds about one
+    at a time; ``tuple()`` keeps all three.
     """
     hat = fourier(e)
-    de = exterior_d(hat) if e.rank < e.grid.dim else None
-    delta_eps = None
-    if e.rank > 0:
-        delta_eps = coderivative_delta(hat if eps.is_identity()
-                                       else fourier(eps.apply(e)))
-    return hat, de, delta_eps
+    yield hat
+    yield exterior_d(hat) if e.rank < e.grid.dim else None
+    if e.rank == 0:
+        yield None
+    elif eps.is_identity():
+        yield coderivative_delta(hat)
+    else:
+        del hat
+        yield coderivative_delta(fourier(eps.apply(e)))
 
 
 def _interior_sample(e: FormField, eps: Transformation, order: int,
-                     weight: float, scale: str) -> tuple:
-    """The member's ratio row and its spectra (see ``_member_spectra``)."""
-    spectra = _member_spectra(e, eps)
-    hat, de, delta_eps = spectra
+                     weight: float, scale: str, keep: bool = False) -> tuple:
+    """The member's ratio row, and its spectra (see ``_member_spectra``) if
+    ``keep``, else None.
+
+    Each norm is taken as soon as its spectrum exists.  Without ``keep``
+    the spectrum is dropped right after, so F(E) and F(dE) are gone before
+    eps E is transformed.  The denominator adds ||E||, the dE term and the
+    delta(eps E) term in that order either way, so the row is the same.
+    """
     data_weight = weight + 1 if scale == BOLD else weight
-    numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, weight, scale))
+    specs = (NormSpec(order + 1, weight, scale),) \
+        + (NormSpec(order, data_weight, scale),) * 2
+    spectra = _member_spectra(e, eps)
+    terms, kept = [], []
+    for spec in specs:
+        hat = next(spectra)
+        terms.append(None if hat is None else weighted_sobolev_norm(hat, spec))
+        if keep:
+            kept.append(hat)
+        del hat
+    numerator = terms[0]
     denominator = norm(e, weight)
-    if de is not None:
-        denominator += weighted_sobolev_norm(de, NormSpec(order, data_weight, scale))
-    if delta_eps is not None:
-        denominator += weighted_sobolev_norm(delta_eps,
-                                             NormSpec(order, data_weight, scale))
+    for term in terms[1:]:
+        if term is not None:
+            denominator += term
     row = {"numerator": numerator, "denominator": denominator,
            "ratio": _ratio(numerator, denominator)}
-    return row, spectra
+    return row, (tuple(kept) if keep else None)
 
 
 def _run_probe(probe: str, params: dict, variant: str, tau: float,
@@ -172,7 +191,10 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
     ``sample(grid, eps, i, checked)`` builds member ``i`` and returns its
     ratio row, with the member checks if ``checked`` (probe grid only).
     Only the row leaves ``sample``, so a member and its spectra are freed
-    before its refinement is built.  The caller adds its own flags.
+    before its refinement is built.  An unchecked sample (every member on
+    the doubled grid, the largest the probe runs) keeps no spectrum: it
+    takes each norm as the spectrum is made (``_interior_sample``).  The
+    caller adds its own flags.
     """
     n = params["grid"]
     grid, fine = (GridSpec(params["dim"], PROBE_BOX_HALF_LENGTH, m) for m in (n, 2 * n))
@@ -280,10 +302,10 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
         e = halfspace_member(grid, rank, seed + 1000 * i, envelope_decay=2.5,
                              kmax=kmax)
         trace_rel = validate_halfspace_member(e)
-        row, (hat, de_hat, delta_eps_hat) = _interior_sample(e, eps, order,
-                                                             0.0, ROMAN)
+        row, spectra = _interior_sample(e, eps, order, 0.0, ROMAN, keep=checked)
         row["trace_norm_rel"] = trace_rel
         if checked:
+            hat, de_hat, delta_eps_hat = spectra
             de = fourier_inverse(de_hat) if de_hat is not None else None
             row["reconstruct_residual"] = _reconstruction_residual(
                 e, eps, hat, de, delta_eps_hat)

@@ -5,12 +5,14 @@ The transform is the componentwise unitary FFT, and ``fft_nodes`` /
 keeps its own as the independent reference route).  A real form is
 transformed to its half spectrum (rfftn over the node axes, the last one
 halved), on the half layout of its grid, and comes back real; a complex
-form keeps the full spectrum.  Derivatives never
-touch finite differences here: each operator is a symbol applied on the
-frequency side (``derivative_symbol`` builds (i xi)^alpha; d and delta
-are the coordinate-multiplication operators R and T on the frequencies),
-so the complex identities (d d = 0, delta delta = 0, d delta + delta d =
-Laplacian and the Gaffney identity) hold to round-off.
+form keeps the full spectrum.  A spectrum given as its index cube
+|k|_inf <= kmax is inverted over the lines that cross the cube only.
+Derivatives never touch finite differences here: each operator is a
+symbol applied on the frequency side (``derivative_symbol`` builds
+(i xi)^alpha; d and delta are the coordinate-multiplication operators R
+and T on the frequencies), so the complex identities (d d = 0,
+delta delta = 0, d delta + delta d = Laplacian and the Gaffney identity)
+hold to round-off.
 """
 
 from __future__ import annotations
@@ -28,23 +30,64 @@ def fft_nodes(data: np.ndarray, grid) -> np.ndarray:
     frequency grid ``grid``: rfftn of real data onto the half layout, fftn
     onto the periodic box.
 
-    With ``ifft_nodes`` the one call into numpy's transforms; both look
+    Every axis pass writes into one preallocated output (numpy's ``out=``)
+    instead of allocating an array of its own.  With
+    ``ifft_nodes`` the one call into numpy's transforms; both look
     ``numpy.fft`` up at call time, so a wrapper bound there sees every
     transform the package makes.
     """
     axes = tuple(range(-grid.dim, 0))
+    out = np.empty(data.shape[:data.ndim - grid.dim] + grid.shape, np.complex128)
     if grid.half:
-        return np.fft.rfftn(data, axes=axes, norm="ortho")
-    return np.fft.fftn(data, axes=axes, norm="ortho")
+        return np.fft.rfftn(data, axes=axes, norm="ortho", out=out)
+    return np.fft.fftn(data, axes=axes, norm="ortho", out=out)
 
 
-def ifft_nodes(data: np.ndarray, grid) -> np.ndarray:
+def _cube_positions(grid, kmax: int) -> tuple:
+    """Node positions of the index cube |k|_inf <= kmax on the frequency
+    grid ``grid``, one index array per axis: k = -kmax .. kmax in wrapped
+    order, and k_N = 0 .. kmax on the half layout's last axis."""
+    wrapped = np.arange(-kmax, kmax + 1) % grid.points
+    last = np.arange(kmax + 1) if grid.half else wrapped
+    return (wrapped,) * (grid.dim - 1) + (last,)
+
+
+def embed_cube(cube: np.ndarray, grid, kmax: int) -> np.ndarray:
+    """The spectrum on the frequency grid ``grid`` that holds ``cube`` (a
+    stack over the index cube |k|_inf <= kmax, see ``_cube_positions``) and
+    vanishes off it."""
+    data = np.zeros(cube.shape[:cube.ndim - grid.dim] + grid.shape, np.complex128)
+    data[(...,) + np.ix_(*_cube_positions(grid, kmax))] = cube
+    return data
+
+
+def ifft_nodes(data: np.ndarray, grid, kmax: int | None = None) -> np.ndarray:
     """Inverse of ``fft_nodes`` from the frequency grid ``grid``: irfftn
-    from the half layout (real output on the full box), else ifftn."""
+    from the half layout (real output on the full box), else ifftn.
+
+    With ``kmax`` the data is the index cube of a spectrum that vanishes
+    off it (see ``embed_cube``).  A half spectrum is then inverted pass by
+    pass in irfftn's order, each complex pass over the lines that cross
+    the cube only and the last, real pass over every line.  Each line is
+    the one irfftn transforms and the skipped lines are zero, so the
+    output is bitwise the irfftn of the embedded spectrum, for a fraction
+    of its work and memory.
+    """
     axes = tuple(range(-grid.dim, 0))
+    n = grid.points
+    if kmax is not None and grid.half:
+        wrapped = _cube_positions(grid, kmax)[0]
+        for axis in axes[:-1]:
+            shape = list(data.shape)
+            shape[axis] = n
+            lines = np.zeros(shape, np.complex128)
+            lines[(...,) + (wrapped,) + (slice(None),) * (-axis - 1)] = data
+            data = np.fft.ifft(lines, axis=axis, norm="ortho", out=lines)
+        return np.fft.irfft(data, n=n, axis=-1, norm="ortho")
+    if kmax is not None:
+        data = embed_cube(data, grid, kmax)
     if grid.half:
-        return np.fft.irfftn(data, s=(grid.points,) * grid.dim, axes=axes,
-                             norm="ortho")
+        return np.fft.irfftn(data, s=(n,) * grid.dim, axes=axes, norm="ortho")
     return np.fft.ifftn(data, axes=axes, norm="ortho")
 
 
@@ -110,11 +153,19 @@ def partial_derivative(e: FormField, axis: int, order: int = 1) -> FormField:
         e, lambda hat: derivative_symbol(hat.grid, alpha) * hat.data))
 
 
+def _times_i(e: FormField) -> np.ndarray:
+    """i times the data of a fresh R or T result, scaled in place: the
+    array is the kernel's own output and nothing else holds it."""
+    data = e.data
+    data.flags.writeable = True
+    return np.multiply(1j, data, out=data)
+
+
 def exterior_d(e: FormField) -> FormField:
     """Exterior derivative via the frequency-side insertion operator."""
     if e.rank >= e.grid.dim:
         raise ValueError("rank overflow: d on a top-rank form")
-    return e.with_data(_apply_symbol(e, lambda hat: (1j * apply_R(hat)).data),
+    return e.with_data(_apply_symbol(e, lambda hat: _times_i(apply_R(hat))),
                        rank=e.rank + 1)
 
 
@@ -122,7 +173,7 @@ def coderivative_delta(e: FormField) -> FormField:
     """Co-derivative via the frequency-side contraction operator."""
     if e.rank < 1:
         raise ValueError("rank underflow: delta on a rank-0 form")
-    return e.with_data(_apply_symbol(e, lambda hat: (1j * apply_T(hat)).data),
+    return e.with_data(_apply_symbol(e, lambda hat: _times_i(apply_T(hat))),
                        rank=e.rank - 1)
 
 

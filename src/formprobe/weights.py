@@ -70,7 +70,8 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
     weighted term needs d^alpha E in position space and costs one inverse
     transform, except the alpha = 0 term of a position-space field.  The
     forward transform of a position-space field is made at most once, and
-    only when some derivative term needs it.
+    only when some derivative term needs it.  Each term is freed before the
+    next one is built, so the norm holds at most one term beside F(E).
     """
     if spec.order > max_order:
         raise ValueError(
@@ -91,6 +92,7 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
         if exponent != 0.0:
             deriv = fourier_inverse(deriv)
         total += norm(deriv, exponent) ** 2
+        del deriv
     return math.sqrt(total)
 
 

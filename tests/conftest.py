@@ -25,15 +25,35 @@ def grid3(n: int = 24, L: float = 3.0) -> GridSpec:
     return GridSpec(3, L, n)
 
 
+# every transform numpy.fft exports; numpy's n-dimensional transforms run
+# their 1-D passes through private bindings, so each call is logged once
+NUMPY_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                    "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+class TransformLog(list):
+    """Names of the numpy transforms called, in call order; ``points``
+    holds the input size of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def clear(self):
+        super().clear()
+        self.points.clear()
+
+
 @pytest.fixture
-def fft_calls(monkeypatch) -> list:
-    """Names of the numpy transforms called while the test runs, complex
-    (fftn, ifftn) and real (rfftn, irfftn); clear the list to start a new
-    count."""
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+def fft_calls(monkeypatch) -> TransformLog:
+    """Every numpy transform called while the test runs, by name: the
+    n-dimensional ones (fftn, rfftn, ...) and the 1-D passes (fft, irfft,
+    ...) the package calls directly; clear the log to start a new count."""
+    calls = TransformLog()
+    for name in NUMPY_TRANSFORMS:
+        def counted(data, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             calls.append(_name)
-            return _fn(*args, **kwargs)
+            calls.points.append(np.size(data))
+            return _fn(data, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_abs, rel_gap
-from formprobe.fields import (FormField, GridSpec, Region, apply_R, apply_T,
-                              complement_index, hodge_star, index_position,
+from formprobe.fields import (FormField, GridSpec, Region, _inner_weight,
+                              apply_R, apply_T, complement_index, hodge_star, index_position,
                               insertion_sign, l2_inner, merge_sign,
                               multi_indices, n_components, norm,
                               split_tangential_normal, star_sign, wedge)
@@ -314,6 +314,31 @@ def test_weighted_inner_refinement_oracle():
         f = FormField.from_components(g, 0, {(): np.exp(-2.0 * r2)})
         values[n] = l2_inner(f, f, weight_exponent=1.0).real
     assert values[64] == pytest.approx(values[128], rel=1e-6)
+
+
+def test_weighted_inner_takes_its_weight_from_one_bounded_cache():
+    # the weight is built once per (grid, s), read-only, and the sum is
+    # bitwise the one with the weight rebuilt on every call
+    _inner_weight.cache_clear()
+    g = GridSpec(3, 2.0, 8)
+    for grid in (g, g.half_box()):
+        e = random_band_limited(g, 1, 3)
+        h = random_band_limited(g, 1, 4)
+        if grid.half:
+            e, h = restrict_to_half(e), restrict_to_half(h)
+        for s in (0.5, 1.0, -2.0):
+            rebuilt = (1.0 + grid.radius_sq()) ** s
+            if grid.half:
+                rebuilt = rebuilt * grid.quadrature_weights
+            expected = complex(np.sum(rebuilt * (e.data * np.conj(h.data)))
+                               * grid.cell_volume)
+            assert l2_inner(e, h, s) == expected
+            weight = _inner_weight(grid, s)
+            assert not weight.flags.writeable
+            assert weight.tobytes() == rebuilt.tobytes()
+            assert _inner_weight(grid, s) is weight
+    assert _inner_weight.cache_info().maxsize == 8
+    assert _inner_weight.cache_info().currsize == 6
 
 
 def test_inner_mismatch_errors():

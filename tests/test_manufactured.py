@@ -9,9 +9,11 @@ from formprobe.manufactured import (PolyGauss, gaussian_form,
                                     mean_free, parity_symmetrized,
                                     random_band_limited, random_coclosed,
                                     random_dense_media, random_dyadic,
-                                    trig_catalog_entry, _random_trig)
+                                    trig_catalog_entry, _band_limited_spectrum,
+                                    _random_trig)
 from formprobe.halfspace import restrict_to_half, trace_tangential
-from formprobe.spectral import exterior_d, gradient, partial_derivative
+from formprobe.spectral import (embed_cube, exterior_d, gradient, ifft_nodes,
+                                partial_derivative)
 
 
 def test_bump_vanishes_outside_ball_with_flat_edge():
@@ -54,6 +56,19 @@ def test_band_limited_random_is_grid_independent():
     b = random_band_limited(fine, 0, seed=7, kmax=3)
     # coarse nodes are every second fine node
     assert np.allclose(a.data[0], b.data[0][::2, ::2], atol=1e-12)
+
+
+@pytest.mark.parametrize("real", (True, False))
+def test_band_limited_random_is_the_full_inverse_of_its_cube(real):
+    # the pruned synthesis changes no bit of the irfftn (or ifftn) of the
+    # seeded spectrum on the whole frequency grid
+    for dim, n in ((1, 12), (2, 10), (3, 8), (4, 6)):
+        g = GridSpec(dim, 2.0, n)
+        for q in range(dim + 1):
+            layout, kmax, cube = _band_limited_spectrum(g, q, 5 + q, None, real)
+            full = ifft_nodes(embed_cube(cube, layout, kmax), layout)
+            e = random_band_limited(g, q, 5 + q, real=real)
+            assert e.data.tobytes() == full.tobytes()
 
 
 def test_trig_catalog_matches_stored_derivative():

@@ -1,14 +1,16 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from formprobe.cli import main
-from formprobe.fields import GridSpec
+from formprobe.fields import GridSpec, norm
 from formprobe.halfspace import _sign_selfcheck
 from formprobe.io import load_transformation, save_transformation
-from formprobe.manufactured import (halfspace_member, random_band_limited,
-                                    random_dense_media)
+from formprobe.manufactured import (gaussian_form, halfspace_member,
+                                    random_band_limited, random_dense_media)
 from formprobe.media import scalar_catalog
 from formprobe import probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
@@ -20,7 +22,7 @@ from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sampl
                               media_from_option, run_identity_suite,
                               validate_halfspace_member)
 from formprobe.spectral import fourier_inverse
-from formprobe.weights import ROMAN
+from formprobe.weights import BOLD, ROMAN, NormSpec, weighted_sobolev_norm
 
 # the bridge rows run at N = 3 only
 NON_BRIDGE_IDENTITIES = [name for name in IDENTITIES
@@ -106,7 +108,7 @@ def test_constant_field_ratio_is_one():
     # closed and co-closed zero-frequency fields: only the mean mode
     # survives and the estimate ratio collapses to 1
     from formprobe.fields import FormField, norm
-    from formprobe.weights import ROMAN, NormSpec, weighted_sobolev_norm
+    from formprobe.weights import BOLD, ROMAN, NormSpec, weighted_sobolev_norm, NormSpec, weighted_sobolev_norm
     g = GridSpec(2, 3.0, 16)
     const = FormField.from_components(g, 1, {(1,): 2.0, (2,): -0.5})
     numerator = weighted_sobolev_norm(const, NormSpec(1, 0.0, ROMAN))
@@ -240,17 +242,70 @@ def test_media_file_is_read_once_per_probe(tmp_path, monkeypatch):
 
 
 def test_halfspace_member_transform_budget(fft_calls):
-    # a member is one real inverse; its ratio row takes one real forward
-    # transform, and one more of eps E with a material
+    # a member is one real inverse, made pass by pass over the lines that
+    # cross its index cube: two complex passes, then the real one; its
+    # ratio row takes one real forward transform, and one more of eps E
+    # with a material
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
     fft_calls.clear()
     e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=2)
-    assert fft_calls == ["irfftn"]
+    assert fft_calls == ["ifft", "ifft", "irfft"]
+    # all passes together read fewer points than the input of one full
+    # irfftn, the half spectrum of the three components
+    assert sum(fft_calls.points) < 3 * math.prod(grid.half_box().shape)
     for media, budget in (("id", ["rfftn"]), ("scalar", ["rfftn", "rfftn"])):
         eps = media_from_option(media, grid, 1)
         fft_calls.clear()
         _interior_sample(e, eps, 1, 0.0, ROMAN)
         assert fft_calls == budget, media
+
+
+def _row_from_member_spectra(e, eps, order, weight, scale):
+    """The ratio row assembled from the three spectra held together."""
+    hat, de, delta_eps = _member_spectra(e, eps)
+    data_weight = weight + 1 if scale == BOLD else weight
+    numerator = weighted_sobolev_norm(hat, NormSpec(order + 1, weight, scale))
+    denominator = norm(e, weight)
+    for spectrum in (de, delta_eps):
+        if spectrum is not None:
+            denominator += weighted_sobolev_norm(
+                spectrum, NormSpec(order, data_weight, scale))
+    return {"numerator": numerator, "denominator": denominator,
+            "ratio": numerator / denominator}
+
+
+@pytest.mark.parametrize("media", ("id", "scalar"))
+def test_lean_sample_row_equals_the_row_from_held_spectra(media):
+    grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
+    for rank in range(4):
+        e = gaussian_form(grid, rank, 5 + rank, decay=3.0).field()
+        eps = media_from_option(media, grid, rank)
+        for scale, weight in ((ROMAN, 0.0), (BOLD, 0.5)):
+            expected = _row_from_member_spectra(e, eps, 0, weight, scale)
+            lean, none = _interior_sample(e, eps, 0, weight, scale)
+            kept, spectra = _interior_sample(e, eps, 0, weight, scale, keep=True)
+            assert lean == expected and kept == expected, (rank, scale)
+            assert none is None
+            for got, held in zip(spectra, _member_spectra(e, eps)):
+                assert (got is None and held is None) or \
+                    got.data.tobytes() == held.data.tobytes()
+
+
+def test_unchecked_halfspace_sample_holds_one_spectrum_at_a_time():
+    # F(E), F(dE) and F(delta(eps E)) are each about the member's size;
+    # holding all three took over five times the member's bytes
+    grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
+    eps = media_from_option("scalar", grid, 1)
+    e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
+    row, _ = _interior_sample(e, eps, 0, 0.0, ROMAN)  # builds the media caches
+    tracemalloc.start()
+    try:
+        again, _ = _interior_sample(e, eps, 0, 0.0, ROMAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == row
+    assert peak <= 3 * e.data.nbytes
 
 
 def test_probe_report_csv(tmp_path):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
@@ -10,8 +12,9 @@ from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
 from formprobe.manufactured import random_band_limited
 from formprobe.spectral import (assemble_d, assemble_delta,
                                 coderivative_delta, d_delta_plus_delta_d,
-                                exterior_d, fourier, fourier_inverse,
-                                gaffney_identity_check, gradient, laplacian,
+                                embed_cube, exterior_d, fft_nodes, fourier,
+                                fourier_inverse, gaffney_identity_check,
+                                gradient, ifft_nodes, laplacian,
                                 partial_derivative, spectral_sobolev_norm,
                                 stokes_duality_residual)
 
@@ -304,3 +307,47 @@ def test_real_route_stays_real_and_agrees_with_the_complex_route(dim):
             # and on the frequency side: half and full spectra
             assert op(fourier(e)).grid == g.half_box(), name
             assert op(fourier(c)).grid == g, name
+
+
+# ---------------------------------------------------------------------------
+# lean transforms: one output buffer forward, pruned band-limited inverse
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+def test_forward_transform_is_bitwise_numpys(dim):
+    # one preallocated output for every axis pass changes no bit
+    axes = tuple(range(-dim, 0))
+    for n in (6, 8):
+        g = GridSpec(dim, 2.0, n)
+        for q in range(dim + 1):
+            real = _generic_field(g, q, 10 * n + q, True).data
+            cplx = _generic_field(g, q, 20 * n + q, False).data
+            assert fft_nodes(real, g.half_box()).tobytes() == \
+                np.fft.rfftn(real, axes=axes, norm="ortho").tobytes()
+            assert fft_nodes(cplx, g).tobytes() == \
+                np.fft.fftn(cplx, axes=axes, norm="ortho").tobytes()
+
+
+@st.composite
+def cube_spectra(draw):
+    """A random stack over the index cube |k|_inf <= kmax of a half
+    spectrum: N = 1-4, n/2 odd and even, kmax 1 .. n/2 - 1, any rank."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((4, 6, 8, 10) if dim == 4 else (4, 6, 8, 10, 12, 14)))
+    kmax = draw(st.integers(1, n // 2 - 1))
+    rank = draw(st.integers(0, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n_components(dim, rank),) + (2 * kmax + 1,) * (dim - 1) + (kmax + 1,)
+    cube = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridSpec(dim, 2.0, n).half_box(), kmax, cube
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cube_spectra())
+def test_pruned_synthesis_is_bitwise_the_full_irfftn(case):
+    half, kmax, cube = case
+    pruned = ifft_nodes(cube, half, kmax)
+    full = ifft_nodes(embed_cube(cube, half, kmax), half)
+    assert pruned.dtype == np.float64
+    assert pruned.tobytes() == full.tobytes()
+
