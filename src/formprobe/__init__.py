@@ -13,18 +13,18 @@ from .fields import (FormField, GridSpec, Region, apply_R, apply_T,
 from .spectral import (coderivative_delta, exterior_d, fourier,
                        fourier_inverse, gaffney_identity_check, laplacian,
                        spectral_sobolev_norm)
-from .weights import BOLD, ROMAN, NormSpec, graph_norm, weighted_sobolev_norm
+from .weights import BOLD, ROMAN, NormSpec, weighted_sobolev_norm
 from .media import (AdmissibilityError, Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
                     scalar_catalog)
-from .halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
-                        normal_derivative_reconstruct,
+from .halfspace import (diff_quotient, extend_boundary_form, mirror_Sd,
+                        mirror_Sdelta, normal_derivative_reconstruct,
                         restrict_to_half, shift, stokes_pairing_residual,
                         trace_normal, trace_tangential)
 from .decompose import (HodgeSplit, hodge_decompose, potential_for_exact,
                         solve_coderivative)
-from .manufactured import (ManufacturedForm, generate_manufactured,
-                           random_band_limited)
+from .manufactured import ManufacturedForm, random_band_limited
+from .io import save_transformation
 from .bridge import VectorFieldN3, form_to_vector, vector_to_form
 from .probes import (ProbeReport, estimate_probe_interior,
                      estimate_probe_weighted, halfspace_probe,
@@ -37,15 +37,15 @@ __all__ = [
     "l2_inner", "multi_indices", "norm", "split_tangential_normal", "wedge",
     "coderivative_delta", "exterior_d", "fourier", "fourier_inverse",
     "gaffney_identity_check", "laplacian", "spectral_sobolev_norm",
-    "BOLD", "ROMAN", "NormSpec", "graph_norm", "weighted_sobolev_norm",
+    "BOLD", "ROMAN", "NormSpec", "weighted_sobolev_norm",
     "AdmissibilityError", "Transformation", "make_transformation",
     "reconstruct_from_split", "reflected_transform", "scalar_catalog",
-    "diff_quotient", "mirror_Sd", "mirror_Sdelta",
+    "diff_quotient", "extend_boundary_form", "mirror_Sd", "mirror_Sdelta",
     "normal_derivative_reconstruct", "restrict_to_half", "shift",
     "stokes_pairing_residual", "trace_normal", "trace_tangential",
     "HodgeSplit", "hodge_decompose", "potential_for_exact",
-    "solve_coderivative", "ManufacturedForm", "generate_manufactured",
-    "random_band_limited", "VectorFieldN3", "form_to_vector",
+    "solve_coderivative", "ManufacturedForm", "random_band_limited",
+    "save_transformation", "VectorFieldN3", "form_to_vector",
     "vector_to_form", "ProbeReport", "estimate_probe_interior",
     "estimate_probe_weighted", "halfspace_probe", "run_identity_suite",
 ]

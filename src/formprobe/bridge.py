@@ -59,11 +59,6 @@ def _spectral_partial(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarr
     return np.fft.ifftn(1j * grid.freq_field(axis) * hat, norm="ortho")
 
 
-def grad(grid: GridSpec, f: np.ndarray) -> VectorFieldN3:
-    return VectorFieldN3(grid, np.stack([_spectral_partial(grid, f, j)
-                                         for j in (1, 2, 3)]))
-
-
 def curl(v: VectorFieldN3) -> VectorFieldN3:
     g = v.grid
     v1, v2, v3 = v.components

@@ -61,12 +61,6 @@ def n_components(dim: int, rank: int) -> int:
     return math.comb(dim, rank)
 
 
-def insertion_sign(j: int, mi: MultiIndex) -> int:
-    """Sign of dx^j wedged in front of dx^mi, i.e. (-1)^#{i in mi : i < j}."""
-    below = sum(1 for i in mi if i < j)
-    return -1 if below % 2 else 1
-
-
 def merge_sign(left: MultiIndex, right: MultiIndex):
     """Merge two disjoint increasing tuples.
 

@@ -1,10 +1,9 @@
 """Manufactured form fields with closed-form derivatives.
 
-Components come in three families, each closed under differentiation or
-explicitly derivative-limited: trigonometric polynomials (band-limited,
-spectrally exact), polynomial-times-Gaussian bumps (analytic, any
-derivative order via the polynomial recurrence) and the classical
-compactly supported radial bump (value and first partials).
+Components come in two families, each closed under differentiation:
+trigonometric polynomials (band-limited, spectrally exact) and
+polynomial-times-Gaussian bumps (analytic, any derivative order via the
+polynomial recurrence).
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from itertools import product as iter_product
 import numpy as np
 
 from .decompose import coexact_projection
-from .fields import (FormField, GridSpec, Region, multi_indices,
-                     n_components, normal_mask, sign_table)
+from .fields import (FormField, GridSpec, multi_indices, n_components,
+                     normal_mask, sign_table)
 from .media import DECAY_NONE, make_transformation, pullback_grid_map
-from .spectral import (embed_cube, fourier, fourier_inverse, harmonic_mask,
-                       ifft_nodes)
+from .spectral import embed_cube, fourier_inverse, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 
@@ -116,59 +114,6 @@ class PolyGauss:
                          {a: c * factor for a, c in self.poly.items()})
 
 
-class RadialBump:
-    """amplitude * exp(1 - 1/(1 - (r/radius)^2)) inside the ball, 0 outside.
-
-    Vanishes identically (true zeros on grid nodes) outside the ball and
-    with all derivatives at its edge; differentiable here only to first
-    order (sufficient for d/delta of bump-built forms).
-    """
-
-    def __init__(self, dim: int, radius: float, amplitude: complex = 1.0,
-                 gradient_axis: int = 0, center: tuple | None = None):
-        self.dim = dim
-        self.radius = float(radius)
-        self.amplitude = complex(amplitude)
-        self.gradient_axis = gradient_axis  # 0 = plain bump, j>0 = d_j bump
-        self.center = tuple(center) if center is not None else (0.0,) * dim
-
-    def _base(self, grid: GridSpec):
-        r2 = np.zeros(grid.shape)
-        for c, c0 in zip(grid.coord_fields(), self.center):
-            r2 = r2 + (c - c0) ** 2
-        u = r2 / self.radius ** 2
-        inside = u < 1.0
-        safe = np.where(inside, 1.0 - u, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            values = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
-        return values, u, inside
-
-    def eval(self, grid: GridSpec) -> np.ndarray:
-        """Values on the grid, in float64 for a real amplitude."""
-        values, u, inside = self._base(grid)
-        amplitude = self.amplitude.real if self.amplitude.imag == 0.0 \
-            else self.amplitude
-        if self.gradient_axis == 0:
-            return amplitude * values
-        x = np.broadcast_to(grid.coord_field(self.gradient_axis)
-                            - self.center[self.gradient_axis - 1], grid.shape)
-        safe = np.where(inside, (1.0 - u) ** 2, 1.0)
-        deriv = np.where(inside,
-                         -2.0 * x / self.radius ** 2 / safe * values, 0.0)
-        return amplitude * deriv
-
-    def partial(self, axis: int) -> "RadialBump":
-        if self.gradient_axis != 0:
-            raise NotImplementedError("radial bump supports first derivatives "
-                                      "only; use Gaussian bumps for higher order")
-        return RadialBump(self.dim, self.radius, self.amplitude, axis,
-                          self.center)
-
-    def scaled(self, factor: complex) -> "RadialBump":
-        return RadialBump(self.dim, self.radius, self.amplitude * factor,
-                          self.gradient_axis, self.center)
-
-
 class ComponentSum:
     """Formal sum of components of one family (or mixed)."""
 
@@ -249,39 +194,6 @@ class ManufacturedForm:
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
-
-def _check_support(grid: GridSpec, support: Region):
-    if support.kind == "ball" and support.radius > grid.half_length / 2:
-        raise ValueError(f"support radius {support.radius} exceeds the inner "
-                         f"half of the box (L/2 = {grid.half_length / 2}); "
-                         "wrap-around would pollute the samples")
-
-
-def generate_manufactured(kind: str, grid: GridSpec, rank: int,
-                          support: Region | None = None,
-                          seed: int = 0, index: int = 0) -> ManufacturedForm:
-    """Manufactured test forms: bump, band-limited-random or trig-catalog."""
-    support = support or Region(grid, "full")
-    if kind == "bump":
-        _check_support(grid, support)
-        radius = support.radius if support.kind == "ball" else grid.half_length / 2
-        rng = np.random.default_rng(seed)
-        comps = {}
-        for mi in multi_indices(grid.dim, rank):
-            amp = complex(round(rng.uniform(-1.0, 1.0), 6))
-            comps[mi] = RadialBump(grid.dim, radius, amp)
-        return ManufacturedForm(grid, rank, comps)
-    if kind == "band-limited-random":
-        kmax = max(grid.points // BAND_LIMIT_FRACTION, 1)
-        rng = np.random.default_rng(seed)
-        comps = {}
-        for mi in multi_indices(grid.dim, rank):
-            comps[mi] = _random_trig(grid, rng, kmax, terms=6)
-        return ManufacturedForm(grid, rank, comps)
-    if kind == "trig-catalog":
-        return trig_catalog_entry(grid, rank, index)
-    raise ValueError(f"unknown manufactured kind {kind!r}")
-
 
 def _random_trig(grid: GridSpec, rng, kmax: int, terms: int) -> TrigPoly:
     coeffs = {}
@@ -413,13 +325,6 @@ def random_dyadic(grid: GridSpec, rank: int, seed: int,
     re = rng.integers(lo, hi, size=(nc,) + grid.shape).astype(float)
     im = rng.integers(lo, hi, size=(nc,) + grid.shape).astype(float)
     return FormField(grid, rank, re + 1j * im)
-
-
-def mean_free(e: FormField) -> FormField:
-    """Remove the discrete harmonic modes (zero derivative symbol)."""
-    hat = fourier(e)
-    return fourier_inverse(hat.with_data(np.where(harmonic_mask(hat.grid), 0.0,
-                                                  hat.data)))
 
 
 def random_coclosed(grid: GridSpec, rank: int, seed: int,

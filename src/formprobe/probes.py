@@ -36,7 +36,7 @@ from .manufactured import (gaussian_form, halfspace_member,
                            trig_catalog_entry)
 from .media import (Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
-                    scalar_catalog)
+                    scalar_catalog, verify_decay)
 from .spectral import (coderivative_delta, d_delta_plus_delta_d, exterior_d,
                        fourier, fourier_inverse, gaffney_identity_check,
                        gradient, laplacian, partial_derivative,
@@ -117,12 +117,6 @@ def _media_resolver(option: str, rank: int, variant: str, tau: float):
     raise ValueError(f"unknown media option {option!r}")
 
 
-def media_from_option(option: str, grid: GridSpec, rank: int,
-                      variant: str = "interior", tau: float = 1.0) -> Transformation:
-    """Resolve the CLI media selector id | scalar | file:PATH on one grid."""
-    return _media_resolver(option, rank, variant, tau)(grid)
-
-
 # ---------------------------------------------------------------------------
 # estimate probes
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def _interior_sample(e: FormField, eps: Transformation, order: int,
 
 
 def _run_probe(probe: str, params: dict, variant: str, tau: float,
-               sample) -> ProbeReport:
+               sample) -> tuple:
     """The ensemble loop of every estimate probe, on its grid and the doubling.
 
     ``sample(grid, eps, i, checked)`` builds member ``i`` and returns its
@@ -193,9 +187,13 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
     Only the row leaves ``sample``, so a member and its spectra are freed
     before its refinement is built.  An unchecked sample (every member on
     the doubled grid, the largest the probe runs) keeps no spectrum: it
-    takes each norm as the spectrum is made (``_interior_sample``).  The
-    caller adds its own flags.
+    takes each norm as the spectrum is made (``_interior_sample``).
+    Returns the report, to which the caller adds its own flags, and the
+    material on the probe grid.
     """
+    if params["ensemble"] < 1:
+        raise ValueError(f"the ensemble needs at least one member, "
+                         f"got {params['ensemble']}")
     n = params["grid"]
     grid, fine = (GridSpec(params["dim"], PROBE_BOX_HALF_LENGTH, m) for m in (n, 2 * n))
     eps, eps_fine = map(_media_resolver(params["media"], params["rank"], variant,
@@ -212,13 +210,13 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
         sup_fine = max(sup_fine, sample(fine, eps_fine, i, False)["ratio"])
     drift = abs(sup - sup_fine) / max(sup_fine, 1e-300)
     report.aggregates = {"sup_ratio": sup,
-                         "mean_ratio": total / max(params["ensemble"], 1),
+                         "mean_ratio": total / params["ensemble"],
                          "sup_ratio_refined": sup_fine}
     report.refinement = {"grid": n, "grid_refined": 2 * n, "sup_drift": drift}
     report.flags["ratios_finite"] = all(math.isfinite(s["ratio"])
                                         for s in report.samples)
     report.flags["stable_under_doubling"] = drift <= 0.10
-    return report
+    return report, eps
 
 
 def _gaussian_sample(rank: int, order: int, weight: float, scale: str,
@@ -241,8 +239,8 @@ def estimate_probe_interior(dim: int, rank: int, order: int, weight: float,
     """
     params = {"dim": dim, "rank": rank, "order": order, "weight": weight, "tau": 1.0,
               "media": media, "ensemble": ensemble, "grid": grid_points, "seed": seed}
-    report = _run_probe("estimate-interior", params, "interior", 1.0,
-                        _gaussian_sample(rank, order, weight, ROMAN, seed))
+    report, _ = _run_probe("estimate-interior", params, "interior", 1.0,
+                           _gaussian_sample(rank, order, weight, ROMAN, seed))
     if media == "id" and order == 0 and weight == 0.0:
         report.flags["gaffney_pinned_bound"] = report.aggregates["sup_ratio"] <= 1.5
     return report
@@ -252,20 +250,37 @@ def estimate_probe_weighted(dim: int, rank: int, order: int, weight: float,
                             tau: float, media: str = "scalar",
                             ensemble: int = 50, grid_points: int = 32,
                             seed: int = 0) -> ProbeReport:
-    """Ratio probe with weight gain on the data side (strong scale)."""
+    """Ratio probe with weight gain on the data side (strong scale).
+
+    The estimate holds for media that decay with order tau, so the probe
+    also flags ``media_decays`` (see ``_media_decays``), once, on the
+    probe grid.
+    """
     if tau <= 0:
         raise ValueError("the weighted estimate requires decay order tau > 0")
     params = {"dim": dim, "rank": rank, "order": order, "weight": weight, "tau": tau,
               "media": media, "ensemble": ensemble, "grid": grid_points, "seed": seed}
-    report = _run_probe("estimate-weighted", params, "weighted", tau,
-                        _gaussian_sample(rank, order, weight, BOLD, seed))
+    report, eps = _run_probe("estimate-weighted", params, "weighted", tau,
+                             _gaussian_sample(rank, order, weight, BOLD, seed))
     probe_field = gaussian_form(GridSpec(dim, PROBE_BOX_HALF_LENGTH, grid_points),
                                 rank, seed, decay=3.0).field()
     diags = [annulus_split_bound(probe_field, weight, tau, theta)
              for theta in (1.0, 2.0)]
     report.aggregates["annulus_diagnostics"] = diags
     report.flags["annulus_split_holds"] = all(d["holds"] for d in diags)
+    report.flags["media_decays"] = _media_decays(eps, tau)
     return report
+
+
+def _media_decays(eps: Transformation, tau: float) -> bool:
+    """The weighted estimate's hypothesis: the medium decays with order tau.
+
+    True for the identity; otherwise the medium must declare an order of
+    at least tau, and ``verify_decay`` must find its samples consistent
+    with the declared decay class.
+    """
+    return eps.is_identity() or (eps.tau >= tau
+                                 and verify_decay(eps)["consistent"])
 
 
 def validate_halfspace_member(e: FormField, tol: float = 1e-10) -> float:
@@ -314,7 +329,7 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
 
     params = {"dim": dim, "rank": rank, "order": order, "media": media,
               "ensemble": ensemble, "grid": grid_points, "seed": seed}
-    report = _run_probe("estimate-halfspace", params, "interior", 1.0, sample)
+    report, _ = _run_probe("estimate-halfspace", params, "interior", 1.0, sample)
     worst_reconstruct = max([0.0] + [s["reconstruct_residual"]
                                      for s in report.samples])
     worst_stokes = max([0.0] + [s["stokes_residual"] for s in report.samples])

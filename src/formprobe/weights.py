@@ -1,4 +1,4 @@
-"""Polynomially weighted Sobolev and graph norms.
+"""Polynomially weighted Sobolev norms and the annulus splitting bound.
 
 Two scales share one weight rho = (1 + r^2)^(1/2): the plain scale uses
 rho^s for every derivative order, the stronger scale raises the exponent
@@ -19,8 +19,7 @@ from itertools import product
 import numpy as np
 
 from .fields import FormField, norm
-from .spectral import (coderivative_delta, derivative_symbol, exterior_d,
-                       fourier, fourier_inverse)
+from .spectral import derivative_symbol, fourier, fourier_inverse
 
 DEFAULT_MAX_ORDER = 3
 
@@ -28,12 +27,8 @@ ROMAN = "roman"   # weight rho^s for all |alpha| <= m
 BOLD = "bold"     # weight rho^(s+|alpha|)
 
 
-def rho(grid) -> np.ndarray:
-    """(1 + |x|^2)^(1/2) on the grid, >= 1 everywhere."""
-    return np.sqrt(1.0 + grid.radius_sq())
-
-
 def rho_power(grid, exponent: float) -> np.ndarray:
+    """rho^exponent = (1 + |x|^2)^(exponent/2) on the grid."""
     return (1.0 + grid.radius_sq()) ** (exponent / 2.0)
 
 
@@ -94,32 +89,6 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
         total += norm(deriv, exponent) ** 2
         del deriv
     return math.sqrt(total)
-
-
-def graph_norm(e: FormField, kind: str, weight: float, scale: str = ROMAN,
-               eps=None) -> float:
-    """Graph norm of the d- or delta-type weighted space.
-
-    kind "D": sqrt(||E||_{L_s}^2 + ||dE||^2) with the derivative weighted
-    by s (plain scale) or s+1 (strong scale).  kind "Delta" uses
-    delta(eps E) instead of dE.
-    """
-    if kind not in ("D", "Delta"):
-        raise ValueError("kind must be 'D' or 'Delta'")
-    if scale not in (ROMAN, BOLD):
-        raise ValueError(f"scale must be '{ROMAN}' or '{BOLD}'")
-    d_weight = weight + 1 if scale == BOLD else weight
-    base = norm(e, weight) ** 2
-    if kind == "D":
-        if e.rank >= e.grid.dim:
-            raise ValueError("D-type graph norm needs rank < N")
-        deriv = exterior_d(e)
-    else:
-        if e.rank < 1:
-            raise ValueError("Delta-type graph norm needs rank >= 1")
-        inner = e if eps is None else eps.apply(e)
-        deriv = coderivative_delta(inner)
-    return math.sqrt(base + norm(deriv, d_weight) ** 2)
 
 
 def annulus_split_bound(f: FormField, weight: float, tau: float,

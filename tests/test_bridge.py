@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from formprobe.bridge import (VectorFieldN3, bridge_residuals, curl, div,
-                              form_to_vector, grad, roundtrip_exact,
-                              vector_to_form)
+from formprobe.bridge import (VectorFieldN3, _spectral_partial,
+                              bridge_residuals, curl, div, form_to_vector,
+                              roundtrip_exact, vector_to_form)
 from formprobe.fields import FormField, GridSpec, norm
 from formprobe.manufactured import random_band_limited
 from formprobe.spectral import coderivative_delta, exterior_d
@@ -34,7 +34,8 @@ def test_bridge_roundtrip_is_exact():
 def test_gradient_fields_are_curl_free():
     g = GridSpec(3, 2.0, 16)
     f = random_band_limited(g, 0, 5).data[0]
-    v = grad(g, f)
+    # the classical gradient, by the bridge's own FFT route
+    v = VectorFieldN3(g, np.stack([_spectral_partial(g, f, j) for j in (1, 2, 3)]))
     e1 = vector_to_form(v, 1)
     de = exterior_d(e1)
     assert norm(de) <= 1e-10 * max(norm(e1), 1e-300)

@@ -5,11 +5,19 @@ from conftest import max_abs, rel_gap
 from formprobe.decompose import (hodge_decompose, potential_for_exact,
                                  solve_coderivative, split_orthogonality)
 from formprobe.fields import FormField, GridSpec, norm
-from formprobe.manufactured import (mean_free, random_band_limited,
-                                    random_coclosed, random_dense_media)
+from formprobe.manufactured import (random_band_limited, random_coclosed,
+                                    random_dense_media)
 from formprobe.media import make_transformation, scalar_catalog
-from formprobe.spectral import (coderivative_delta, exterior_d,
-                                gaffney_identity_check, spectral_sobolev_norm)
+from formprobe.spectral import (coderivative_delta, exterior_d, fourier,
+                                fourier_inverse, gaffney_identity_check,
+                                harmonic_mask, spectral_sobolev_norm)
+
+
+def mean_free(e):
+    """e without its discrete harmonic modes (zero derivative symbol)."""
+    hat = fourier(e)
+    return fourier_inverse(hat.with_data(np.where(harmonic_mask(hat.grid), 0.0,
+                                                  hat.data)))
 
 
 def test_exact_input_is_projector_fixed_point():

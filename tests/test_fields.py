@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, Region, _inner_weight,
                               apply_R, apply_T, complement_index, hodge_star, index_position,
-                              insertion_sign, l2_inner, merge_sign,
+                              l2_inner, merge_sign,
                               multi_indices, n_components, norm,
                               split_tangential_normal, star_sign, wedge)
 from formprobe.halfspace import restrict_to_half
@@ -33,9 +33,13 @@ def test_merge_sign_counts_inversions():
 
 
 def test_insertion_sign():
-    assert insertion_sign(1, (2, 3)) == 1
-    assert insertion_sign(2, (1, 3)) == -1
-    assert insertion_sign(4, (1, 2, 3)) == -1
+    # dx^j wedged in front of dx^mi has the sign (-1)^#{i in mi : i < j}
+    for dim in (2, 3, 4):
+        for q in range(dim):
+            for mi in multi_indices(dim, q):
+                for j in sorted(set(range(1, dim + 1)) - set(mi)):
+                    below = sum(1 for i in mi if i < j)
+                    assert merge_sign((j,), mi)[1] == (-1) ** below
 
 
 def test_star_sign_matches_complement_parity():

@@ -10,8 +10,7 @@ from formprobe.halfspace import (_sign_selfcheck, boundary_grid,
                                  restrict_to_half, shift,
                                  stokes_pairing_residual, trace_normal,
                                  trace_tangential)
-from formprobe.io import save_form_field
-from formprobe.manufactured import (RadialBump, gaussian_form,
+from formprobe.manufactured import (ManufacturedForm, gaussian_form,
                                     halfspace_member, parity_symmetrized,
                                     random_band_limited, random_dense_media,
                                     random_dyadic, trig_catalog_entry)
@@ -74,7 +73,7 @@ def test_half_box_inner_product_is_the_trapezoid_sum_bitwise():
             assert l2_inner(a, b, 1.0) == complex(weighted)
 
 
-def test_half_box_field_has_no_spectrum(tmp_path):
+def test_half_box_field_has_no_spectrum():
     g = GridSpec(2, 1.0, 8)
     e = random_band_limited(g, 1, 3)
     half = restrict_to_half(e)
@@ -85,9 +84,6 @@ def test_half_box_field_has_no_spectrum(tmp_path):
                lambda f: spectral_sobolev_norm(f, 1.0)):
         with pytest.raises(ValueError, match="no spectrum"):
             op(half)
-    with pytest.raises(ValueError, match="periodic grid"):
-        save_form_field(tmp_path / "half.formfld", half)
-    assert not (tmp_path / "half.formfld").exists()
     for mixed in (lambda: half + e, lambda: e - half, lambda: l2_inner(half, e)):
         with pytest.raises(ValueError, match="grid mismatch"):
             mixed()
@@ -328,6 +324,74 @@ def test_boundary_extension_is_right_inverse():
 # Stokes pairing
 # ---------------------------------------------------------------------------
 
+class RadialBump:
+    """amplitude * exp(1 - 1/(1 - (r/radius)^2)) inside the ball, 0 outside.
+
+    Vanishes identically (true zeros on grid nodes) outside the ball and
+    with all derivatives at its edge; differentiable here only to first
+    order (sufficient for d/delta of bump-built forms).
+    """
+
+    def __init__(self, dim: int, radius: float, amplitude: complex = 1.0,
+                 gradient_axis: int = 0, center: tuple | None = None):
+        self.dim = dim
+        self.radius = float(radius)
+        self.amplitude = complex(amplitude)
+        self.gradient_axis = gradient_axis  # 0 = plain bump, j>0 = d_j bump
+        self.center = tuple(center) if center is not None else (0.0,) * dim
+
+    def _base(self, grid: GridSpec):
+        r2 = np.zeros(grid.shape)
+        for c, c0 in zip(grid.coord_fields(), self.center):
+            r2 = r2 + (c - c0) ** 2
+        u = r2 / self.radius ** 2
+        inside = u < 1.0
+        safe = np.where(inside, 1.0 - u, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
+        return values, u, inside
+
+    def eval(self, grid: GridSpec) -> np.ndarray:
+        """Values on the grid, in float64 for a real amplitude."""
+        values, u, inside = self._base(grid)
+        amplitude = self.amplitude.real if self.amplitude.imag == 0.0 \
+            else self.amplitude
+        if self.gradient_axis == 0:
+            return amplitude * values
+        x = np.broadcast_to(grid.coord_field(self.gradient_axis)
+                            - self.center[self.gradient_axis - 1], grid.shape)
+        safe = np.where(inside, (1.0 - u) ** 2, 1.0)
+        deriv = np.where(inside,
+                         -2.0 * x / self.radius ** 2 / safe * values, 0.0)
+        return amplitude * deriv
+
+    def partial(self, axis: int) -> "RadialBump":
+        if self.gradient_axis != 0:
+            raise NotImplementedError("radial bump supports first derivatives "
+                                      "only; use Gaussian bumps for higher order")
+        return RadialBump(self.dim, self.radius, self.amplitude, axis,
+                          self.center)
+
+    def scaled(self, factor: complex) -> "RadialBump":
+        return RadialBump(self.dim, self.radius, self.amplitude * factor,
+                          self.gradient_axis, self.center)
+
+
+def test_bump_vanishes_outside_ball_with_flat_edge():
+    g = GridSpec(2, 3.0, 64)
+    support = Region(g, "ball", radius=1.0)
+    form = ManufacturedForm(g, 0, {(): RadialBump(2, 1.0, -0.4)})
+    e = form.field()
+    outside = ~support.mask()
+    assert np.abs(e.data[0][outside]).max() == 0.0
+    # near the edge the bump and its gradient both collapse
+    r = np.sqrt(g.radius_sq())
+    ring = (0.97 < r) & (r < 1.0)
+    assert np.abs(e.data[0][ring]).max() <= 1e-9 * np.abs(e.data[0]).max()
+    grad1 = form.partial(1).field()
+    assert np.abs(grad1.data[0][ring]).max() <= 1e-6 * np.abs(grad1.data[0]).max()
+
+
 def test_stokes_residual_refines_at_fourth_order():
     residuals = {}
     for n in (32, 64):
@@ -357,7 +421,6 @@ def test_stokes_members_vanishing_near_plane():
     # and the quadrature sees a compactly supported integrand
     g = GridSpec(2, 3.0, 128)
     center = (0.0, -1.5)
-    from formprobe.manufactured import ManufacturedForm
     e_m = ManufacturedForm(g, 0, {(): RadialBump(2, 1.0, 1.0, center=center)})
     h_m = ManufacturedForm(g, 1, {(1,): RadialBump(2, 1.0, 0.7, center=center),
                                   (2,): RadialBump(2, 1.0, -0.4, center=center)})

@@ -3,38 +3,15 @@ import pytest
 
 from conftest import max_abs, rel_gap
 from formprobe.decompose import hodge_decompose
-from formprobe.fields import GridSpec, Region, norm
-from formprobe.manufactured import (PolyGauss, gaussian_form,
-                                    generate_manufactured, halfspace_member,
-                                    mean_free, parity_symmetrized,
-                                    random_band_limited, random_coclosed,
-                                    random_dense_media, random_dyadic,
-                                    trig_catalog_entry, _band_limited_spectrum,
-                                    _random_trig)
+from formprobe.fields import GridSpec, norm
+from formprobe.manufactured import (PolyGauss, gaussian_form, halfspace_member,
+                                    parity_symmetrized, random_band_limited,
+                                    random_coclosed, random_dense_media,
+                                    random_dyadic, trig_catalog_entry,
+                                    _band_limited_spectrum, _random_trig)
 from formprobe.halfspace import restrict_to_half, trace_tangential
 from formprobe.spectral import (embed_cube, exterior_d, gradient, ifft_nodes,
                                 partial_derivative)
-
-
-def test_bump_vanishes_outside_ball_with_flat_edge():
-    g = GridSpec(2, 3.0, 64)
-    support = Region(g, "ball", radius=1.0)
-    form = generate_manufactured("bump", g, 0, support, seed=3)
-    e = form.field()
-    outside = ~support.mask()
-    assert np.abs(e.data[0][outside]).max() == 0.0
-    # near the edge the bump and its gradient both collapse
-    r = np.sqrt(g.radius_sq())
-    ring = (0.97 < r) & (r < 1.0)
-    assert np.abs(e.data[0][ring]).max() <= 1e-9 * np.abs(e.data[0]).max()
-    grad1 = form.partial(1).field()
-    assert np.abs(grad1.data[0][ring]).max() <= 1e-6 * np.abs(grad1.data[0]).max()
-
-
-def test_bump_rejects_oversized_support():
-    g = GridSpec(2, 3.0, 32)
-    with pytest.raises(ValueError, match="support"):
-        generate_manufactured("bump", g, 0, Region(g, "ball", radius=2.0))
 
 
 def test_band_limited_random_is_deterministic_and_band_limited():
@@ -136,15 +113,6 @@ def test_halfspace_member_has_exactly_zero_trace():
         assert max_abs(traced) == 0.0
 
 
-def test_mean_free_removes_kernel_modes():
-    g = GridSpec(2, 1.0, 16)
-    e = random_band_limited(g, 0, 9)
-    shifted = e.with_data(e.data + 5.0)
-    cleaned = mean_free(shifted)
-    assert abs(np.mean(cleaned.data[0])) <= 1e-12
-    assert rel_gap(cleaned, mean_free(e)) <= 1e-12
-
-
 def test_random_coclosed_is_coclosed():
     from formprobe.spectral import coderivative_delta
     g = GridSpec(3, 2.0, 16)
@@ -192,8 +160,3 @@ def test_random_dense_media_has_stored_exact_partials():
                 # entries are band-limited: the spectral partials are exact
                 assert np.abs(exact[i, j][axis - 1] - spectral[i, j]).max() <= 1e-12
 
-
-def test_unknown_kind_rejected():
-    g = GridSpec(2, 1.0, 8)
-    with pytest.raises(ValueError):
-        generate_manufactured("fractal", g, 0)

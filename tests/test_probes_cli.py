@@ -11,16 +11,15 @@ from formprobe.halfspace import _sign_selfcheck
 from formprobe.io import load_transformation, save_transformation
 from formprobe.manufactured import (gaussian_form, halfspace_member,
                                     random_band_limited, random_dense_media)
-from formprobe.media import scalar_catalog
+from formprobe.media import make_transformation, scalar_catalog, verify_decay
 from formprobe import probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
-                              _member_spectra,
+                              _media_decays, _media_resolver, _member_spectra,
                               _member_stokes_residual,
                               _reconstruction_residual,
                               estimate_probe_interior,
                               estimate_probe_weighted, halfspace_probe,
-                              media_from_option, run_identity_suite,
-                              validate_halfspace_member)
+                              run_identity_suite, validate_halfspace_member)
 from formprobe.spectral import fourier_inverse
 from formprobe.weights import BOLD, ROMAN, NormSpec, weighted_sobolev_norm
 
@@ -150,7 +149,7 @@ DOUBLING_FLAGS = ["ratios_finite", "stable_under_doubling"]
     (lambda: estimate_probe_weighted(2, 1, 0, 0.0, tau=1.0, media="scalar",
                                      ensemble=2, grid_points=16, seed=1),
      RATIO_ROW, RATIO_AGGREGATES | {"annulus_diagnostics"},
-     DOUBLING_FLAGS + ["annulus_split_holds"]),
+     DOUBLING_FLAGS + ["annulus_split_holds", "media_decays"]),
     (lambda: halfspace_probe(2, 1, 0, "scalar", ensemble=2, grid_points=32,
                              seed=1),
      RATIO_ROW | {"trace_norm_rel", "reconstruct_residual", "stokes_residual"},
@@ -171,7 +170,7 @@ def test_estimate_probe_report_fields(run, row, aggregates, flags):
 def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     # a default member: N = 3, rank 1, n = 48, scalar media
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
-    eps = media_from_option("scalar", grid, 1)
+    eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
     e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
     hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
     _sign_selfcheck()  # its transforms run once per process
@@ -194,30 +193,29 @@ def test_halfspace_member_rejection():
 
 def test_media_option_resolution(tmp_path):
     g = GridSpec(2, 3.0, 16)
-    assert media_from_option("id", g, 1).is_identity()
-    assert media_from_option("scalar", g, 1).kind == "scalar"
+    assert _media_resolver("id", 1, "interior", 1.0)(g).is_identity()
+    assert _media_resolver("scalar", 1, "interior", 1.0)(g).kind == "scalar"
     eps = scalar_catalog(g, "gauss_well", amplitude=0.5)
     path = tmp_path / "eps.formeps"
     save_transformation(path, eps, catalog_tag="gauss_well",
                         catalog_params={"amplitude": 0.5})
-    loaded = media_from_option(f"file:{path}", g, 1)
-    assert np.allclose(loaded.hat, eps.hat)
+    from_file = _media_resolver(f"file:{path}", 1, "interior", 1.0)
+    assert np.allclose(from_file(g).hat, eps.hat)
     with pytest.raises(ValueError):
-        media_from_option("granite", g, 1)
+        _media_resolver("granite", 1, "interior", 1.0)
     # a catalog file is rebuilt on any grid of its dimension
     other = GridSpec(2, 3.0, 32)
-    rebuilt = media_from_option(f"file:{path}", other, 1)
-    assert np.array_equal(rebuilt.hat,
+    assert np.array_equal(from_file(other).hat,
                           scalar_catalog(other, "gauss_well", amplitude=0.5).hat)
     with pytest.raises(ValueError, match="grid"):
-        media_from_option(f"file:{path}", GridSpec(3, 3.0, 16), 1)
+        from_file(GridSpec(3, 3.0, 16))
     # a raw file must match the probe grid
     raw = tmp_path / "dense.formeps"
     save_transformation(raw, random_dense_media(g, 1, 5))
-    assert np.array_equal(media_from_option(f"file:{raw}", g, 1).hat,
-                          random_dense_media(g, 1, 5).hat)
+    raw_file = _media_resolver(f"file:{raw}", 1, "interior", 1.0)
+    assert np.array_equal(raw_file(g).hat, random_dense_media(g, 1, 5).hat)
     with pytest.raises(ValueError, match="does not match the probe grid"):
-        media_from_option(f"file:{raw}", other, 1)
+        raw_file(other)
 
 
 def test_media_file_is_read_once_per_probe(tmp_path, monkeypatch):
@@ -254,7 +252,7 @@ def test_halfspace_member_transform_budget(fft_calls):
     # irfftn, the half spectrum of the three components
     assert sum(fft_calls.points) < 3 * math.prod(grid.half_box().shape)
     for media, budget in (("id", ["rfftn"]), ("scalar", ["rfftn", "rfftn"])):
-        eps = media_from_option(media, grid, 1)
+        eps = _media_resolver(media, 1, "interior", 1.0)(grid)
         fft_calls.clear()
         _interior_sample(e, eps, 1, 0.0, ROMAN)
         assert fft_calls == budget, media
@@ -279,7 +277,7 @@ def test_lean_sample_row_equals_the_row_from_held_spectra(media):
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
     for rank in range(4):
         e = gaussian_form(grid, rank, 5 + rank, decay=3.0).field()
-        eps = media_from_option(media, grid, rank)
+        eps = _media_resolver(media, rank, "interior", 1.0)(grid)
         for scale, weight in ((ROMAN, 0.0), (BOLD, 0.5)):
             expected = _row_from_member_spectra(e, eps, 0, weight, scale)
             lean, none = _interior_sample(e, eps, 0, weight, scale)
@@ -295,7 +293,7 @@ def test_unchecked_halfspace_sample_holds_one_spectrum_at_a_time():
     # F(E), F(dE) and F(delta(eps E)) are each about the member's size;
     # holding all three took over five times the member's bytes
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
-    eps = media_from_option("scalar", grid, 1)
+    eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
     e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
     row, _ = _interior_sample(e, eps, 0, 0.0, ROMAN)  # builds the media caches
     tracemalloc.start()
@@ -387,6 +385,50 @@ def test_cli_rejected_arguments_exit_with_status_two(capsys):
     assert err.value.code == 2
     assert capsys.readouterr().err == ("formprobe: error: the weighted estimate "
                                        "requires decay order tau > 0\n")
+
+
+@pytest.mark.parametrize("variant", ("interior", "weighted", "halfspace"))
+@pytest.mark.parametrize("ensemble", ("0", "-3"))
+def test_cli_empty_ensemble_exits_with_status_two(variant, ensemble, tmp_path,
+                                                  capsys):
+    csv_path = tmp_path / "samples.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", variant, "--dim", "2", "--grid", "16",
+              "--ensemble", ensemble, "--csv", str(csv_path)])
+    assert err.value.code == 2
+    assert "at least one member" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_media_decays_rejects_a_medium_declared_of_higher_order():
+    g = GridSpec(3, PROBE_BOX_HALF_LENGTH, 32)
+    order_one = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0)
+    # the same closed form, declared to decay with order 2
+    declared_two = make_transformation(g, None, "scalar", tau=2.0,
+                                       decay_kind=order_one.decay_kind,
+                                       smoothness=order_one.smoothness,
+                                       hat_calculus=order_one.hat_calculus)
+    assert not verify_decay(declared_two)["consistent"]
+    assert not _media_decays(declared_two, 2.0)
+    assert _media_decays(order_one, 1.0)
+    # a medium declaring less than the probe's tau fails without sampling
+    assert not _media_decays(order_one, 2.0)
+    assert _media_decays(make_transformation(g, 1, "identity"), 2.0)
+
+
+def test_cli_weighted_fails_a_catalog_file_of_lower_order(tmp_path, capsys):
+    params = {"amplitude": 0.5, "tau": 1.0}
+    path = tmp_path / "power.formeps"
+    save_transformation(path, scalar_catalog(GridSpec(2, 3.0, 16), "radial_power",
+                                             **params),
+                        catalog_tag="radial_power", catalog_params=params)
+    argv = ["estimate", "--variant", "weighted", "--dim", "2", "--grid", "16",
+            "--media", f"file:{path}", "--ensemble", "2"]
+    assert main(argv + ["--tau", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tau", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL media_decays" in out and out.count("FAIL") == 1
 
 
 def test_cli_halfspace_default_grid_resolves_material_product():

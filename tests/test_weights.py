@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import rel_gap
-from formprobe.fields import (FormField, GridSpec, apply_R, apply_T, l2_inner,
-                              norm)
+from formprobe.fields import FormField, GridSpec, apply_R, apply_T, l2_inner
 from formprobe.manufactured import gaussian_form, random_band_limited
 from formprobe.media import scalar_catalog
 from formprobe import weights
+from formprobe.probes import _interior_sample
 from formprobe.spectral import coderivative_delta, exterior_d, fourier
 from formprobe.weights import (BOLD, ROMAN, NormSpec, annulus_split_bound,
-                               graph_norm, rho, rho_power,
-                               weighted_sobolev_norm)
+                               rho_power, weighted_sobolev_norm)
 
 
 def test_rho_basics():
     g = GridSpec(2, 1.0, 16)
-    w = rho(g)
+    w = rho_power(g, 1.0)
     assert w.min() >= 1.0
     assert w[8, 8] == pytest.approx(1.0)  # origin
     assert np.allclose(rho_power(g, 2.0), 1.0 + g.radius_sq())
@@ -145,64 +144,6 @@ def test_monotone_inclusion_chain():
 
 
 # ---------------------------------------------------------------------------
-# graph norms
-# ---------------------------------------------------------------------------
-
-def test_graph_norm_closed_form_reduces_to_weighted_l2():
-    g = GridSpec(2, 3.0, 32)
-    # a closed 2-form in N=2 (top rank: dE would overflow, use delta side)
-    e = gaussian_form(g, 0, 17).field()
-    for s in (-1.0, 0.5):
-        base = math.sqrt(l2_inner(e, e, weight_exponent=s).real)
-        value = graph_norm(e, "D", s, ROMAN)
-        assert value >= base
-    # constants are closed: graph norm equals the weighted L2 norm
-    const = FormField.from_components(g, 0, {(): 1.0})
-    for scale in (ROMAN, BOLD):
-        assert graph_norm(const, "D", 0.0, scale) \
-            == pytest.approx(norm(const), rel=1e-12)
-
-
-def test_graph_norm_bold_dominates():
-    g = GridSpec(2, 3.0, 32)
-    e = gaussian_form(g, 0, 19).field()
-    assert graph_norm(e, "D", 0.0, BOLD) >= graph_norm(e, "D", 0.0, ROMAN)
-
-
-def test_graph_norm_delta_variant_uses_material():
-    g = GridSpec(2, 3.0, 32)
-    e = gaussian_form(g, 1, 23).field()
-    eps = scalar_catalog(g, "gauss_well", amplitude=1.0, width=1.0)
-    plain = graph_norm(e, "Delta", 0.0, ROMAN)
-    weighted = graph_norm(e, "Delta", 0.0, ROMAN, eps=eps)
-    direct = math.sqrt(norm(e) ** 2
-                       + norm(coderivative_delta(eps.apply(e))) ** 2)
-    assert weighted == pytest.approx(direct, rel=1e-12)
-    assert weighted != pytest.approx(plain, rel=1e-6)
-
-
-def test_graph_norm_independent_quadrature_oracle():
-    g = GridSpec(2, 3.0, 48)
-    member = gaussian_form(g, 0, 29, decay=3.0)
-    e = member.field()
-    s = 0.5
-    de = member.d().field()
-    expected = math.sqrt(l2_inner(e, e, weight_exponent=s).real
-                         + l2_inner(de, de, weight_exponent=s).real)
-    assert graph_norm(e, "D", s, ROMAN) == pytest.approx(expected, rel=1e-8)
-
-
-def test_graph_norm_rank_guards():
-    g = GridSpec(2, 1.0, 8)
-    with pytest.raises(ValueError):
-        graph_norm(FormField.zeros(g, 2), "D", 0.0)
-    with pytest.raises(ValueError):
-        graph_norm(FormField.zeros(g, 0), "Delta", 0.0)
-    with pytest.raises(ValueError):
-        graph_norm(FormField.zeros(g, 1), "Q", 0.0)
-
-
-# ---------------------------------------------------------------------------
 # weight commutators (the multiplication-operator identity behind the
 # weighted estimates)
 # ---------------------------------------------------------------------------
@@ -269,7 +210,7 @@ def test_weighted_norms_agree_on_real_and_complex_routes():
             for a, b in ((e, c), (fourier(e), fourier(c))):
                 real, full = weighted_sobolev_norm(a, spec), weighted_sobolev_norm(b, spec)
                 assert abs(real - full) <= 1e-13 * full
-        kinds = (["D"] if q < 3 else []) + (["Delta"] if q > 0 else [])
-        for kind in kinds:
-            real = graph_norm(e, kind, 1.0, BOLD, eps)
-            assert abs(real - graph_norm(c, kind, 1.0, BOLD, eps)) <= 1e-13 * real
+        # the probe's rows: dE and delta(eps E) through the weighted norms
+        real, full = (_interior_sample(f, eps, 1, 1.0, BOLD)[0] for f in (e, c))
+        for key in ("numerator", "denominator"):
+            assert abs(real[key] - full[key]) <= 1e-13 * full[key]
