@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -36,6 +36,14 @@ def multi_indices(dim: int, rank: int) -> tuple:
     if rank < 0:
         raise ValueError(f"negative rank {rank}")
     return tuple(combinations(range(1, dim + 1), rank))
+
+
+def derivative_orders(dim: int, max_order: int):
+    """Every derivative multi-index alpha in {0, 1, ..}^dim with
+    |alpha| <= max_order, in lexicographic order."""
+    for alpha in product(range(max_order + 1), repeat=dim):
+        if sum(alpha) <= max_order:
+            yield alpha
 
 
 @lru_cache(maxsize=None)

@@ -204,8 +204,8 @@ def _sign_selfcheck() -> bool:
     comp = np.broadcast_to(np.sin(np.pi * x2), grid.shape)
     e = FormField.from_components(grid, 1, {(1,): comp})
     partials = gradient(e)
-    d_gap = np.abs(assemble_d(e, partials).data - exterior_d(e).data).max()
-    delta_gap = np.abs(assemble_delta(e, partials).data
+    d_gap = np.abs(assemble_d(partials).data - exterior_d(e).data).max()
+    delta_gap = np.abs(assemble_delta(partials).data
                        - coderivative_delta(e).data).max()
     if max(d_gap, delta_gap) > 1e-10:
         raise AssertionError("sign bookkeeping inconsistency in the "

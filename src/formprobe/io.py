@@ -62,6 +62,9 @@ def save_transformation(path, eps: Transformation, catalog_tag: str | None = Non
 
 
 def load_transformation(path) -> Transformation:
+    """Read a FORMEPS1 file.  A catalog medium is rebuilt on the file's grid
+    with the header's tau unless its params give one; a header whose decay
+    kind or smoothness differs from the rebuilt medium's is rejected."""
     with open(path, "rb") as fh:
         header = _read_header(fh, MEDIA_MAGIC)
         grid = GridSpec(header["N"], header["L"], header["n"])
@@ -76,7 +79,13 @@ def load_transformation(path) -> Transformation:
             raise ValueError(f"unknown transformation kind {kind!r}")
         hat = _read_payload(fh, header, "f8", shape)
     if kind == "catalog":
-        return scalar_catalog(grid, header["catalog"], **header.get("params", {}))
+        params = {"tau": header["tau"], **header.get("params", {})}
+        eps = scalar_catalog(grid, header["catalog"], **params)
+        for key, value in (("decay", eps.decay_kind), ("m", eps.smoothness)):
+            if header[key] != value:
+                raise ValueError(f"catalog {header['catalog']!r} has {key} "
+                                 f"{value!r}, the header declares {header[key]!r}")
+        return eps
     return make_transformation(grid, header["q"], kind, hat=hat,
                                tau=header["tau"], decay_kind=header["decay"],
                                smoothness=header["m"])

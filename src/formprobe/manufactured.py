@@ -3,23 +3,25 @@
 Components come in two families, each closed under differentiation:
 trigonometric polynomials (band-limited, spectrally exact) and
 polynomial-times-Gaussian bumps (analytic, any derivative order via the
-polynomial recurrence).
+polynomial recurrence).  A family has only ``eval`` and ``partial``; d and
+delta of a manufactured form are assembled from its closed-form partials
+by ``spectral.assemble_d`` and ``assemble_delta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
 from .decompose import coexact_projection
-from .fields import (FormField, GridSpec, multi_indices, n_components,
-                     normal_mask, sign_table)
+from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
+                     n_components, normal_mask)
 from .media import DECAY_NONE, make_transformation, pullback_grid_map
 from .spectral import embed_cube, fourier_inverse, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
+ENVELOPE_DECAY = 2.5  # half-space members carry exp(-2.5 |x|^2)
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +65,6 @@ class TrigPoly:
                         {k: c * factor * k[axis - 1]
                          for k, c in self.coeffs.items()})
 
-    def scaled(self, factor: complex) -> "TrigPoly":
-        return TrigPoly(self.dim, self.half_length,
-                        {k: c * factor for k, c in self.coeffs.items()})
-
 
 class PolyGauss:
     """Multivariate polynomial times exp(-decay |x - center|^2)."""
@@ -109,29 +107,6 @@ class PolyGauss:
             new[key] = new.get(key, 0.0) - 2.0 * self.decay * c
         return PolyGauss(self.dim, self.decay, self.center, new)
 
-    def scaled(self, factor: complex) -> "PolyGauss":
-        return PolyGauss(self.dim, self.decay, self.center,
-                         {a: c * factor for a, c in self.poly.items()})
-
-
-class ComponentSum:
-    """Formal sum of components of one family (or mixed)."""
-
-    def __init__(self, terms):
-        self.terms = [t for t in terms if t is not None]
-
-    def eval(self, grid: GridSpec) -> np.ndarray:
-        out = np.zeros(grid.shape)
-        for t in self.terms:
-            out = out + t.eval(grid)
-        return out
-
-    def partial(self, axis: int) -> "ComponentSum":
-        return ComponentSum([t.partial(axis) for t in self.terms])
-
-    def scaled(self, factor: complex) -> "ComponentSum":
-        return ComponentSum([t.scaled(factor) for t in self.terms])
-
 
 # ---------------------------------------------------------------------------
 # manufactured forms
@@ -158,37 +133,10 @@ class ManufacturedForm:
                                  for mi, c in self.comps.items()})
 
     def partials(self) -> dict:
+        """Every first partial as a field keyed by its 1-based axis: the
+        input of ``spectral.assemble_d`` and ``assemble_delta``."""
         return {j: self.partial(j).field()
                 for j in range(1, self.grid.dim + 1)}
-
-    def d(self) -> "ManufacturedForm":
-        """Closed-form exterior derivative."""
-        if self.rank >= self.grid.dim:
-            raise ValueError("rank overflow")
-        return self._assemble("R", self.rank + 1)
-
-    def delta(self) -> "ManufacturedForm":
-        """Closed-form co-derivative."""
-        if self.rank < 1:
-            raise ValueError("rank underflow")
-        return self._assemble("T", self.rank - 1)
-
-    def _assemble(self, kind: str, rank: int) -> "ManufacturedForm":
-        """d (R table) or delta (T table) with the closed-form partials in
-        place of the coordinates; each component sums its terms in
-        ascending axis order."""
-        dim = self.grid.dim
-        parts = {j: self.partial(j) for j in range(1, dim + 1)}
-        sources = multi_indices(dim, self.rank)
-        targets = multi_indices(dim, rank)
-        terms = {}
-        table = sign_table(kind, dim, self.rank)
-        for t, s, sign, axis in sorted(table.entries, key=lambda entry: entry[3]):
-            comp = parts[axis + 1].comps.get(sources[s])
-            if comp is not None:
-                terms.setdefault(targets[t], []).append(comp.scaled(sign))
-        return ManufacturedForm(self.grid, rank,
-                                {mi: ComponentSum(c) for mi, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +172,15 @@ def trig_catalog_entry(grid: GridSpec, rank: int, index: int) -> ManufacturedFor
 
 
 def gaussian_form(grid: GridSpec, rank: int, seed: int, decay: float = 3.0,
-                  poly_degree: int = 1,
-                  center: tuple | None = None) -> ManufacturedForm:
-    """Random polynomial-times-Gaussian form, analytic to every order."""
+                  poly_degree: int = 1) -> ManufacturedForm:
+    """Random polynomial-times-Gaussian form centred at the origin, analytic
+    to every order."""
     rng = np.random.default_rng(seed)
-    center = center if center is not None else (0.0,) * grid.dim
     comps = {}
     for mi in multi_indices(grid.dim, rank):
-        poly = {}
-        for alpha in iter_product(range(poly_degree + 1), repeat=grid.dim):
-            if sum(alpha) <= poly_degree:
-                poly[alpha] = complex(round(rng.uniform(-1, 1), 6))
-        comps[mi] = PolyGauss(grid.dim, decay, center, poly)
+        poly = {alpha: complex(round(rng.uniform(-1, 1), 6))
+                for alpha in derivative_orders(grid.dim, poly_degree)}
+        comps[mi] = PolyGauss(grid.dim, decay, (0.0,) * grid.dim, poly)
     return ManufacturedForm(grid, rank, comps)
 
 
@@ -361,7 +306,6 @@ def parity_symmetrized(e: FormField, parity: str) -> FormField:
 
 
 def halfspace_member(grid: GridSpec, rank: int, seed: int,
-                     envelope_decay: float = 1.0,
                      kmax: int | None = None) -> FormField:
     """Smooth periodic form with vanishing tangential trace at x_N = 0.
 
@@ -373,5 +317,5 @@ def halfspace_member(grid: GridSpec, rank: int, seed: int,
         kmax = max(grid.points // 8, 2)
     base = parity_symmetrized(random_band_limited(grid, rank, seed, kmax),
                               "trace-free")
-    envelope = np.exp(-envelope_decay * grid.radius_sq())
+    envelope = np.exp(-ENVELOPE_DECAY * grid.radius_sq())
     return base.scale_pointwise(envelope)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iter_product
 
 import numpy as np
 
-from .fields import (FormField, GridSpec, n_components, normal_mask,
-                     sign_table, table_matrix)
+from .fields import (FormField, GridSpec, derivative_orders, n_components,
+                     normal_mask, sign_table, table_matrix)
 from .spectral import derivative_symbol, fft_nodes, ifft_nodes
 
 IDENTITY = "identity"
@@ -527,22 +526,19 @@ def verify_decay(eps: Transformation) -> dict:
 
     orders = {}
     consistent = True
-    for total in range(eps.smoothness + 1):
-        for alpha in iter_product(range(total + 1), repeat=grid.dim):
-            if sum(alpha) != total:
-                continue
-            power = eps.tau + (total if eps.decay_kind == DECAY_SECOND else 0.0)
-            derivs = derive(alpha)
-            sups = {}
-            for name, mask in masks.items():
-                worst = 0.0
-                for deriv in derivs:
-                    worst = max(worst,
-                                float((deriv * weight_base ** power)[mask].max()))
-                sups[name] = worst
-            ok = sups["outer"] <= DECAY_GROWTH_SLACK * max(sups["inner"], 1e-300)
-            consistent = consistent and ok
-            orders[alpha] = {"inner": sups["inner"], "outer": sups["outer"],
-                             "bounded": ok}
+    for alpha in derivative_orders(grid.dim, eps.smoothness):
+        power = eps.tau + (sum(alpha) if eps.decay_kind == DECAY_SECOND else 0.0)
+        derivs = derive(alpha)
+        sups = {}
+        for name, mask in masks.items():
+            worst = 0.0
+            for deriv in derivs:
+                worst = max(worst,
+                            float((deriv * weight_base ** power)[mask].max()))
+            sups[name] = worst
+        ok = sups["outer"] <= DECAY_GROWTH_SLACK * max(sups["inner"], 1e-300)
+        consistent = consistent and ok
+        orders[alpha] = {"inner": sups["inner"], "outer": sups["outer"],
+                         "bounded": ok}
     return {"kind": eps.decay_kind, "tau": eps.tau, "orders": orders,
             "consistent": consistent}

@@ -37,7 +37,8 @@ from .manufactured import (gaussian_form, halfspace_member,
 from .media import (Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
                     scalar_catalog, verify_decay)
-from .spectral import (coderivative_delta, d_delta_plus_delta_d, exterior_d,
+from .spectral import (assemble_d, assemble_delta, coderivative_delta,
+                       d_delta_plus_delta_d, exterior_d,
                        fourier, fourier_inverse, gaffney_identity_check,
                        gradient, laplacian, partial_derivative,
                        stokes_duality_residual)
@@ -314,8 +315,7 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
     kmax = max(grid_points // 8, 2)  # fixed band limit across the doubling
 
     def sample(grid, eps, i, checked):
-        e = halfspace_member(grid, rank, seed + 1000 * i, envelope_decay=2.5,
-                             kmax=kmax)
+        e = halfspace_member(grid, rank, seed + 1000 * i, kmax=kmax)
         trace_rel = validate_halfspace_member(e)
         row, spectra = _interior_sample(e, eps, order, 0.0, ROMAN, keep=checked)
         row["trace_norm_rel"] = trace_rel
@@ -709,8 +709,8 @@ def _check_stokes(dim, seed):
         h_m = gaussian_form(grid, 1, seed + 6, decay=2.5)
         residuals[n] = stokes_pairing_residual(
             restrict_to_half(e_m.field()), restrict_to_half(h_m.field()),
-            restrict_to_half(e_m.d().field()),
-            restrict_to_half(h_m.delta().field()))
+            restrict_to_half(assemble_d(e_m.partials())),
+            restrict_to_half(assemble_delta(h_m.partials())))
     yield ("stokes-pairing-refinement-factor",
            residuals[32] / max(residuals[64], 1e-300))
 
@@ -718,8 +718,8 @@ def _check_stokes(dim, seed):
     # closure has no end corrections for these reflection-symmetric members
     grid = GridSpec(use_dim, 3.0, 32)
     for q in range(use_dim):
-        e = halfspace_member(grid, q, seed + 8 + q, envelope_decay=2.5)
-        h = halfspace_member(grid, q + 1, seed + 9 + q, envelope_decay=2.5)
+        e = halfspace_member(grid, q, seed + 8 + q)
+        h = halfspace_member(grid, q + 1, seed + 9 + q)
         res = _trace_free_stokes_residual(e, h, exterior_d(e),
                                           coderivative_delta(h))
         yield ("stokes-pairing-trace-free-members",

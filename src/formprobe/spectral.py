@@ -17,7 +17,7 @@ hold to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -222,33 +222,43 @@ def gaffney_identity_check(phi: FormField) -> GaffneyReport:
 
 
 # ---------------------------------------------------------------------------
-# componentwise assembly of d and delta from given partial derivatives;
-# used where spectral differentiation is unavailable (half-grid data,
-# manufactured forms with closed-form partials)
+# d and delta assembled from given partial derivatives, where spectral
+# differentiation is unavailable: the closed-form partials of manufactured
+# forms (probes._check_stokes) and the sign self-check of the half-space
+# reconstruction (halfspace._sign_selfcheck)
 # ---------------------------------------------------------------------------
 
-def assemble_d(e: FormField, partials: dict) -> FormField:
+def assemble_d(partials: dict) -> FormField:
     """(dE)_K = sum_{j in K} sign(j, K\\j) d_j E_{K\\j}: the R table with the
     partials in place of the coordinates.
 
-    ``partials`` maps the 1-based axis j to the form field holding d_j E.
+    ``partials`` maps the 1-based axis j to the form field holding d_j E
+    (E's grid and rank).
     """
-    if e.rank >= e.grid.dim:
+    rank = partials[1].rank
+    if rank >= partials[1].grid.dim:
         raise ValueError("rank overflow")
-    return _assemble("R", e, partials, e.rank + 1)
+    return _assemble("R", partials, rank + 1)
 
 
-def assemble_delta(e: FormField, partials: dict) -> FormField:
+def assemble_delta(partials: dict) -> FormField:
     """(delta E)_J = sum_{j not in J} sign(j, J) d_j E_{J + j}: the T table."""
-    if e.rank < 1:
+    rank = partials[1].rank
+    if rank < 1:
         raise ValueError("rank underflow")
-    return _assemble("T", e, partials, e.rank - 1)
+    return _assemble("T", partials, rank - 1)
 
 
-def _assemble(kind: str, e: FormField, partials: dict, rank: int) -> FormField:
-    stacks = [partials[j].data for j in range(1, e.grid.dim + 1)]
-    out = apply_table(sign_table(kind, e.grid.dim, e.rank), stacks)
-    return e.with_data(out, rank=rank)
+def _assemble(kind: str, partials: dict, rank: int) -> FormField:
+    """Apply the R or T table to the partials; each target adds its terms
+    in ascending axis order."""
+    first = partials[1]
+    dim = first.grid.dim
+    table = sign_table(kind, dim, first.rank)
+    by_axis = replace(table, entries=tuple(
+        sorted(table.entries, key=lambda entry: (entry[0], entry[3]))))
+    stacks = [partials[j].data for j in range(1, dim + 1)]
+    return first.with_data(apply_table(by_axis, stacks), rank=rank)
 
 
 def gradient(e: FormField) -> dict:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .fields import FormField, norm
+from .fields import FormField, derivative_orders, norm
 from .spectral import derivative_symbol, fourier, fourier_inverse
 
 DEFAULT_MAX_ORDER = 3
@@ -50,12 +49,6 @@ class NormSpec:
         return self.weight + alpha_order if self.scale == BOLD else self.weight
 
 
-def _derivative_orders(dim: int, max_order: int):
-    for alpha in product(range(max_order + 1), repeat=dim):
-        if sum(alpha) <= max_order:
-            yield alpha
-
-
 def weighted_sobolev_norm(e: FormField, spec: NormSpec,
                           max_order: int = DEFAULT_MAX_ORDER) -> float:
     """sqrt of sum over |alpha| <= m of ||rho^w(alpha) d^alpha E||^2.
@@ -74,7 +67,7 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
             f"order {max_order}; raise max_order explicitly if the grid resolves it")
     hat = e if e.spectral else None
     total = 0.0
-    for alpha in _derivative_orders(e.grid.dim, spec.order):
+    for alpha in derivative_orders(e.grid.dim, spec.order):
         k = sum(alpha)
         exponent = spec.exponent(k)
         if k == 0 and not e.spectral:

@@ -55,6 +55,30 @@ def test_transformation_catalog_roundtrip(tmp_path):
     assert loaded.hat_calculus is not None
 
 
+@pytest.mark.parametrize("tag, tau", [("radial_power", 2.0), ("gauss_well", 3.0)])
+def test_catalog_file_loads_with_its_header_tau(tmp_path, tag, tau):
+    # params without tau: the medium is rebuilt with the tau of the header
+    g = GridSpec(2, 3.0, 16)
+    eps = scalar_catalog(g, tag, amplitude=0.5, tau=tau)
+    path = tmp_path / "eps.formeps"
+    save_transformation(path, eps, catalog_tag=tag,
+                        catalog_params={"amplitude": 0.5})
+    loaded = load_transformation(path)
+    assert loaded.tau == tau
+    assert np.array_equal(loaded.hat, eps.hat)
+
+
+@pytest.mark.parametrize("key, value", [("m", 1), ("decay", "first-kind")])
+def test_catalog_file_with_foreign_class_is_rejected(tmp_path, key, value):
+    path = tmp_path / "eps.formeps"
+    save_transformation(path, scalar_catalog(GridSpec(2, 3.0, 16), "radial_power"),
+                        catalog_tag="radial_power")
+    magic, header, payload = _split_file(path)
+    _rewrite(path, magic, dict(header, **{key: value}), payload)
+    with pytest.raises(ValueError, match=f"the header declares {value!r}"):
+        load_transformation(path)
+
+
 def test_transformation_dense_roundtrip(tmp_path):
     g = GridSpec(2, 1.0, 8)
     eps = random_dense_media(g, 1, 7, amplitude=0.4)

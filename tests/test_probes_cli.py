@@ -171,7 +171,7 @@ def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     # a default member: N = 3, rank 1, n = 48, scalar media
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
     eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
-    e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
+    e = halfspace_member(grid, 1, 0, kmax=6)
     hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
     _sign_selfcheck()  # its transforms run once per process
     fft_calls.clear()
@@ -246,7 +246,7 @@ def test_halfspace_member_transform_budget(fft_calls):
     # with a material
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
     fft_calls.clear()
-    e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=2)
+    e = halfspace_member(grid, 1, 0, kmax=2)
     assert fft_calls == ["ifft", "ifft", "irfft"]
     # all passes together read fewer points than the input of one full
     # irfftn, the half spectrum of the three components
@@ -294,7 +294,7 @@ def test_unchecked_halfspace_sample_holds_one_spectrum_at_a_time():
     # holding all three took over five times the member's bytes
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
     eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
-    e = halfspace_member(grid, 1, 0, envelope_decay=2.5, kmax=6)
+    e = halfspace_member(grid, 1, 0, kmax=6)
     row, _ = _interior_sample(e, eps, 0, 0.0, ROMAN)  # builds the media caches
     tracemalloc.start()
     try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
                               hodge_star, l2_inner, n_components, norm)
-from formprobe.manufactured import random_band_limited
+from formprobe.manufactured import gaussian_form, random_band_limited
 from formprobe.spectral import (assemble_d, assemble_delta,
                                 coderivative_delta, d_delta_plus_delta_d,
                                 embed_cube, exterior_d, fft_nodes, fourier,
@@ -200,10 +200,20 @@ def test_assembled_d_delta_match_spectral_operators():
             assert np.array_equal(hat_part.data,
                                   partial_derivative(hat, axis).data)
         if q < 3:
-            assert rel_gap(assemble_d(e, parts), exterior_d(e)) <= 1e-12
+            assert rel_gap(assemble_d(parts), exterior_d(e)) <= 1e-12
         if q > 0:
-            assert rel_gap(assemble_delta(e, parts),
+            assert rel_gap(assemble_delta(parts),
                            coderivative_delta(e)) <= 1e-12
+
+
+def test_assembly_adds_terms_in_ascending_axis_order():
+    g = GridSpec(3, 3.0, 16)
+    p = gaussian_form(g, 1, 3).partials()
+    assert np.array_equal(assemble_delta(p).data[0],
+                          p[1].data[0] + p[2].data[1] + p[3].data[2])
+    p = gaussian_form(g, 2, 4).partials()
+    assert np.array_equal(assemble_d(p).data[0],
+                          p[1].data[2] - p[2].data[1] + p[3].data[0])
 
 
 def test_rank_guards():
@@ -212,6 +222,10 @@ def test_rank_guards():
         exterior_d(FormField.zeros(g, 2))
     with pytest.raises(ValueError):
         coderivative_delta(FormField.zeros(g, 0))
+    with pytest.raises(ValueError, match="overflow"):
+        assemble_d({j: FormField.zeros(g, 2) for j in (1, 2)})
+    with pytest.raises(ValueError, match="underflow"):
+        assemble_delta({j: FormField.zeros(g, 0) for j in (1, 2)})
 
 
 FFT_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
