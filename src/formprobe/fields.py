@@ -4,10 +4,12 @@ A rank-q form on an N-dimensional periodic box is stored as a stack of
 C(N, q) scalar fields, one per strictly increasing multi-index, in
 lexicographic multi-index order: float64 for a real form, complex128 for
 a complex one and for every spectrum.  Every signed map between components
-(wedge splits, Hodge star, R and T, the tangential/normal split, traces,
-mirrors and axis pullbacks) is a cached ``sign_table`` built from
+(wedge splits, Hodge star, R and T, the tangential/normal split, traces
+and the boundary reflection) is a cached ``sign_table`` built from
 ``merge_sign`` and applied by the one kernel ``apply_table``, on the
 periodic box, the half box, the boundary plane or the frequency grid.
+The reflection (x', x_N) -> (x', -x_N) is that table's sign vector
+(``reflection_signs``) and one node flip (``reflect_nodes``).
 """
 
 from __future__ import annotations
@@ -399,27 +401,14 @@ def _wedge_entries(dim: int, p: int, q: int) -> list:
     return entries
 
 
-def _pullback_entries(dim: int, rank: int, sigma: tuple, flips: tuple) -> list:
-    """tau^* on rank-q components for tau_i(x) = flips_i x_sigma(i)."""
-    entries = []
-    for pos, mi in enumerate(multi_indices(dim, rank)):
-        sign = math.prod(flips[i - 1] for i in mi)
-        merged = ()
-        for axis in reversed([sigma[i - 1] for i in mi]):
-            merged, s = merge_sign((axis,), merged)
-            sign *= s
-        entries.append((index_position(dim, merged), pos, sign, None))
-    return sorted(entries)
-
-
 @lru_cache(maxsize=None)
 def sign_table(kind, dim: int, rank: int) -> SignTable:
     """The cached sign table of a map on rank-q components in dimension N.
 
-    kind is "star", "R", "T", "tangential", "normal", "trace" (drop the
-    components with N: dimension N to N - 1), "extend" (its transpose),
-    ("wedge", q2) for the product with a rank-q2 form, or
-    ("pullback", sigma, flips) for a signed permutation of the axes.
+    kind is "star", "R", "T", "tangential", "normal", "reflect" (x_N ->
+    -x_N acting on forms: -1 on the components with N), "trace"
+    (drop the components with N: dimension N to N - 1), "extend" (its
+    transpose) or ("wedge", q2) for the product with a rank-q2 form.
     Every sign comes from ``merge_sign``.
     """
     name = kind if isinstance(kind, str) else kind[0]
@@ -435,6 +424,9 @@ def sign_table(kind, dim: int, rank: int) -> SignTable:
     elif name in ("tangential", "normal"):
         entries = [(pos, pos, 1, None) for pos, mi in enumerate(mis)
                    if (dim in mi) == (name == "normal")]
+    elif name == "reflect":
+        entries = [(pos, pos, -1 if normal else 1, None)
+                   for pos, normal in enumerate(normal_mask(dim, rank))]
     elif name == "trace":
         targets = n_components(dim - 1, rank)
         entries = [(pos, index_position(dim, mi), 1, None)
@@ -447,19 +439,9 @@ def sign_table(kind, dim: int, rank: int) -> SignTable:
         targets = n_components(dim, rank + kind[1])
         paired = rank == kind[1] > 0
         entries = _wedge_entries(dim, rank, kind[1])
-    elif name == "pullback":
-        entries = _pullback_entries(dim, rank, kind[1], kind[2])
     else:
         raise ValueError(f"unknown sign table {kind!r}")
     return SignTable(targets, sources, tuple(entries), paired)
-
-
-def table_matrix(table: SignTable) -> np.ndarray:
-    """Dense (targets, sources) matrix of a table without factors."""
-    mat = np.zeros((table.targets, table.sources))
-    for t, s, sign, _ in table.entries:
-        mat[t, s] = sign
-    return mat
 
 
 def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
@@ -506,6 +488,27 @@ def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
         del value  # a product is freed before the next one is made
         last = t
     out[last + 1:] = 0.0
+    return out
+
+
+@lru_cache(maxsize=None)
+def reflection_signs(dim: int, rank: int) -> np.ndarray:
+    """The diagonal of sign_table("reflect"), read-only, with shape
+    (C(N, q),) + (1,) * N so that it broadcasts over a component stack."""
+    table = sign_table("reflect", dim, rank)
+    signs = np.array([sign for _, _, sign, _ in table.entries], float)
+    signs = signs.reshape((-1,) + (1,) * dim)
+    signs.flags.writeable = False
+    return signs
+
+
+def reflect_nodes(values: np.ndarray, signs=1.0) -> np.ndarray:
+    """signs * values(x', -x_N) on the periodic box: node k of the trailing
+    axis takes node (n - k) mod n, read through two views (k = 0 is its
+    own image)."""
+    out = np.empty_like(values)
+    np.multiply(values[..., :1], signs, out=out[..., :1])
+    np.multiply(values[..., :0:-1], signs, out=out[..., 1:])
     return out
 
 
@@ -578,7 +581,7 @@ def _blocked_vdot(a: np.ndarray, b: np.ndarray) -> complex:
 def weighted_inner(e: FormField, h: FormField, w: np.ndarray) -> complex:
     """Quadrature of sum_I E_I conj(H_I) with weights w along x_N."""
     _check_compatible(e, h)
-    total = np.sum(w * np.sum(e.data * np.conj(h.data), axis=0))
+    total = np.sum(w * np.sum(e.data * h.data.conj(), axis=0))
     return complex(total * e.grid.cell_volume)
 
 
@@ -619,7 +622,7 @@ def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> comple
         if e.spectral:
             raise ValueError("polynomial weights apply to position-space fields")
         total = np.sum(_inner_weight(e.grid, float(weight_exponent))
-                       * (e.data * np.conj(h.data)))
+                       * (e.data * h.data.conj()))
     return complex(total * e.grid.cell_volume)
 
 

@@ -16,7 +16,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import (FormField, GridSpec, apply_table, hodge_star, l2_inner,
-                     sign_table, weighted_inner)
+                     reflection_signs, sign_table, weighted_inner)
 from .media import Transformation
 
 GREGORY4 = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
@@ -38,31 +38,32 @@ def _check_half(e: FormField):
         raise ValueError("this operator needs a field on the half box")
 
 
-def mirror_Sd(e: FormField) -> FormField:
-    """Extend across the plane: even where N is absent, odd where present.
-
-    The upper half is the pullback under the reflection x_N -> -x_N.
-    Commutes with d on reflection-compatible fields and doubles the
-    squared norm exactly in the grid quadrature.
-    """
+def _mirror(e: FormField, signs: np.ndarray) -> FormField:
+    """E on the lower half box, signs * E(x', -x_N) above it."""
     _check_half(e)
-    dim = e.grid.dim
     m = e.grid.shape[-1]
     box = e.grid.periodic_box()
-    reflection = sign_table(("pullback", tuple(range(1, dim + 1)),
-                             (1,) * (dim - 1) + (-1,)), dim, e.rank)
     out = np.empty((e.data.shape[0],) + box.shape, e.data.dtype)
     out[..., :m] = e.data
-    # x_N = -(L-h) .. -h reversed
-    out[..., m:] = apply_table(reflection, e.data[..., 1: m - 1][..., ::-1])
+    # x_N = h .. L - h from x_N = -h .. -(L - h): nodes (n - k) mod n
+    np.multiply(e.data[..., m - 2:0:-1], signs, out=out[..., m:])
     return FormField(box, e.rank, out)
 
 
+def mirror_Sd(e: FormField) -> FormField:
+    """Extend across the plane: even where N is absent, odd where present.
+
+    The upper half is the reflection x_N -> -x_N acting on forms.
+    Commutes with d on reflection-compatible fields and doubles the
+    squared norm exactly in the grid quadrature.
+    """
+    return _mirror(e, reflection_signs(e.grid.dim, e.rank))
+
+
 def mirror_Sdelta(e: FormField) -> FormField:
-    """Dual mirror (-1)^(q(N-q)) star Sd star; commutes with delta."""
-    dim = e.grid.dim
-    sign = -1.0 if (e.rank * (dim - e.rank)) % 2 else 1.0
-    return sign * hodge_star(mirror_Sd(hodge_star(e)))
+    """Dual mirror (-1)^(q(N-q)) star Sd star, which commutes with delta:
+    the opposite parity, odd where N is absent and even where present."""
+    return _mirror(e, -reflection_signs(e.grid.dim, e.rank))
 
 
 # ---------------------------------------------------------------------------

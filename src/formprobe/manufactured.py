@@ -16,8 +16,8 @@ import numpy as np
 
 from .decompose import coexact_projection
 from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
-                     n_components, normal_mask)
-from .media import DECAY_NONE, make_transformation, pullback_grid_map
+                     n_components, reflect_nodes, reflection_signs)
+from .media import DECAY_NONE, make_transformation
 from .spectral import embed_cube, fourier_inverse, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
@@ -67,17 +67,16 @@ class TrigPoly:
 
 
 class PolyGauss:
-    """Multivariate polynomial times exp(-decay |x - center|^2)."""
+    """Multivariate polynomial times exp(-decay |x|^2)."""
 
-    def __init__(self, dim: int, decay: float, center: tuple, poly: dict):
+    def __init__(self, dim: int, decay: float, poly: dict):
         self.dim = dim
         self.decay = float(decay)
-        self.center = tuple(center)
         self.poly = {tuple(a): complex(c) for a, c in poly.items() if c != 0}
 
     def eval(self, grid: GridSpec) -> np.ndarray:
         """Values on the grid, in float64 when every coefficient is real."""
-        coords = [c - c0 for c, c0 in zip(grid.coord_fields(), self.center)]
+        coords = grid.coord_fields()
         r2 = np.zeros(grid.shape)
         for c in coords:
             r2 = r2 + c * c
@@ -105,7 +104,7 @@ class PolyGauss:
             up[ax] += 1
             key = tuple(up)
             new[key] = new.get(key, 0.0) - 2.0 * self.decay * c
-        return PolyGauss(self.dim, self.decay, self.center, new)
+        return PolyGauss(self.dim, self.decay, new)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def gaussian_form(grid: GridSpec, rank: int, seed: int, decay: float = 3.0,
     for mi in multi_indices(grid.dim, rank):
         poly = {alpha: complex(round(rng.uniform(-1, 1), 6))
                 for alpha in derivative_orders(grid.dim, poly_degree)}
-        comps[mi] = PolyGauss(grid.dim, decay, (0.0,) * grid.dim, poly)
+        comps[mi] = PolyGauss(grid.dim, decay, poly)
     return ManufacturedForm(grid, rank, comps)
 
 
@@ -286,22 +285,18 @@ def random_coclosed(grid: GridSpec, rank: int, seed: int,
 
 
 def parity_symmetrized(e: FormField, parity: str) -> FormField:
-    """Symmetrize components in x_N.
+    """Symmetrize components in x_N: (E + D E(x', -x_N)) / 2.
 
-    "mirror": even where N is absent, odd where present (extension of the
-    d-mirror); "trace-free": the opposite parity, which forces a vanishing
-    tangential trace.
+    "mirror": D is the reflection's sign vector, even where N is absent,
+    odd where present (extension of the d-mirror); "trace-free": -D, the
+    opposite parity, which forces a vanishing tangential trace.
     """
     if parity not in ("mirror", "trace-free"):
         raise ValueError("parity must be 'mirror' or 'trace-free'")
-    dim = e.grid.dim
-    reflection = (tuple(range(1, dim + 1)), (1,) * (dim - 1) + (-1,))
-    normal = normal_mask(dim, e.rank)
-    out = np.empty_like(e.data)
-    for pos, odd in enumerate(normal if parity == "mirror" else ~normal):
-        flipped = pullback_grid_map(e.data[pos], *reflection)  # at x_N -> -x_N
-        out[pos] = 0.5 * (e.data[pos] - flipped) if odd \
-            else 0.5 * (e.data[pos] + flipped)
+    signs = reflection_signs(e.grid.dim, e.rank)
+    out = reflect_nodes(e.data, signs if parity == "mirror" else -signs)
+    out += e.data
+    out *= 0.5
     return e.with_data(out)
 
 

@@ -4,7 +4,10 @@ A transformation acts nodewise on the component vector of a rank-q form
 through a real symmetric uniformly positive-definite matrix.  It is kept
 as identity-plus-perturbation; the perturbation carries the declared
 smoothness and decay class.  Construction verifies symmetry and
-positivity and rejects violations with the worst node.
+positivity and rejects violations with the worst node.  A material
+transports under the boundary reflection (x', x_N) -> (x', -x_N) only
+(``reflected_transform``), through the node flip and sign vector of
+``fields``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (FormField, GridSpec, derivative_orders, n_components,
-                     normal_mask, sign_table, table_matrix)
+                     normal_mask, reflect_nodes, reflection_signs)
 from .spectral import derivative_symbol, fft_nodes, ifft_nodes
 
 IDENTITY = "identity"
@@ -319,8 +322,7 @@ def scalar_catalog(grid: GridSpec, tag: str, *, amplitude: float = 1.0,
     from .manufactured import PolyGauss
     zero_alpha = (0,) * grid.dim
     if tag == "gauss_well":
-        entry = PolyGauss(grid.dim, width, (0.0,) * grid.dim,
-                          {zero_alpha: amplitude})
+        entry = PolyGauss(grid.dim, width, {zero_alpha: amplitude})
     elif tag == "radial_power":
         entry = RhoPolynomial(grid.dim, {-tau / 2.0: {zero_alpha: amplitude}})
     else:
@@ -352,113 +354,48 @@ def reconstruct_from_split(e_tau: FormField, g_rho: FormField,
 
 
 # ---------------------------------------------------------------------------
-# transport under the reflection and other signed-permutation isometries
+# transport under the boundary reflection
 # ---------------------------------------------------------------------------
 
-def _flip_axis_periodic(values: np.ndarray, axis: int) -> np.ndarray:
-    """Index map k -> (n-k) mod n, the grid action of x -> -x on one axis."""
-    n = values.shape[axis]
-    idx = (-np.arange(n)) % n
-    return np.take(values, idx, axis=axis)
+class _Reflected:
+    """Closed-form entry mu(x', -x_N) on the periodic box, with the chain
+    rule d_N (mu o R) = -(d_N mu) o R and the other partials unchanged."""
 
-
-def pullback_grid_map(values: np.ndarray, sigma: tuple, flips: tuple,
-                      offset: int = 0) -> np.ndarray:
-    """Evaluate a scalar field at tau(x) for tau_i(x) = flips_i * x_sigma(i).
-
-    ``offset`` counts leading non-grid axes (e.g. matrix axes) left alone.
-    """
-    out = values
-    for j, s in enumerate(flips):
-        if s < 0:
-            out = _flip_axis_periodic(out, offset + j)
-    dim = len(sigma)
-    inverse = [0] * dim
-    for i, s in enumerate(sigma):
-        inverse[s - 1] = i
-    lead = tuple(range(offset))
-    return np.transpose(out, lead + tuple(offset + i for i in inverse))
-
-
-def _pullback_component_matrix(dim: int, rank: int, sigma: tuple,
-                               flips: tuple) -> np.ndarray:
-    """Matrix of tau^* on rank-q components for a signed permutation tau."""
-    return table_matrix(sign_table(("pullback", sigma, flips), dim, rank))
-
-
-class _Transported:
-    """Closed-form entry mu o tau for tau_j(x) = flips_j x_sigma(j), on the
-    periodic box (``pullback_grid_map``), with the chain rule
-    d_i (mu o tau)(x) = flips_j (d_j mu)(tau x) where sigma(j) = i."""
-
-    def __init__(self, entry, sigma: tuple, flips: tuple, sign: float = 1.0):
-        self.entry, self.sigma, self.flips, self.sign = entry, sigma, flips, sign
+    def __init__(self, entry, dim: int, sign: float = 1.0):
+        self.entry, self.dim, self.sign = entry, dim, sign
 
     def eval(self, grid: GridSpec) -> np.ndarray:
-        return self.sign * pullback_grid_map(self.entry.eval(grid),
-                                             self.sigma, self.flips)
+        return reflect_nodes(self.entry.eval(grid), self.sign)
 
-    def partial(self, axis: int) -> "_Transported":
-        j = self.sigma.index(axis) + 1
-        return _Transported(self.entry.partial(j), self.sigma, self.flips,
-                            self.sign * self.flips[j - 1])
+    def partial(self, axis: int) -> "_Reflected":
+        return _Reflected(self.entry.partial(axis), self.dim,
+                          -self.sign if axis == self.dim else self.sign)
 
 
-def transported_transform(eps: Transformation, rank: int, sigma: tuple,
-                          flips: tuple) -> Transformation:
-    """Transport eps under an orthogonal signed-permutation change of chart.
+def reflected_transform(eps: Transformation) -> Transformation:
+    """Transport under the boundary reflection R: (x', x_N) -> (x', -x_N).
 
-    The identity transports to the identity; admissibility is re-verified
-    on the result.
+    A scalar coefficient moves to 1 + hat(Rx); a dense one to
+    D (id + hat(Rx)) D with D the reflection's sign vector, so its
+    perturbation is D hat(Rx) D.  The identity transports to itself;
+    admissibility is re-verified on the result.
     """
-    dim = eps.grid.dim
-    sigma = tuple(sigma)
-    flips = tuple(flips)
-    if sorted(sigma) != list(range(1, dim + 1)) or len(flips) != dim:
-        raise ValueError("sigma must permute 1..N and flips must have length N")
     if eps.kind == IDENTITY:
         return eps
+    dim = eps.grid.dim
     if eps.kind == SCALAR:
         calculus = None if eps.hat_calculus is None \
-            else _Transported(eps.hat_calculus, sigma, flips)
+            else _Reflected(eps.hat_calculus, dim)
         return make_transformation(eps.grid, eps.rank, SCALAR,
-                                   hat=pullback_grid_map(eps.hat, sigma, flips),
+                                   hat=reflect_nodes(eps.hat),
                                    tau=eps.tau, decay_kind=eps.decay_kind,
                                    smoothness=eps.smoothness,
                                    hat_calculus=calculus)
-    # dense: eps_tau(x) = det * (-1)^(q(N-q)) H_(N-q) P_(N-q) H_q eps(tau x) P_q^(-1)
-    inv_sigma = tuple(sigma.index(i) + 1 for i in range(1, dim + 1))
-    inv_flips = tuple(flips[inv_sigma[i - 1] - 1] for i in range(1, dim + 1))
-    p_inv = _pullback_component_matrix(dim, rank, inv_sigma, inv_flips)
-    p_dual = _pullback_component_matrix(dim, dim - rank, sigma, flips)
-    h_q = table_matrix(sign_table("star", dim, rank))
-    h_dual = table_matrix(sign_table("star", dim, dim - rank))
-    # the pullback of the volume form dx^1..dx^N is det(tau) times itself
-    det = sign_table(("pullback", sigma, flips), dim, dim).entries[0][2]
-    scale = det * (-1 if (rank * (dim - rank)) % 2 else 1)
-    left = scale * (h_dual @ p_dual @ h_q)
-    full = eps.dense_matrices()
-    moved = pullback_grid_map(full, sigma, flips, offset=2)
-    new_full = np.einsum("ij,jk...,kl->il...", left, moved, p_inv)
-    nc = new_full.shape[0]
-    idx = np.arange(nc)
-    new_hat = new_full.copy()
-    new_hat[idx, idx] -= 1.0
-    return make_transformation(eps.grid, rank, DENSE, hat=new_hat, tau=eps.tau,
-                               decay_kind=eps.decay_kind,
+    signs = reflection_signs(dim, eps.rank)
+    return make_transformation(eps.grid, eps.rank, DENSE,
+                               hat=reflect_nodes(eps.hat, signs[:, None] * signs),
+                               tau=eps.tau, decay_kind=eps.decay_kind,
                                smoothness=eps.smoothness)
-
-
-def reflected_transform(eps: Transformation, rank: int | None = None) -> Transformation:
-    """Transport under the boundary reflection (x', x_N) -> (x', -x_N)."""
-    dim = eps.grid.dim
-    sigma = tuple(range(1, dim + 1))
-    flips = (1,) * (dim - 1) + (-1,)
-    use_rank = eps.rank if rank is None else rank
-    if eps.kind == DENSE and use_rank is None:
-        raise ValueError("dense transformations need a rank to transport")
-    return transported_transform(eps, use_rank if use_rank is not None else 0,
-                                 sigma, flips)
 
 
 # ---------------------------------------------------------------------------

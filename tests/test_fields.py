@@ -8,6 +8,7 @@ from formprobe.fields import (FormField, GridSpec, Region, _inner_weight,
                               apply_R, apply_T, complement_index, hodge_star, index_position,
                               l2_inner, merge_sign,
                               multi_indices, n_components, norm,
+                              reflection_signs, sign_table,
                               split_tangential_normal, star_sign, wedge)
 from formprobe.halfspace import restrict_to_half
 from formprobe.manufactured import (random_band_limited, random_dense_media,
@@ -441,6 +442,32 @@ def test_T_is_the_star_dual_of_R_bitwise():
         sign = (-1) ** ((q - 1) * dim)
         dual = hodge_star(apply_R(hodge_star(e)))
         assert np.array_equal(apply_T(e).data, sign * dual.data)
+
+
+def _pullback_entries(dim, rank, sigma, flips):
+    """tau^* on rank-q components for tau_i(x) = flips_i x_sigma(i): each
+    dx^i becomes flips_i dx^sigma(i), and the images are merged in order."""
+    entries = []
+    for pos, mi in enumerate(multi_indices(dim, rank)):
+        sign = int(np.prod([flips[i - 1] for i in mi]))
+        merged = ()
+        for axis in reversed([sigma[i - 1] for i in mi]):
+            merged, s = merge_sign((axis,), merged)
+            sign *= s
+        entries.append((index_position(dim, merged), pos, sign, None))
+    return sorted(entries)
+
+
+def test_reflect_table_is_the_pullback_of_the_reflection():
+    for dim in (1, 2, 3, 4):
+        reflection = (tuple(range(1, dim + 1)), (1,) * (dim - 1) + (-1,))
+        for q in range(dim + 1):
+            table = sign_table("reflect", dim, q)
+            assert table.entries == tuple(_pullback_entries(dim, q, *reflection))
+            assert (table.targets, table.sources) == (n_components(dim, q),) * 2
+            signs = reflection_signs(dim, q)
+            assert signs.shape == (n_components(dim, q),) + (1,) * dim
+            assert signs.ravel().tolist() == [s for _, _, s, _ in table.entries]
 
 
 def test_star_and_media_on_the_half_box_match_the_full_box_bitwise():

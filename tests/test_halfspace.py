@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import max_abs, rel_gap
-from formprobe.fields import (FormField, GridSpec, Region, l2_inner, norm)
+from formprobe.fields import (FormField, GridSpec, Region, hodge_star, l2_inner,
+                              norm)
 from formprobe.halfspace import (_sign_selfcheck, boundary_grid,
                                  diff_quotient, extend_boundary_form,
                                  mirror_Sd, mirror_Sdelta,
@@ -193,6 +194,17 @@ def test_dual_mirror_isometry_and_delta_commutation():
         lhs = coderivative_delta(ext)
         rhs = mirror_Sdelta(restrict_to_half(coderivative_delta(e)))
         assert rel_gap(lhs, rhs) <= 1e-8
+
+
+def test_dual_mirror_is_the_star_conjugate_of_the_mirror_bitwise():
+    for dim in (1, 2, 3, 4):
+        g = GridSpec(dim, 1.5, 8)
+        for q in range(dim + 1):
+            half = restrict_to_half(random_band_limited(g, q, 5 * dim + q,
+                                                        real=False))
+            sign = -1.0 if (q * (dim - q)) % 2 else 1.0
+            ref = sign * hodge_star(mirror_Sd(hodge_star(half)))
+            assert mirror_Sdelta(half).data.tobytes() == ref.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +507,10 @@ def test_reconstruction_against_spectral_gradient(rank):
 
 
 def test_reconstruction_transforms_material_entries_once(fft_calls):
-    # a transported dense material carries no stored partials
+    # a reflected dense material carries no stored partials
     g = GridSpec(3, 3.0, 16)
     e = random_band_limited(g, 1, 42, real=False)
-    eps = reflected_transform(random_dense_media(g, 1, 52, amplitude=0.4), 1)
+    eps = reflected_transform(random_dense_media(g, 1, 52, amplitude=0.4))
     parts = gradient(e)
     args = (restrict_to_half(e), restrict_to_half(exterior_d(e)),
             restrict_to_half(coderivative_delta(eps.apply(e))), eps,

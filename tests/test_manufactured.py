@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ def test_gaussian_form_partials_close_under_differentiation():
 
 
 def test_polygauss_partial_recurrence():
-    pg = PolyGauss(1, 2.0, (0.0,), {(0,): 1.0})
+    pg = PolyGauss(1, 2.0, {(0,): 1.0})
     d1 = pg.partial(1)
     assert d1.poly == {(1,): -4.0}  # d/dx e^{-2x^2} = -4x e^{-2x^2}
     d2 = d1.partial(1)
@@ -104,6 +106,35 @@ def test_parity_symmetrization_classes():
     assert np.allclose(e.data[1], -e.data[1][:, flip], atol=0)
     with pytest.raises(ValueError):
         parity_symmetrized(e, "sideways")
+
+
+def test_parity_symmetrization_matches_the_per_component_flip_bitwise():
+    for dim in (1, 2, 3):
+        g = GridSpec(dim, 1.5, 8)
+        flip = (-np.arange(g.points)) % g.points
+        for q in range(dim + 1):
+            e = random_band_limited(g, q, 3 * dim + q)
+            for parity in ("mirror", "trace-free"):
+                ref = np.empty_like(e.data)
+                for pos, mi in enumerate(e.indices):
+                    flipped = np.take(e.data[pos], flip, axis=-1)
+                    odd = (dim in mi) == (parity == "mirror")
+                    ref[pos] = 0.5 * (e.data[pos] - flipped) if odd \
+                        else 0.5 * (e.data[pos] + flipped)
+                got = parity_symmetrized(e, parity).data
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_parity_symmetrization_allocates_only_its_output():
+    # no flipped copy of the stack or of a component (885 kB here), only
+    # numpy's fixed-size ufunc buffers beside the output
+    g = GridSpec(3, 1.5, 48)
+    e = random_band_limited(g, 1, 4)
+    tracemalloc.start()
+    parity_symmetrized(e, "trace-free")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < e.data.nbytes + 2 ** 18
 
 
 def test_halfspace_member_has_exactly_zero_trace():

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import max_abs, rel_gap
-from formprobe.fields import (FormField, GridSpec, l2_inner, norm,
-                              split_tangential_normal)
+from formprobe.fields import (FormField, GridSpec, l2_inner, multi_indices,
+                              norm, split_tangential_normal)
 from formprobe.manufactured import (PolyGauss, random_band_limited,
                                     random_dense_media)
 from formprobe.media import (AdmissibilityError, RhoPolynomial,
                              make_transformation, reconstruct_from_split,
                              reflected_transform, scalar_catalog,
-                             transported_transform, verify_decay)
+                             verify_decay)
 
 
 def test_identity_transformation():
@@ -105,35 +105,23 @@ def test_catalog_partials_match_hand_formulas(grid, monkeypatch):
         calls.clear()
 
 
-def _moved_poly_gauss(entry, sigma, flips):
-    """The closed form of entry(tau x), tau_i(x) = flips_i x_sigma(i)."""
-    center = [0.0] * entry.dim
-    for i, s in enumerate(sigma):
-        center[s - 1] = flips[i] * entry.center[i]
-    poly = {}
-    for alpha, c in entry.poly.items():
-        moved = [0] * entry.dim
-        for i, s in enumerate(sigma):
-            moved[s - 1] = alpha[i]
-        poly[tuple(moved)] = c * np.prod([f ** a for f, a in zip(flips, alpha)])
-    return PolyGauss(entry.dim, entry.decay, tuple(center), poly)
-
-
-@pytest.mark.parametrize("sigma, flips", [((1, 2), (1, -1)), ((2, 1), (1, 1)),
-                                          ((2, 3, 1), (1, -1, 1))])
-def test_transported_closed_form_partials(sigma, flips):
-    dim = len(sigma)
+@pytest.mark.parametrize("dim", (2, 3))
+def test_reflected_closed_form_partials(dim):
     g = GridSpec(dim, 3.0, 32 if dim == 2 else 16)
-    # off-centre, and below 1e-16 on the box faces, where the periodic
-    # grid action of x -> -x identifies -L with L
-    pad = (0,) * (dim - 2)
-    entry = PolyGauss(dim, 6.0, (0.4, -0.3, 0.2)[:dim],
-                      {(0, 0) + pad: 0.5, (1, 0) + pad: 0.3,
-                       (0, 2) + pad: -0.2, (1, 1) + pad: 0.1})
+
+    def power(a1, an):  # x_1^a1 x_N^an
+        return (a1,) + (0,) * (dim - 2) + (an,)
+
+    # odd and even powers of x_N, below 1e-16 on the box faces, where the
+    # periodic grid action of x_N -> -x_N identifies -L with L
+    entry = PolyGauss(dim, 6.0, {power(0, 0): 0.5, power(1, 0): 0.3,
+                                 power(0, 1): 0.4, power(0, 2): -0.2,
+                                 power(1, 1): 0.1, power(0, 3): 0.05})
     eps = make_transformation(g, None, "scalar", hat_calculus=entry, tau=1.0,
                               decay_kind="second-kind", smoothness=2)
-    moved = transported_transform(eps, 0, sigma, flips)
-    target = _moved_poly_gauss(entry, sigma, flips)
+    moved = reflected_transform(eps)
+    target = PolyGauss(dim, entry.decay, {alpha: c * (-1) ** alpha[-1]
+                                          for alpha, c in entry.poly.items()})
     pairs = [(moved.hat, target.eval(g).real)]
     pairs += [(moved.partial_array(axis), target.partial(axis).eval(g).real)
               for axis in range(1, dim + 1)]
@@ -144,7 +132,7 @@ def test_transported_closed_form_partials(sigma, flips):
 def test_reflected_catalog_keeps_exact_decay_check():
     g = GridSpec(2, 3.0, 48)
     eps = scalar_catalog(g, "gauss_well", amplitude=1.0, width=1.0, tau=1.0)
-    moved = reflected_transform(eps, 0)
+    moved = reflected_transform(eps)
     assert moved.hat_calculus is not None
     assert verify_decay(moved) == verify_decay(eps)
 
@@ -195,7 +183,7 @@ def test_singular_normal_block_reported():
 
 
 # ---------------------------------------------------------------------------
-# transport under the reflection and signed permutations
+# transport under the boundary reflection
 # ---------------------------------------------------------------------------
 
 def test_reflection_fixes_identity():
@@ -204,7 +192,7 @@ def test_reflection_fixes_identity():
         nc = len(FormField.zeros(g, q).data)
         dense_id = make_transformation(g, q, "dense",
                                        hat=np.zeros((nc, nc) + g.shape))
-        refl = reflected_transform(dense_id, q)
+        refl = reflected_transform(dense_id)
         assert np.abs(refl.hat).max() == 0.0
 
 
@@ -214,30 +202,35 @@ def test_reflection_moves_scalar_coefficient():
     hat = np.exp(-((x1 - 0.3) ** 2) - (x2 - 0.5) ** 2) * 0.5
     hat = np.broadcast_to(hat, g.shape).copy()
     eps = make_transformation(g, None, "scalar", hat=hat)
-    moved = reflected_transform(eps, 0)
+    moved = reflected_transform(eps)
     n = g.points
     idx = (-np.arange(n)) % n
     assert np.allclose(moved.hat, hat[:, idx], atol=1e-14)
 
 
+def _reflect_form(e):
+    """R^* E for R(x', x_N) = (x', -x_N): each component at R x, negated
+    where its index holds N."""
+    dim, n = e.grid.dim, e.grid.points
+    flip = (-np.arange(n)) % n
+    signs = [-1.0 if dim in mi else 1.0 for mi in multi_indices(dim, e.rank)]
+    return e.with_data(np.stack([s * np.take(comp, flip, axis=-1)
+                                 for s, comp in zip(signs, e.data)]))
+
+
 def test_reflection_is_involution_and_preserves_admissibility():
-    g = GridSpec(2, 1.0, 12)
-    eps = random_dense_media(g, 1, 3, amplitude=0.4)
-    refl = reflected_transform(eps, 1)
-    assert refl.report.min_rayleigh > 0
-    twice = reflected_transform(refl, 1)
-    assert np.abs(twice.hat - eps.hat).max() <= 1e-12
-
-
-def test_axis_swap_transport():
-    g = GridSpec(2, 1.0, 12)
-    eps = random_dense_media(g, 1, 5, amplitude=0.4)
-    swapped = transported_transform(eps, 1, (2, 1), (1, 1))
-    assert swapped.report.min_rayleigh > 0
-    back = transported_transform(swapped, 1, (2, 1), (1, 1))
-    assert np.abs(back.hat - eps.hat).max() <= 1e-12
-    with pytest.raises(ValueError):
-        transported_transform(eps, 1, (1, 1), (1, 1))
+    for dim in (2, 3):
+        g = GridSpec(dim, 1.0, 12)
+        for q in range(dim + 1):
+            eps = random_dense_media(g, q, 3 + q, amplitude=0.4)
+            refl = reflected_transform(eps)
+            assert refl.report.min_rayleigh > 0
+            twice = reflected_transform(refl)
+            assert twice.hat.tobytes() == eps.hat.tobytes()
+            # the reflected medium acts as R^* o eps o R^*
+            e = random_band_limited(g, q, 7 + q, real=False)
+            ref = _reflect_form(eps.apply(_reflect_form(e)))
+            assert max_abs(refl.apply(e) - ref) <= 1e-14 * max_abs(ref)
 
 
 # ---------------------------------------------------------------------------
