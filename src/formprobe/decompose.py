@@ -4,7 +4,9 @@ On the torus the frequency-side operator algebra produces the projectors
 directly: R T / |xi|^2 fixes the exact range, T R / |xi|^2 the co-exact
 range, and modes annihilated by every derivative (the mean mode, plus
 pure Nyquist modes on non-band-limited data) form the discrete harmonic
-remainder, reported separately.
+remainder, reported separately.  Every symbol scaling runs in the
+buffer of the fresh R or T output it scales, not in a temporary of its
+own.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FormField, apply_R, apply_T, l2_inner, norm
+from .fields import (FormField, apply_R, apply_T, apply_table, l2_inner, norm,
+                     sign_table)
 from .media import Transformation
-from .spectral import fourier, fourier_inverse, harmonic_mask
+from .spectral import fourier, fourier_inverse, harmonic_mask, ifft_nodes
 
 
 def _inv_symbol(r2: np.ndarray) -> np.ndarray:
@@ -25,6 +28,20 @@ def _inv_symbol(r2: np.ndarray) -> np.ndarray:
     nz = r2 != 0.0
     out[nz] = 1.0 / r2[nz]
     return out
+
+
+def _scaled(fresh: FormField, factor: np.ndarray) -> FormField:
+    """factor * the data of a fresh R or T result, in the result's own
+    buffer; the operand order is that of ``factor * data``."""
+    data = fresh.take_data()
+    return fresh.with_data(np.multiply(factor, data, out=data))
+
+
+def _inverse_in_place(hat: FormField) -> FormField:
+    """``fourier_inverse`` of a spectrum nothing else holds, with its
+    complex passes made in the spectrum's own buffer."""
+    return FormField(hat.grid.periodic_box(), hat.rank,
+                     ifft_nodes(hat.take_data(), hat.grid))
 
 
 @dataclass(frozen=True)
@@ -46,21 +63,30 @@ def _exact_projection(hat: FormField) -> FormField:
         return hat.with_data(np.zeros_like(hat.data))
     if hat.rank == hat.grid.dim:
         return hat.with_data(np.where(harmonic_mask(hat.grid), 0.0, hat.data))
-    exact_hat = apply_R(apply_T(hat))
-    return exact_hat.with_data(_inv_symbol(hat.grid.freq_radius_sq())
-                               * exact_hat.data)
+    return _scaled(apply_R(apply_T(hat)), _inv_symbol(hat.grid.freq_radius_sq()))
 
 
 def coexact_projection(hat: FormField) -> FormField:
     """The co-exact part T R / |xi|^2 of a spectrum; harmonic modes go to 0."""
     if hat.rank == hat.grid.dim:
         return hat.with_data(np.zeros_like(hat.data))
-    r2 = hat.grid.freq_radius_sq()
-    nonzero = hat.with_data(np.where(r2 == 0.0, 0.0, hat.data))
-    if hat.rank == 0:
+    return hat.with_data(coexact_data(hat.data, hat.rank, hat.grid.freq_fields()))
+
+
+def coexact_data(data: np.ndarray, rank: int, freqs: tuple) -> np.ndarray:
+    """T R / |xi|^2 of the spectral data of a rank < N form, given at the
+    frequencies ``freqs`` (xi_1 .. xi_N, broadcastable over its nodes): a
+    whole frequency grid, or the index cube of a band-limited spectrum.
+    Harmonic modes go to 0; |xi|^2 is summed in axis order, as
+    ``GridSpec.freq_radius_sq`` sums it, so the values are the same."""
+    r2 = sum(xi * xi for xi in freqs)
+    nonzero = np.where(r2 == 0.0, 0.0, data)
+    if rank == 0:
         return nonzero
-    coexact_hat = apply_T(apply_R(nonzero))
-    return coexact_hat.with_data(_inv_symbol(r2) * coexact_hat.data)
+    dim = len(freqs)
+    out = apply_table(sign_table("T", dim, rank + 1),
+                      apply_table(sign_table("R", dim, rank), nonzero, freqs), freqs)
+    return np.multiply(_inv_symbol(r2), out, out=out)
 
 
 def _split_spectral(hat: FormField) -> tuple:
@@ -138,7 +164,7 @@ def _last_three(history: list) -> str:
 def _check_zero_mean(hat: FormField, r2: np.ndarray, tol: float):
     """Reject a spectrum whose harmonic modes (r2 = |xi|^2 = 0) carry more
     than tol of its largest coefficient."""
-    mean_mass = float(np.abs(np.where(r2 == 0.0, hat.data, 0.0)).max())
+    mean_mass = float(np.abs(hat.data[..., r2 == 0.0]).max())
     if mean_mass > tol * max(float(np.abs(hat.data).max()), 1e-300):
         raise ValueError(f"input has a harmonic component ({mean_mass:.3e}); "
                          "remove the mean mode first: zero-mean data needed")
@@ -147,8 +173,9 @@ def _check_zero_mean(hat: FormField, r2: np.ndarray, tol: float):
 def potential_for_exact(e_exact: FormField, tol: float = 1e-8) -> FormField:
     """Potential with d(potential) = E for a closed zero-mean E.
 
-    Two transforms: E forward and the potential back; the closedness check
-    ||d E|| = ||R F(E)|| is taken on the spectrum (Parseval).
+    Two transforms: E forward and the potential back, in the buffer of
+    its spectrum; the closedness check ||d E|| = ||R F(E)|| is taken on
+    the spectrum (Parseval).
     """
     if e_exact.rank < 1:
         raise ValueError("rank-0 fields have no potential")
@@ -159,9 +186,7 @@ def potential_for_exact(e_exact: FormField, tol: float = 1e-8) -> FormField:
         closed_res = norm(apply_R(hat))
         if closed_res > tol * max(norm(e_exact), 1e-300):
             raise ValueError(f"input is not closed: ||d E|| = {closed_res:.3e}")
-    phi_hat = apply_T(hat)
-    phi_hat = phi_hat.with_data(-1j * _inv_symbol(r2) * phi_hat.data)
-    return fourier_inverse(phi_hat)
+    return _inverse_in_place(_scaled(apply_T(hat), -1j * _inv_symbol(r2)))
 
 
 @dataclass(frozen=True)
@@ -177,9 +202,10 @@ class CoderivativeSolution:
 def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
     """Solve delta H = E for co-closed zero-mean E, H = -i F^-1(R F E / r^2).
 
-    Two transforms: E forward and H back.  The co-closedness check
-    ||delta E|| = ||T F(E)||, the residual ||i T F(H) - F(E)|| and the
-    norms of H are taken on the spectrum (Parseval).  Stated for N >= 3;
+    Two transforms: E forward and H back, in the buffer of its spectrum.
+    The co-closedness check ||delta E|| = ||T F(E)||, the residual
+    ||i T F(H) - F(E)|| (in the buffer of T F(H)) and the norms of H are
+    taken on the spectrum (Parseval).  Stated for N >= 3;
     the periodic box has no issue at N = 2, which is permitted but flagged
     as outside the hypothesis.
     """
@@ -194,12 +220,14 @@ def solve_coderivative(e: FormField, tol: float = 1e-8) -> CoderivativeSolution:
         if coclosed_res > tol:
             raise ValueError(f"input is not co-closed: relative "
                              f"||delta E|| = {coclosed_res:.3e}")
-    h_hat = apply_R(hat)
-    h_hat = h_hat.with_data(-1j * _inv_symbol(r2) * h_hat.data)
-    residual = norm(1j * apply_T(h_hat) - hat) / scale
+    h_hat = _scaled(apply_R(hat), -1j * _inv_symbol(r2))
+    misfit = apply_T(h_hat).take_data()  # i T F(H) - F(E), in one buffer
+    np.multiply(misfit, 1j, out=misfit)
+    residual = norm(hat.with_data(np.subtract(misfit, hat.data, out=misfit))) / scale
+    del misfit
     l2_sq = norm(h_hat) ** 2
     grad_sq = l2_inner(h_hat.scale_pointwise(r2), h_hat).real
-    return CoderivativeSolution(fourier_inverse(h_hat), residual,
+    return CoderivativeSolution(_inverse_in_place(h_hat), residual,
                                 math.sqrt(l2_sq + grad_sq) / scale,
                                 math.sqrt(l2_sq) / scale,
                                 math.sqrt(grad_sq) / scale, e.grid.dim < 3)

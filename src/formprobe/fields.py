@@ -295,6 +295,13 @@ class FormField:
     def component(self, mi: MultiIndex) -> np.ndarray:
         return self.data[index_position(self.grid.dim, tuple(mi))]
 
+    def take_data(self) -> np.ndarray:
+        """The data array, writeable again, for a caller that holds the only
+        reference to this field (an operator's fresh output) and reuses its
+        buffer in place; the field is not read after."""
+        self.data.flags.writeable = True
+        return self.data
+
     def with_data(self, data: np.ndarray, rank=None, spectral=None) -> "FormField":
         return FormField(self.grid,
                          self.rank if rank is None else rank,
@@ -621,8 +628,13 @@ def l2_inner(e: FormField, h: FormField, weight_exponent: float = 0.0) -> comple
     else:
         if e.spectral:
             raise ValueError("polynomial weights apply to position-space fields")
-        total = np.sum(_inner_weight(e.grid, float(weight_exponent))
-                       * (e.data * h.data.conj()))
+        if np.iscomplexobj(h.data):  # a fresh conj(H), then the product
+            product = np.conj(h.data)
+            np.multiply(e.data, product, out=product)
+        else:
+            product = e.data * h.data
+        weight = _inner_weight(e.grid, float(weight_exponent))
+        total = np.sum(np.multiply(weight, product, out=product))
     return complex(total * e.grid.cell_volume)
 
 

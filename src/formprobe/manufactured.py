@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import coexact_projection
+from .decompose import coexact_data
 from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
                      n_components, reflect_nodes, reflection_signs)
 from .media import DECAY_NONE, make_transformation
-from .spectral import embed_cube, fourier_inverse, ifft_nodes
+from .spectral import cube_freq_fields, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 ENVELOPE_DECAY = 2.5  # half-space members carry exp(-2.5 |x|^2)
@@ -276,12 +276,17 @@ def random_coclosed(grid: GridSpec, rank: int, seed: int,
     """Random co-closed zero-mean field: the co-exact part of
     ``random_band_limited(grid, rank, seed, kmax)``.
 
-    One transform: the Hermitian half spectrum of that field is projected
-    by T R / |xi|^2 and inverted.
+    The Hermitian half of that field's index cube is projected by
+    T R / |xi|^2 at the cube's own frequencies, the only modes that are
+    not zero, and inverted by the pruned passes of ``ifft_nodes``: bitwise
+    the inverse of the whole projected half spectrum.  A top-rank form has
+    no co-exact part, and its field is zero without a transform.
     """
     layout, kmax, cube = _band_limited_spectrum(grid, rank, seed, kmax, real=True)
-    spectrum = FormField(layout, rank, embed_cube(cube, layout, kmax), spectral=True)
-    return fourier_inverse(coexact_projection(spectrum))
+    if rank == grid.dim:
+        return FormField.zeros(grid, rank)
+    projected = coexact_data(cube, rank, cube_freq_fields(layout, kmax))
+    return FormField(grid, rank, ifft_nodes(projected, layout, kmax))
 
 
 def parity_symmetrized(e: FormField, parity: str) -> FormField:

@@ -5,7 +5,8 @@ The transform is the componentwise unitary FFT, and ``fft_nodes`` /
 keeps its own as the independent reference route).  A real form is
 transformed to its half spectrum (rfftn over the node axes, the last one
 halved), on the half layout of its grid, and comes back real; a complex
-form keeps the full spectrum.  A spectrum given as its index cube
+form keeps the full spectrum.  An inverse is numpy's 1-D passes, every
+complex pass in one buffer, and a spectrum given as its index cube
 |k|_inf <= kmax is inverted over the lines that cross the cube only.
 Derivatives never touch finite differences here: each operator is a
 symbol applied on the frequency side (``derivative_symbol`` builds
@@ -52,6 +53,18 @@ def _cube_positions(grid, kmax: int) -> tuple:
     return (wrapped,) * (grid.dim - 1) + (last,)
 
 
+def cube_freq_fields(grid, kmax: int) -> tuple:
+    """The frequencies xi_1 .. xi_N of ``grid.freq_fields()`` at the index
+    cube |k|_inf <= kmax only, each broadcastable over the cube."""
+    xi = grid.axis_freqs()
+    fields = []
+    for axis, positions in enumerate(_cube_positions(grid, kmax)):
+        shape = [1] * grid.dim
+        shape[axis] = positions.size
+        fields.append(xi[positions].reshape(shape))
+    return tuple(fields)
+
+
 def embed_cube(cube: np.ndarray, grid, kmax: int) -> np.ndarray:
     """The spectrum on the frequency grid ``grid`` that holds ``cube`` (a
     stack over the index cube |k|_inf <= kmax, see ``_cube_positions``) and
@@ -65,9 +78,19 @@ def ifft_nodes(data: np.ndarray, grid, kmax: int | None = None) -> np.ndarray:
     """Inverse of ``fft_nodes`` from the frequency grid ``grid``: irfftn
     from the half layout (real output on the full box), else ifftn.
 
+    The inverse is made as numpy's own 1-D passes in the n-d transform's
+    order: ifft over the axes -N .. -2 and then irfft over the last one on
+    the half layout, ifft over the axes -1 .. -N on the full one.  Every
+    complex pass writes into one complex128 buffer (``out=``), so the
+    output is bitwise numpy's irfftn or ifftn without an array per pass.
+    That buffer is ``data`` itself when it is a writeable complex128 array,
+    which the call then overwrites: callers pass a fresh operator output
+    nothing else reads.  Any other input, a read-only field spectrum for
+    one, is copied once and left unchanged.
+
     With ``kmax`` the data is the index cube of a spectrum that vanishes
     off it (see ``embed_cube``).  A half spectrum is then inverted pass by
-    pass in irfftn's order, each complex pass over the lines that cross
+    pass in the same order, each complex pass over the lines that cross
     the cube only and the last, real pass over every line.  Each line is
     the one irfftn transforms and the skipped lines are zero, so the
     output is bitwise the irfftn of the embedded spectrum, for a fraction
@@ -86,9 +109,11 @@ def ifft_nodes(data: np.ndarray, grid, kmax: int | None = None) -> np.ndarray:
         return np.fft.irfft(data, n=n, axis=-1, norm="ortho")
     if kmax is not None:
         data = embed_cube(data, grid, kmax)
-    if grid.half:
-        return np.fft.irfftn(data, s=(n,) * grid.dim, axes=axes, norm="ortho")
-    return np.fft.ifftn(data, axes=axes, norm="ortho")
+    elif data.dtype != np.complex128 or not data.flags.writeable:
+        data = data.astype(np.complex128)
+    for axis in axes[:-1] if grid.half else axes[::-1]:
+        np.fft.ifft(data, axis=axis, norm="ortho", out=data)
+    return np.fft.irfft(data, n=n, axis=-1, norm="ortho") if grid.half else data
 
 
 def fourier(e: FormField) -> FormField:
@@ -156,8 +181,7 @@ def partial_derivative(e: FormField, axis: int, order: int = 1) -> FormField:
 def _times_i(e: FormField) -> np.ndarray:
     """i times the data of a fresh R or T result, scaled in place: the
     array is the kernel's own output and nothing else holds it."""
-    data = e.data
-    data.flags.writeable = True
+    data = e.take_data()
     return np.multiply(1j, data, out=data)
 
 

@@ -31,6 +31,22 @@ NUMPY_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
                     "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
 
 
+def inverse_passes(dim: int, real: bool) -> list:
+    """The numpy transforms of one inverse over N node axes, in order: the
+    complex passes, then the real pass from a half spectrum."""
+    return ["ifft"] * (dim - 1) + ["irfft"] if real else ["ifft"] * dim
+
+
+def numpy_inverse(data: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """numpy's n-d inverse of a spectrum on the frequency grid ``grid``,
+    the reference for ``ifft_nodes``."""
+    axes = tuple(range(-grid.dim, 0))
+    if grid.half:
+        return np.fft.irfftn(data, s=(grid.points,) * grid.dim, axes=axes,
+                             norm="ortho")
+    return np.fft.ifftn(data, axes=axes, norm="ortho")
+
+
 class TransformLog(list):
     """Names of the numpy transforms called, in call order; ``points``
     holds the input size of each call."""

@@ -1,10 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import max_abs, rel_gap
-from formprobe.decompose import (hodge_decompose, potential_for_exact,
-                                 solve_coderivative, split_orthogonality)
-from formprobe.fields import FormField, GridSpec, norm
+from conftest import inverse_passes, max_abs, numpy_inverse, rel_gap
+from formprobe.decompose import (_inv_symbol, hodge_decompose,
+                                 potential_for_exact, solve_coderivative,
+                                 split_orthogonality)
+from formprobe.fields import FormField, GridSpec, apply_R, apply_T, l2_inner, norm
 from formprobe.manufactured import (random_band_limited, random_coclosed,
                                     random_dense_media)
 from formprobe.media import make_transformation, scalar_catalog
@@ -169,9 +173,11 @@ def test_solver_residual_matches_position_space():
 
 def test_solver_and_potential_transform_budget(fft_calls):
     # solve: E forward, H back; potential: E forward, phi back; a real
-    # field takes the real transforms, a complex one the complex ones
-    for real, budget in ((False, ["fftn", "ifftn"]), (True, ["rfftn", "irfftn"])):
+    # field takes the real transforms, a complex one the complex ones, and
+    # each inverse is its passes, one per node axis
+    for real, forward in ((False, "fftn"), (True, "rfftn")):
         for dim in (3, 4):
+            budget = [forward] + inverse_passes(dim, real)
             g = GridSpec(dim, 2.0, 8)
             for q in range(dim + 1):
                 split = hodge_decompose(random_band_limited(g, q, 11 * dim + q,
@@ -184,6 +190,53 @@ def test_solver_and_potential_transform_budget(fft_calls):
                     fft_calls.clear()
                     potential_for_exact(split.exact_part)
                     assert fft_calls == budget
+
+
+def _full_route_solve(e):
+    """solve_coderivative made the long way: every step a fresh array and
+    H inverted by numpy's n-d transform."""
+    hat = fourier(e)
+    r2 = hat.grid.freq_radius_sq()
+    scale = max(norm(e), 1e-300)
+    h_hat = apply_R(hat)
+    h_hat = h_hat.with_data(-1j * _inv_symbol(r2) * h_hat.data)
+    residual = norm(1j * apply_T(h_hat) - hat) / scale
+    l2_sq = norm(h_hat) ** 2
+    grad_sq = l2_inner(h_hat.scale_pointwise(r2), h_hat).real
+    return (numpy_inverse(h_hat.data, hat.grid), residual,
+            math.sqrt(l2_sq + grad_sq) / scale, math.sqrt(l2_sq) / scale,
+            math.sqrt(grad_sq) / scale)
+
+
+@pytest.mark.parametrize("dim, n", ((2, 16), (3, 12), (4, 10)))
+def test_solver_is_bitwise_the_full_route(dim, n):
+    # scaling in place, the residual in one buffer and H inverted in its
+    # own buffer change no bit of the potential or of the four ratios
+    g = GridSpec(dim, 2.0, n)
+    for kmax in (None, 2, 4):
+        for q in range(dim):
+            for e in (random_coclosed(g, q, 30 * dim + q, kmax),
+                      hodge_decompose(random_band_limited(g, q, 40 * dim + q, kmax,
+                                                         real=False)).coexact_part):
+                sol = solve_coderivative(e)
+                potential, *ratios = _full_route_solve(e)
+                assert sol.potential.data.tobytes() == potential.tobytes()
+                assert [sol.residual, sol.h1_ratio, sol.l2_ratio,
+                        sol.gradient_ratio] == ratios
+
+
+def test_solver_holds_one_work_array_beside_the_spectra():
+    # N = 4, rank 1: the spectra of E and H, one H-sized work array and the
+    # symbol arrays; the full-size temporaries of every step peaked at 4.2x
+    # the bytes of H
+    g = GridSpec(4, 2.0, 16)
+    e = random_coclosed(g, 1, 7, kmax=4)
+    solve_coderivative(e)  # warm the cached sign tables
+    tracemalloc.start()
+    sol = solve_coderivative(e)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3.5 * sol.potential.data.nbytes
 
 
 def test_solver_h1_bound_shape():

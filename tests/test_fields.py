@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from formprobe.fields import (FormField, GridSpec, Region, _inner_weight,
                               reflection_signs, sign_table,
                               split_tangential_normal, star_sign, wedge)
 from formprobe.halfspace import restrict_to_half
-from formprobe.manufactured import (random_band_limited, random_dense_media,
-                                    random_dyadic)
+from formprobe.manufactured import (gaussian_form, random_band_limited,
+                                    random_dense_media, random_dyadic)
 from formprobe.media import make_transformation, scalar_catalog
 
 
@@ -344,6 +346,27 @@ def test_weighted_inner_takes_its_weight_from_one_bounded_cache():
             assert _inner_weight(grid, s) is weight
     assert _inner_weight.cache_info().maxsize == 8
     assert _inner_weight.cache_info().currsize == 6
+
+
+def test_weighted_inner_makes_one_product_array():
+    # the weight goes into the fresh product in place, with the operand
+    # order of weight * (E conj(H)): bitwise the same sum on real, complex
+    # and mixed pairs, and a real field holds one field-sized array (the
+    # conj copy and the weighted product peaked at 2.0x its bytes)
+    g = GridSpec(3, 2.0, 8)
+    real = random_band_limited(g, 1, 3)
+    cplx = random_band_limited(g, 1, 4, real=False)
+    weight = (1.0 + g.radius_sq()) ** 1.0
+    for e, h in ((real, real), (cplx, cplx), (real, cplx), (cplx, real)):
+        expected = complex(np.sum(weight * (e.data * h.data.conj())) * g.cell_volume)
+        assert l2_inner(e, h, 1.0) == expected
+    e = gaussian_form(GridSpec(3, 3.0, 64), 1, 0).field()
+    norm(e, 1.0)  # the weight is built once per (grid, s)
+    tracemalloc.start()
+    norm(e, 1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.05 * e.data.nbytes
 
 
 def test_inner_mismatch_errors():

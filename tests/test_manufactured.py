@@ -1,11 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import max_abs, rel_gap
-from formprobe.decompose import hodge_decompose
-from formprobe.fields import GridSpec, norm
+from conftest import inverse_passes, max_abs, numpy_inverse, rel_gap
+from formprobe.decompose import _inv_symbol, hodge_decompose
+from formprobe.fields import FormField, GridSpec, apply_R, apply_T, norm
 from formprobe.manufactured import (PolyGauss, gaussian_form, halfspace_member,
                                     parity_symmetrized, random_band_limited,
                                     random_coclosed, random_dense_media,
@@ -14,7 +15,7 @@ from formprobe.manufactured import (PolyGauss, gaussian_form, halfspace_member,
 from formprobe.halfspace import restrict_to_half, trace_tangential
 from formprobe.spectral import (assemble_d, assemble_delta,
                                 coderivative_delta, embed_cube, exterior_d,
-                                gradient, ifft_nodes, partial_derivative)
+                                gradient, partial_derivative)
 
 
 def test_band_limited_random_is_deterministic_and_band_limited():
@@ -46,7 +47,7 @@ def test_band_limited_random_is_the_full_inverse_of_its_cube(real):
         g = GridSpec(dim, 2.0, n)
         for q in range(dim + 1):
             layout, kmax, cube = _band_limited_spectrum(g, q, 5 + q, None, real)
-            full = ifft_nodes(embed_cube(cube, layout, kmax), layout)
+            full = numpy_inverse(embed_cube(cube, layout, kmax), layout)
             e = random_band_limited(g, q, 5 + q, real=real)
             assert e.data.tobytes() == full.tobytes()
 
@@ -153,17 +154,58 @@ def test_random_coclosed_is_coclosed():
 
 
 def test_random_coclosed_matches_hodge_route(fft_calls):
-    # one inverse transform per field, and the same field as the co-exact
-    # part of the band-limited field it projects
+    # one inverse transform per field, made pass by pass over the lines
+    # that cross the index cube (a top-rank field is zero, with none), and
+    # the same field as the co-exact part of the band-limited field it
+    # projects
     for dim in (3, 4):
         g = GridSpec(dim, 2.0, 16)
         for q in range(dim + 1):
             fft_calls.clear()
             e = random_coclosed(g, q, 60 * dim + q, kmax=4)
-            assert fft_calls == ["irfftn"]
+            assert fft_calls == (inverse_passes(dim, True) if q < dim else [])
             base = random_band_limited(g, q, 60 * dim + q, kmax=4)
             old = hodge_decompose(base).coexact_part
             assert norm(e - old) <= 1e-13 * norm(old)
+    # at the benchmark's band limit on n = 32, all passes together read
+    # fewer points than the input of one full irfftn, the half spectrum of
+    # every component
+    for dim, ranks in ((3, range(3)), (4, (0,))):
+        g = GridSpec(dim, 2.0, 32)
+        for q in ranks:
+            fft_calls.clear()
+            e = random_coclosed(g, q, 70 * dim + q, kmax=4)
+            assert sum(fft_calls.points) < e.data.shape[0] * math.prod(g.half_box().shape)
+
+
+def _full_route_coclosed(g, q, seed, kmax):
+    """random_coclosed made the long way: the seeded cube embedded in the
+    whole half spectrum, T R / |xi|^2 applied to every mode, and numpy's
+    full irfftn."""
+    layout, kmax, cube = _band_limited_spectrum(g, q, seed, kmax, real=True)
+    hat = FormField(layout, q, embed_cube(cube, layout, kmax), spectral=True)
+    if q == g.dim:
+        return numpy_inverse(np.zeros_like(hat.data), layout)
+    r2 = layout.freq_radius_sq()
+    nonzero = hat.with_data(np.where(r2 == 0.0, 0.0, hat.data))
+    if q > 0:
+        coexact = apply_T(apply_R(nonzero))
+        nonzero = coexact.with_data(_inv_symbol(r2) * coexact.data)
+    return numpy_inverse(nonzero.data, layout)
+
+
+@pytest.mark.parametrize("dim, n", ((2, 16), (3, 12), (4, 10)))
+def test_random_coclosed_is_bitwise_the_full_route(dim, n):
+    # projecting the index cube alone and inverting it by the pruned passes
+    # changes no bit of the whole-spectrum route
+    g = GridSpec(dim, 2.0, n)
+    for kmax in (None, 2, 4):
+        for q in range(dim + 1):
+            seed = 10 * dim + q
+            e = random_coclosed(g, q, seed, kmax)
+            reference = _full_route_coclosed(g, q, seed, kmax)
+            assert e.data.dtype == reference.dtype == np.float64
+            assert e.data.tobytes() == reference.tobytes(), (kmax, q)
 
 
 def test_random_dense_media_has_stored_exact_partials():

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_abs, rel_gap
+from conftest import max_abs, numpy_inverse, rel_gap
 from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
                               hodge_star, l2_inner, n_components, norm)
 from formprobe.manufactured import gaussian_form, random_band_limited
@@ -361,7 +362,54 @@ def cube_spectra(draw):
 def test_pruned_synthesis_is_bitwise_the_full_irfftn(case):
     half, kmax, cube = case
     pruned = ifft_nodes(cube, half, kmax)
-    full = ifft_nodes(embed_cube(cube, half, kmax), half)
+    full = numpy_inverse(embed_cube(cube, half, kmax), half)
     assert pruned.dtype == np.float64
     assert pruned.tobytes() == full.tobytes()
+
+
+@st.composite
+def spectra(draw):
+    """A random spectrum stack on a half or full frequency grid: N = 1-4,
+    n/2 odd and even, no, one or two leading stack axes."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((4, 6, 8) if dim == 4 else (4, 6, 8, 10, 12)))
+    grid = GridSpec(dim, 2.0, n)
+    if draw(st.booleans()):
+        grid = grid.half_box()
+    stack = draw(st.sampled_from(((), (3,), (2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = stack + grid.shape
+    return grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=spectra())
+def test_inverse_transform_is_bitwise_numpys(case):
+    # the passes in one buffer change no bit of numpy's irfftn or ifftn
+    grid, data = case
+    reference = numpy_inverse(data, grid).tobytes()
+    # a read-only input is copied once and left as it was
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    assert ifft_nodes(frozen, grid).tobytes() == reference
+    assert frozen.tobytes() == data.tobytes()
+    # a writeable complex128 input is the buffer the passes run in
+    out = ifft_nodes(data, grid)
+    assert out.tobytes() == reference
+    if not grid.half:
+        assert out is data
+
+
+def test_inverse_transform_holds_its_output_beside_the_input():
+    # a fresh half spectrum is inverted in its own buffer: nothing beside
+    # the real output but numpy's per-line buffers; each pass into a
+    # fresh array held two spectra at once
+    g = GridSpec(3, 2.0, 48)
+    data = _generic_field(g, 1, 3, False).data
+    hat = np.fft.rfftn(data.real, axes=(1, 2, 3), norm="ortho")
+    tracemalloc.start()
+    out = ifft_nodes(hat, g.half_box())
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < out.nbytes + 2 ** 18
 
