@@ -19,7 +19,8 @@ import numpy as np
 from .fields import (FormField, apply_R, apply_T, apply_table, l2_inner, norm,
                      sign_table)
 from .media import Transformation
-from .spectral import fourier, fourier_inverse, harmonic_mask, ifft_nodes
+from .spectral import (_inverse_in_place, _scaled, fourier, fourier_inverse,
+                       harmonic_mask)
 
 
 def _inv_symbol(r2: np.ndarray) -> np.ndarray:
@@ -28,20 +29,6 @@ def _inv_symbol(r2: np.ndarray) -> np.ndarray:
     nz = r2 != 0.0
     out[nz] = 1.0 / r2[nz]
     return out
-
-
-def _scaled(fresh: FormField, factor: np.ndarray) -> FormField:
-    """factor * the data of a fresh R or T result, in the result's own
-    buffer; the operand order is that of ``factor * data``."""
-    data = fresh.take_data()
-    return fresh.with_data(np.multiply(factor, data, out=data))
-
-
-def _inverse_in_place(hat: FormField) -> FormField:
-    """``fourier_inverse`` of a spectrum nothing else holds, with its
-    complex passes made in the spectrum's own buffer."""
-    return FormField(hat.grid.periodic_box(), hat.rank,
-                     ifft_nodes(hat.take_data(), hat.grid))
 
 
 @dataclass(frozen=True)

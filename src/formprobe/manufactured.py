@@ -1,11 +1,13 @@
 """Manufactured form fields with closed-form derivatives.
 
 Components come in two families, each closed under differentiation:
-trigonometric polynomials (band-limited, spectrally exact) and
-polynomial-times-Gaussian bumps (analytic, any derivative order via the
-polynomial recurrence).  A family has only ``eval`` and ``partial``; d and
-delta of a manufactured form are assembled from its closed-form partials
-by ``spectral.assemble_d`` and ``assemble_delta``.
+trigonometric polynomials (band-limited, spectrally exact) and the one
+closed-form radial family ``media.PolyRhoGauss``, sums of
+c x^alpha (1 + r^2)^p exp(-b r^2) (analytic, any derivative order by its
+term recurrence), which also gives the catalog media their partials; a
+Gaussian member uses it with p = 0.  A family has only ``eval`` and
+``partial``; d and delta of a manufactured form are assembled from its
+closed-form partials by ``spectral.assemble_d`` and ``assemble_delta``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from .decompose import coexact_data
 from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
                      n_components, reflect_nodes, reflection_signs)
-from .media import DECAY_NONE, make_transformation
-from .spectral import cube_freq_fields, ifft_nodes
+from .media import DECAY_NONE, PolyRhoGauss, make_transformation
+from .spectral import _scaled, cube_freq_fields, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 ENVELOPE_DECAY = 2.5  # half-space members carry exp(-2.5 |x|^2)
@@ -64,47 +66,6 @@ class TrigPoly:
         return TrigPoly(self.dim, self.half_length,
                         {k: c * factor * k[axis - 1]
                          for k, c in self.coeffs.items()})
-
-
-class PolyGauss:
-    """Multivariate polynomial times exp(-decay |x|^2)."""
-
-    def __init__(self, dim: int, decay: float, poly: dict):
-        self.dim = dim
-        self.decay = float(decay)
-        self.poly = {tuple(a): complex(c) for a, c in poly.items() if c != 0}
-
-    def eval(self, grid: GridSpec) -> np.ndarray:
-        """Values on the grid, in float64 when every coefficient is real."""
-        coords = grid.coord_fields()
-        r2 = np.zeros(grid.shape)
-        for c in coords:
-            r2 = r2 + c * c
-        envelope = np.exp(-self.decay * r2)
-        real = all(c.imag == 0.0 for c in self.poly.values())
-        out = np.zeros(grid.shape, np.float64 if real else np.complex128)
-        for alpha, c in sorted(self.poly.items()):
-            term = np.full(grid.shape, c.real if real else c)
-            for ax, a in enumerate(alpha):
-                if a:
-                    term = term * coords[ax] ** a
-            out += term
-        return out * envelope
-
-    def partial(self, axis: int) -> "PolyGauss":
-        ax = axis - 1
-        new = {}
-        for alpha, c in self.poly.items():
-            if alpha[ax] > 0:
-                down = list(alpha)
-                down[ax] -= 1
-                key = tuple(down)
-                new[key] = new.get(key, 0.0) + c * alpha[ax]
-            up = list(alpha)
-            up[ax] += 1
-            key = tuple(up)
-            new[key] = new.get(key, 0.0) - 2.0 * self.decay * c
-        return PolyGauss(self.dim, self.decay, new)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +140,7 @@ def gaussian_form(grid: GridSpec, rank: int, seed: int, decay: float = 3.0,
     for mi in multi_indices(grid.dim, rank):
         poly = {alpha: complex(round(rng.uniform(-1, 1), 6))
                 for alpha in derivative_orders(grid.dim, poly_degree)}
-        comps[mi] = PolyGauss(grid.dim, decay, poly)
+        comps[mi] = PolyRhoGauss({0.0: poly}, decay)
     return ManufacturedForm(grid, rank, comps)
 
 
@@ -310,12 +271,12 @@ def halfspace_member(grid: GridSpec, rank: int, seed: int,
     """Smooth periodic form with vanishing tangential trace at x_N = 0.
 
     Built by trace-free parity symmetrization of a band-limited field and
-    an even Gaussian envelope confining the support to the inner region.
+    an even Gaussian envelope confining the support to the inner region,
+    multiplied into the symmetrized field's own buffer.
     The band limit stays at n/8 so the envelope product remains resolved.
     """
     if kmax is None:
         kmax = max(grid.points // 8, 2)
     base = parity_symmetrized(random_band_limited(grid, rank, seed, kmax),
                               "trace-free")
-    envelope = np.exp(-ENVELOPE_DECAY * grid.radius_sq())
-    return base.scale_pointwise(envelope)
+    return _scaled(base, np.exp(-ENVELOPE_DECAY * grid.radius_sq()))

@@ -44,52 +44,64 @@ class AdmissibilityReport:
     min_rayleigh: float
     max_rayleigh: float
     worst_node: tuple
-    sup_entry: float
-    decay: dict | None = None
 
 
-class RhoPolynomial:
-    """Sum of terms poly(x) * (1 + r^2)^p, closed under differentiation."""
+class PolyRhoGauss:
+    """Sum of terms c x^alpha (1 + r^2)^p, times exp(-decay r^2): the one
+    closed-form family of the package, closed under differentiation.
 
-    def __init__(self, dim: int, terms: dict):
-        # terms: {exponent p: {multi-exponent alpha: coefficient}}
-        self.dim = dim
-        self.terms = {float(p): {tuple(a): float(c) for a, c in poly.items()
-                                 if c != 0.0}
+    ``terms`` maps an exponent p to {multi-exponent alpha: coefficient}.
+    The factor (1 + r^2)^p is not formed at p = 0, nor the envelope at
+    decay = 0, so neither multiplies the values by an exact 1.
+    """
+
+    def __init__(self, terms: dict, decay: float = 0.0):
+        self.decay = float(decay)
+        self.terms = {float(p): {tuple(a): complex(c) for a, c in poly.items()
+                                 if c != 0}
                       for p, poly in terms.items()}
 
     def eval(self, grid: GridSpec) -> np.ndarray:
+        """Values on the grid, in float64 when every coefficient is real."""
         coords = grid.coord_fields()
-        rho2 = 1.0 + grid.radius_sq()
-        out = np.zeros(grid.shape)
+        real = all(c.imag == 0.0 for poly in self.terms.values()
+                   for c in poly.values())
+        dtype = np.float64 if real else np.complex128
+        r2 = grid.radius_sq()
+        out = np.zeros(grid.shape, dtype)
         for p, poly in sorted(self.terms.items()):
-            acc = np.zeros(grid.shape)
+            acc = out if p == 0.0 else np.zeros(grid.shape, dtype)
             for alpha, c in sorted(poly.items()):
-                term = np.full(grid.shape, c)
+                term = np.full(grid.shape, c.real if real else c)
                 for ax, a in enumerate(alpha):
                     if a:
                         term = term * coords[ax] ** a
                 acc += term
-            out += acc * rho2 ** p
-        return out
+            if p != 0.0:
+                out += acc * (1.0 + r2) ** p
+        return out if self.decay == 0.0 else out * np.exp(-self.decay * r2)
 
-    def partial(self, axis: int) -> "RhoPolynomial":
+    def partial(self, axis: int) -> "PolyRhoGauss":
+        """d_axis, term by term: x^(alpha - e) rho^p from the monomial,
+        x^(alpha + e) rho^(p - 1) from the rho power and x^(alpha + e) rho^p
+        from the envelope."""
         ax = axis - 1
         new: dict = {}
+
+        def add(p, alpha, step, c):
+            key = tuple(a + step * (j == ax) for j, a in enumerate(alpha))
+            level = new.setdefault(p, {})
+            level[key] = level.get(key, 0.0) + c
+
         for p, poly in self.terms.items():
             for alpha, c in poly.items():
                 if alpha[ax] > 0:
-                    down = list(alpha)
-                    down[ax] -= 1
-                    new.setdefault(p, {})
-                    key = tuple(down)
-                    new[p][key] = new[p].get(key, 0.0) + c * alpha[ax]
-                up = list(alpha)
-                up[ax] += 1
-                new.setdefault(p - 1.0, {})
-                key = tuple(up)
-                new[p - 1.0][key] = new[p - 1.0].get(key, 0.0) + 2.0 * p * c
-        return RhoPolynomial(self.dim, new)
+                    add(p, alpha, -1, c * alpha[ax])
+                if p != 0.0:
+                    add(p - 1.0, alpha, 1, 2.0 * p * c)
+                if self.decay != 0.0:
+                    add(p, alpha, 1, -2.0 * self.decay * c)
+        return PolyRhoGauss(new, self.decay)
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,9 @@ class Transformation:
     ``hat`` stores only the perturbation: full matrices are id + hat.
     Scalar transformations hold a single field and act on any rank.
     ``hat_calculus`` optionally carries the closed-form entry of a scalar
-    kind (an object with eval/partial); the entry partials and the decay
-    verification then take exact derivatives from it.
+    kind (a ``PolyRhoGauss`` or its reflection, an object with
+    eval/partial); the entry partials and the decay verification then take
+    exact derivatives from it.
     """
 
     grid: GridSpec
@@ -236,8 +249,7 @@ def _verify_scalar(grid, hat) -> AdmissibilityReport:
     values = 1.0 + hat
     worst = float(values.min())
     node = np.unravel_index(int(np.argmin(values)), grid.shape)
-    return AdmissibilityReport(True, worst, float(values.max()), node,
-                               float(np.abs(hat).max()))
+    return AdmissibilityReport(True, worst, float(values.max()), node)
 
 
 def _verify_dense(grid, hat) -> AdmissibilityReport:
@@ -253,8 +265,7 @@ def _verify_dense(grid, hat) -> AdmissibilityReport:
     node_min = eig.min(axis=-1)
     worst = float(node_min.min())
     node = np.unravel_index(int(np.argmin(node_min)), grid.shape)
-    return AdmissibilityReport(symmetric, worst, float(eig.max()), node,
-                               float(np.abs(hat).max()))
+    return AdmissibilityReport(symmetric, worst, float(eig.max()), node)
 
 
 def make_transformation(grid: GridSpec, rank: int | None = None,
@@ -274,7 +285,7 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
     if kind == IDENTITY:
         return Transformation(grid, rank, IDENTITY, None, tau, decay_kind,
                               smoothness,
-                              AdmissibilityReport(True, 1.0, 1.0, (), 0.0))
+                              AdmissibilityReport(True, 1.0, 1.0, ()))
 
     if kind == SCALAR:
         if hat is None:
@@ -319,12 +330,11 @@ def scalar_catalog(grid: GridSpec, tag: str, *, amplitude: float = 1.0,
     "gauss_well": 1 + a exp(-b r^2), decays faster than any power.
     "radial_power": 1 + a (1+r^2)^(-tau/2), second-kind decay of order tau.
     """
-    from .manufactured import PolyGauss
     zero_alpha = (0,) * grid.dim
     if tag == "gauss_well":
-        entry = PolyGauss(grid.dim, width, {zero_alpha: amplitude})
+        entry = PolyRhoGauss({0.0: {zero_alpha: amplitude}}, width)
     elif tag == "radial_power":
-        entry = RhoPolynomial(grid.dim, {-tau / 2.0: {zero_alpha: amplitude}})
+        entry = PolyRhoGauss({-tau / 2.0: {zero_alpha: amplitude}})
     else:
         raise ValueError(f"unknown scalar catalog tag {tag!r}")
     return make_transformation(grid, None, SCALAR, tau=tau,
@@ -402,22 +412,10 @@ def reflected_transform(eps: Transformation) -> Transformation:
 # decay-class verification on annulus samples
 # ---------------------------------------------------------------------------
 
-# (inner, outer) annuli in half lengths: exact derivatives are sampled out
-# to the box corners, spectral ones inside the wrap-free window
-EXACT_ANNULI = ((0.50, 0.80), (0.90, 1.30))
-SPECTRAL_ANNULI = ((0.30, 0.45), (0.45, 0.62))
+# (inner, outer) annuli in half lengths: the closed-form derivatives are
+# sampled out to the box corners
+DECAY_ANNULI = ((0.50, 0.80), (0.90, 1.30))
 DECAY_GROWTH_SLACK = 1.75
-
-
-def _smooth_radial_window(grid: GridSpec, flat_radius: float,
-                          zero_radius: float) -> np.ndarray:
-    """C^inf window, 1 inside flat_radius and 0 beyond zero_radius."""
-    r = np.sqrt(grid.radius_sq())
-    t = np.clip((r - flat_radius) / (zero_radius - flat_radius), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        f_rise = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        f_fall = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return f_fall / (f_rise + f_fall)
 
 
 def verify_decay(eps: Transformation) -> dict:
@@ -428,51 +426,32 @@ def verify_decay(eps: Transformation) -> dict:
     at the decay boundary flat instead of pre-asymptotically rising.  The
     class is consistent when the weighted sup does not grow from the inner
     annulus to the outer one beyond DECAY_GROWTH_SLACK.  Derivatives come
-    from the closed form if there is one, else they are spectral, taken
-    after a smooth radial window (identically 1 on the sampled annuli)
-    removes the wrap-around kink of the non-periodic perturbation.
+    from the closed form (``hat_calculus``); a non-identity medium without
+    one (a raw file) is rejected with ValueError, since a spectral
+    derivative of a non-periodic perturbation cannot be trusted here.
     """
     if eps.kind == IDENTITY:
         return {"kind": eps.decay_kind, "tau": eps.tau, "orders": {},
                 "consistent": True}
+    if eps.hat_calculus is None:
+        raise ValueError("verify_decay needs a closed-form medium (a catalog "
+                         "entry); this medium has only sampled values")
     grid = eps.grid
-    L = grid.half_length
-    exact = eps.hat_calculus is not None
-    inner, outer = L * np.array(EXACT_ANNULI if exact else SPECTRAL_ANNULI)
     r = np.sqrt(grid.radius_sq())
     weight_base = np.sqrt(1.0 + grid.radius_sq())
+    inner, outer = grid.half_length * np.array(DECAY_ANNULI)
     masks = {"inner": (inner[0] < r) & (r < inner[1]),
              "outer": (outer[0] < r) & (r < outer[1])}
-    if exact:
-        def derive(alpha):
-            obj = eps.hat_calculus
-            for ax, a in enumerate(alpha):
-                for _ in range(a):
-                    obj = obj.partial(ax + 1)
-            return [np.abs(obj.eval(grid))]
-    else:
-        # the entries (the upper triangle of a dense kind) as one stack
-        entries = eps.hat[None] if eps.kind == SCALAR \
-            else eps.hat[np.triu_indices(eps.hat.shape[0])]
-        window = _smooth_radial_window(grid, 0.65 * L, 0.95 * L)
-        half = grid.half_box()  # the half spectrum of the real entries
-        hat = fft_nodes(window * entries, half)
-
-        def derive(alpha):
-            return np.abs(ifft_nodes(derivative_symbol(half, alpha) * hat, half))
-
     orders = {}
     consistent = True
     for alpha in derivative_orders(grid.dim, eps.smoothness):
         power = eps.tau + (sum(alpha) if eps.decay_kind == DECAY_SECOND else 0.0)
-        derivs = derive(alpha)
-        sups = {}
-        for name, mask in masks.items():
-            worst = 0.0
-            for deriv in derivs:
-                worst = max(worst,
-                            float((deriv * weight_base ** power)[mask].max()))
-            sups[name] = worst
+        entry = eps.hat_calculus
+        for ax, a in enumerate(alpha):
+            for _ in range(a):
+                entry = entry.partial(ax + 1)
+        weighted = np.abs(entry.eval(grid)) * weight_base ** power
+        sups = {name: float(weighted[mask].max()) for name, mask in masks.items()}
         ok = sups["outer"] <= DECAY_GROWTH_SLACK * max(sups["inner"], 1e-300)
         consistent = consistent and ok
         orders[alpha] = {"inner": sups["inner"], "outer": sups["outer"],

@@ -133,6 +133,21 @@ def fourier_inverse(e: FormField) -> FormField:
     return FormField(e.grid.periodic_box(), e.rank, ifft_nodes(e.data, e.grid))
 
 
+def _inverse_in_place(hat: FormField) -> FormField:
+    """``fourier_inverse`` of a spectrum nothing else holds, with its
+    complex passes made in the spectrum's own buffer."""
+    return FormField(hat.grid.periodic_box(), hat.rank,
+                     ifft_nodes(hat.take_data(), hat.grid))
+
+
+def _scaled(fresh: FormField, factor) -> FormField:
+    """factor * the data of a fresh field (an R or T result, a symmetrized
+    member) that nothing else holds, in the field's own buffer; the operand
+    order is that of ``factor * data``."""
+    data = fresh.take_data()
+    return fresh.with_data(np.multiply(factor, data, out=data))
+
+
 def derivative_symbol(grid, alpha: tuple):
     """The multiplier (i xi)^alpha of d^alpha, broadcastable over the
     frequency grid (alpha holds one order per axis)."""
@@ -178,18 +193,12 @@ def partial_derivative(e: FormField, axis: int, order: int = 1) -> FormField:
         e, lambda hat: derivative_symbol(hat.grid, alpha) * hat.data))
 
 
-def _times_i(e: FormField) -> np.ndarray:
-    """i times the data of a fresh R or T result, scaled in place: the
-    array is the kernel's own output and nothing else holds it."""
-    data = e.take_data()
-    return np.multiply(1j, data, out=data)
-
-
 def exterior_d(e: FormField) -> FormField:
     """Exterior derivative via the frequency-side insertion operator."""
     if e.rank >= e.grid.dim:
         raise ValueError("rank overflow: d on a top-rank form")
-    return e.with_data(_apply_symbol(e, lambda hat: _times_i(apply_R(hat))),
+    return e.with_data(_apply_symbol(
+        e, lambda hat: _scaled(apply_R(hat), 1j).take_data()),
                        rank=e.rank + 1)
 
 
@@ -197,7 +206,8 @@ def coderivative_delta(e: FormField) -> FormField:
     """Co-derivative via the frequency-side contraction operator."""
     if e.rank < 1:
         raise ValueError("rank underflow: delta on a rank-0 form")
-    return e.with_data(_apply_symbol(e, lambda hat: _times_i(apply_T(hat))),
+    return e.with_data(_apply_symbol(
+        e, lambda hat: _scaled(apply_T(hat), 1j).take_data()),
                        rank=e.rank - 1)
 
 

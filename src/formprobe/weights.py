@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FormField, derivative_orders, norm
-from .spectral import derivative_symbol, fourier, fourier_inverse
+from .spectral import (_inverse_in_place, derivative_symbol, fourier,
+                       fourier_inverse)
 
 DEFAULT_MAX_ORDER = 3
 
@@ -77,8 +78,8 @@ def weighted_sobolev_norm(e: FormField, spec: NormSpec,
             hat = fourier(e)
         deriv = hat.with_data(derivative_symbol(hat.grid, alpha) * hat.data) \
             if k else hat
-        if exponent != 0.0:
-            deriv = fourier_inverse(deriv)
+        if exponent != 0.0:  # a fresh product is inverted in its own buffer
+            deriv = _inverse_in_place(deriv) if k else fourier_inverse(deriv)
         total += norm(deriv, exponent) ** 2
         del deriv
     return math.sqrt(total)

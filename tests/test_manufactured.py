@@ -7,12 +7,14 @@ import pytest
 from conftest import inverse_passes, max_abs, numpy_inverse, rel_gap
 from formprobe.decompose import _inv_symbol, hodge_decompose
 from formprobe.fields import FormField, GridSpec, apply_R, apply_T, norm
-from formprobe.manufactured import (PolyGauss, gaussian_form, halfspace_member,
-                                    parity_symmetrized, random_band_limited,
+from formprobe.manufactured import (ENVELOPE_DECAY, gaussian_form,
+                                    halfspace_member, parity_symmetrized,
+                                    random_band_limited,
                                     random_coclosed, random_dense_media,
                                     random_dyadic, trig_catalog_entry,
                                     _band_limited_spectrum, _random_trig)
 from formprobe.halfspace import restrict_to_half, trace_tangential
+from formprobe.media import PolyRhoGauss
 from formprobe.spectral import (assemble_d, assemble_delta,
                                 coderivative_delta, embed_cube, exterior_d,
                                 gradient, partial_derivative)
@@ -82,12 +84,17 @@ def test_gaussian_form_partials_close_under_differentiation():
     assert rel_gap(second, spectral) <= 1e-8
 
 
-def test_polygauss_partial_recurrence():
-    pg = PolyGauss(1, 2.0, {(0,): 1.0})
-    d1 = pg.partial(1)
-    assert d1.poly == {(1,): -4.0}  # d/dx e^{-2x^2} = -4x e^{-2x^2}
+def test_closed_form_partial_recurrence():
+    gauss = PolyRhoGauss({0: {(0,): 1.0}}, 2.0)
+    d1 = gauss.partial(1)
+    assert d1.terms == {0.0: {(1,): -4.0}}  # d/dx e^{-2x^2} = -4x e^{-2x^2}
     d2 = d1.partial(1)
-    assert d2.poly == {(0,): -4.0, (2,): 16.0}
+    assert d2.terms == {0.0: {(0,): -4.0, (2,): 16.0}}
+    # d/dx (1+x^2)^(-1/2) = -x (1+x^2)^(-3/2), no envelope term
+    rho = PolyRhoGauss({-0.5: {(0,): 1.0}})
+    assert rho.partial(1).terms == {-1.5: {(1,): -1.0}}
+    assert rho.partial(1).partial(1).terms == {-1.5: {(0,): -1.0},
+                                               -2.5: {(2,): 3.0}}
 
 
 def test_dyadic_fields_are_integer_valued():
@@ -144,6 +151,22 @@ def test_halfspace_member_has_exactly_zero_trace():
         e = halfspace_member(g, q, seed=11 + q)
         traced = trace_tangential(restrict_to_half(e))
         assert max_abs(traced) == 0.0
+
+
+def test_halfspace_member_scales_its_envelope_in_place():
+    # bitwise the envelope product of the symmetrized field, made in that
+    # field's buffer, so the peak holds the band-limited field and the
+    # member side by side and no third member-sized array
+    g = GridSpec(3, 3.0, 48)
+    member = halfspace_member(g, 1, seed=7)
+    base = parity_symmetrized(random_band_limited(g, 1, 7, kmax=6), "trace-free")
+    envelope = np.exp(-ENVELOPE_DECAY * g.radius_sq())
+    assert member.data.tobytes() == base.scale_pointwise(envelope).data.tobytes()
+    tracemalloc.start()
+    halfspace_member(g, 1, seed=7)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2.1 * member.data.nbytes
 
 
 def test_random_coclosed_is_coclosed():

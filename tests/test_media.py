@@ -4,9 +4,9 @@ import pytest
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, l2_inner, multi_indices,
                               norm, split_tangential_normal)
-from formprobe.manufactured import (PolyGauss, random_band_limited,
-                                    random_dense_media)
-from formprobe.media import (AdmissibilityError, RhoPolynomial,
+from formprobe.io import load_transformation, save_transformation
+from formprobe.manufactured import random_band_limited, random_dense_media
+from formprobe.media import (AdmissibilityError, PolyRhoGauss,
                              make_transformation, reconstruct_from_split,
                              reflected_transform, scalar_catalog,
                              verify_decay)
@@ -85,23 +85,39 @@ def test_rank_binding_enforced():
 @pytest.mark.parametrize("grid", (GridSpec(2, 3.0, 32), GridSpec(3, 3.0, 16)))
 def test_catalog_partials_match_hand_formulas(grid, monkeypatch):
     calls = []
-    for cls in (PolyGauss, RhoPolynomial):
-        monkeypatch.setattr(cls, "partial", lambda self, axis, f=cls.partial:
-                            calls.append(axis) or f(self, axis))
+    monkeypatch.setattr(PolyRhoGauss, "partial",
+                        lambda self, axis, f=PolyRhoGauss.partial:
+                        calls.append(axis) or f(self, axis))
     a, w, tau = 0.7, 1.3, 1.5
     r2 = grid.radius_sq()
     coords = grid.coord_fields()
-    formulas = {"gauss_well": [-2.0 * w * x * a * np.exp(-w * r2) for x in coords],
-                "radial_power": [-a * tau * x * (1.0 + r2) ** (-tau / 2.0 - 1.0)
-                                 for x in coords]}
-    for tag, reference in formulas.items():
+    gauss = a * np.exp(-w * r2)
+
+    def power(p):  # a (1 + r^2)^(-tau/2 - p)
+        return a * (1.0 + r2) ** (-tau / 2.0 - p)
+
+    # first partials, and d_i d_j with delta_ij = (i == j)
+    formulas = {
+        "gauss_well": ([-2.0 * w * x * gauss for x in coords],
+                       lambda i, j: (4.0 * w * w * coords[i] * coords[j]
+                                     - 2.0 * w * (i == j)) * gauss),
+        "radial_power": ([-tau * x * power(1) for x in coords],
+                         lambda i, j: tau * (tau + 2.0) * coords[i] * coords[j]
+                         * power(2) - tau * (i == j) * power(1))}
+    for tag, (first, second) in formulas.items():
         eps = scalar_catalog(grid, tag, amplitude=a, width=w, tau=tau)
         # no partial is evaluated until one is asked for, then all at once
         assert calls == []
-        for axis, ref in enumerate(reference, start=1):
+        for axis, ref in enumerate(first, start=1):
             got = eps.partial_array(axis)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         assert calls == list(range(1, grid.dim + 1))
+        # the closed form's second partials, in either order
+        for i in range(grid.dim):
+            for j in range(grid.dim):
+                ref = second(i, j)
+                got = eps.hat_calculus.partial(i + 1).partial(j + 1).eval(grid)
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         calls.clear()
 
 
@@ -114,14 +130,15 @@ def test_reflected_closed_form_partials(dim):
 
     # odd and even powers of x_N, below 1e-16 on the box faces, where the
     # periodic grid action of x_N -> -x_N identifies -L with L
-    entry = PolyGauss(dim, 6.0, {power(0, 0): 0.5, power(1, 0): 0.3,
-                                 power(0, 1): 0.4, power(0, 2): -0.2,
-                                 power(1, 1): 0.1, power(0, 3): 0.05})
+    entry = PolyRhoGauss({0.0: {power(0, 0): 0.5, power(1, 0): 0.3,
+                                power(0, 1): 0.4, power(0, 2): -0.2,
+                                power(1, 1): 0.1, power(0, 3): 0.05}}, 6.0)
     eps = make_transformation(g, None, "scalar", hat_calculus=entry, tau=1.0,
                               decay_kind="second-kind", smoothness=2)
     moved = reflected_transform(eps)
-    target = PolyGauss(dim, entry.decay, {alpha: c * (-1) ** alpha[-1]
-                                          for alpha, c in entry.poly.items()})
+    target = PolyRhoGauss({0.0: {alpha: c * (-1) ** alpha[-1]
+                                 for alpha, c in entry.terms[0.0].items()}},
+                          entry.decay)
     pairs = [(moved.hat, target.eval(g).real)]
     pairs += [(moved.partial_array(axis), target.partial(axis).eval(g).real)
               for axis in range(1, dim + 1)]
@@ -255,4 +272,24 @@ def test_radial_power_decay_consistent_at_declared_tau():
 def test_identity_decay_trivially_consistent():
     g = GridSpec(2, 1.0, 8)
     eps = make_transformation(g, None, "identity", tau=1.0)
+    assert verify_decay(eps)["consistent"]
+
+
+def test_decay_of_a_medium_without_closed_form_is_rejected(tmp_path):
+    g = GridSpec(3, 3.0, 32)
+    sampled = random_band_limited(g, 0, 5).data[0]
+    raw = make_transformation(g, None, "scalar",
+                              hat=0.5 * sampled / np.abs(sampled).max(), tau=1.0,
+                              decay_kind="second-kind", smoothness=3)
+    with pytest.raises(ValueError, match="closed-form"):
+        verify_decay(raw)
+    # the catalog's own radial_power samples, saved without their tag, load
+    # with values only, and are rejected whatever their decay
+    eps = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0)
+    path = tmp_path / "power.formeps"
+    save_transformation(path, eps)
+    loaded = load_transformation(path)
+    assert loaded.hat_calculus is None and np.array_equal(loaded.hat, eps.hat)
+    with pytest.raises(ValueError, match="closed-form"):
+        verify_decay(loaded)
     assert verify_decay(eps)["consistent"]

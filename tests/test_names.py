@@ -42,3 +42,29 @@ def _uncalled_names(package: Path) -> set:
 
 def test_every_library_name_has_a_caller_or_is_exported():
     assert _uncalled_names(Path(formprobe.__file__).parent) == set()
+
+
+def _unread_fields(package: Path, roots: list) -> set:
+    """Dataclass fields of the package that no code under ``roots`` reads
+    as an attribute (``report.min_rayleigh``); a keyword or a positional argument
+    that only fills a field is not a read."""
+    fields = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields.update((f"{path.stem}.{node.name}", item.target.id)
+                              for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+    read = {node.attr for root in roots for path in root.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{owner}.{name}" for owner, name in fields if name not in read}
+
+
+def test_every_dataclass_field_is_read():
+    package = Path(formprobe.__file__).parent
+    repo = Path(__file__).resolve().parent.parent
+    roots = [package, repo / "tests", repo / "bench"]
+    assert _unread_fields(package, [r for r in roots if r.is_dir()]) == set()

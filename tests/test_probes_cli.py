@@ -433,6 +433,21 @@ def test_cli_weighted_fails_a_catalog_file_of_lower_order(tmp_path, capsys):
     assert "FAIL media_decays" in out and out.count("FAIL") == 1
 
 
+def test_cli_weighted_rejects_a_raw_media_file(tmp_path, capsys):
+    # a raw file holds values only: it fails the doubled grid, and its decay
+    # has no closed form to be judged by
+    path = tmp_path / "raw.formeps"
+    save_transformation(path, scalar_catalog(GridSpec(2, PROBE_BOX_HALF_LENGTH, 16),
+                                             "radial_power", amplitude=0.5, tau=1.0))
+    with pytest.raises(ValueError, match="closed-form"):
+        _media_decays(load_transformation(path), 1.0)
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", "weighted", "--dim", "2", "--grid", "16",
+              "--media", f"file:{path}", "--ensemble", "2"])
+    assert err.value.code == 2
+    assert "does not match the probe grid" in capsys.readouterr().err
+
+
 def test_cli_halfspace_default_grid_resolves_material_product():
     # without --grid the halfspace variant picks the finer default that
     # keeps the scalar-media reconstruction inputs resolved

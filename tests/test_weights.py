@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,8 @@ def test_norm_transform_counts(monkeypatch):
     monkeypatch.setattr(weights, "fourier", counted("forward", weights.fourier))
     monkeypatch.setattr(weights, "fourier_inverse",
                         counted("inverse", weights.fourier_inverse))
+    monkeypatch.setattr(weights, "_inverse_in_place",
+                        counted("inverse", weights._inverse_in_place))
 
     def made(field, spec):
         counts.update(forward=0, inverse=0)
@@ -120,6 +123,17 @@ def test_norm_transform_counts(monkeypatch):
     # one inverse per weighted derivative term, here the two first partials
     assert made(e, NormSpec(1, 0.0, BOLD)) == (1, 2)
     assert made(hat, NormSpec(1, 0.0, BOLD)) == (0, 2)
+
+
+def test_weighted_terms_invert_in_their_own_buffer():
+    # F(E), one derivative term's spectrum and its inverse, with no copy of
+    # that spectrum: the term is inverted in its own buffer
+    e = gaussian_form(GridSpec(3, 3.0, 32), 1, 0).field()
+    tracemalloc.start()
+    weighted_sobolev_norm(e, NormSpec(1, 1.0, ROMAN))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3.5 * e.data.nbytes
 
 
 def test_order_cap_reported():
