@@ -87,19 +87,16 @@ def bridge_residuals(v: VectorFieldN3) -> dict:
     from .spectral import coderivative_delta, exterior_d
     e1 = vector_to_form(v, 1)
     e2 = vector_to_form(v, 2)
-    out = {}
-    # d on 1-forms is curl
-    out["d_is_curl"] = _rel(form_to_vector(exterior_d(e1)).components,
-                            curl(v).components)
-    # delta on 1-forms is div
-    out["delta_is_div"] = _rel(coderivative_delta(e1).data[0], div(v))
-    # d on 2-forms is div (volume-form coefficient)
-    out["d_is_div"] = _rel(exterior_d(e2).data[0], div(v))
-    # delta on 2-forms is -curl
-    out["delta_is_minus_curl"] = _rel(
-        form_to_vector(coderivative_delta(e2)).components,
-        -curl(v).components)
-    return out
+    curl_v = curl(v).components
+    div_v = div(v)
+    return {
+        # d on 1-forms is curl, delta on 1-forms is div
+        "d_is_curl": _rel(form_to_vector(exterior_d(e1)).components, curl_v),
+        "delta_is_div": _rel(coderivative_delta(e1).data[0], div_v),
+        # d on 2-forms is div (volume-form coefficient), delta is -curl
+        "d_is_div": _rel(exterior_d(e2).data[0], div_v),
+        "delta_is_minus_curl": _rel(
+            form_to_vector(coderivative_delta(e2)).components, -curl_v)}
 
 
 def roundtrip_exact(v: VectorFieldN3) -> bool:

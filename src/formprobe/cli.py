@@ -15,7 +15,7 @@ from . import bridge as bridge_mod
 from .fields import GridSpec
 from .probes import (IDENTITIES, ProbeReport, bridge_sample,
                      estimate_probe_interior, estimate_probe_weighted,
-                     halfspace_probe, run_identity_suite)
+                     halfspace_probe, run_identity_suite, worst_of)
 
 
 def _print_identity_lines(report: ProbeReport):
@@ -37,7 +37,16 @@ def _cmd_identities(args) -> int:
     return 0 if report.passed else 1
 
 
+# the estimate options a variant does not read
+_UNREAD = {"interior": ("tau",), "weighted": (), "halfspace": ("weight", "tau")}
+
+
 def _cmd_estimate(args) -> int:
+    for name in _UNREAD[args.variant]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} is not read by the {args.variant} variant")
+    args.weight = 0.0 if args.weight is None else args.weight
+    args.tau = 1.0 if args.tau is None else args.tau
     if args.grid is None:
         # the half-space members carry a confining envelope whose material
         # product needs the finer default grid to stay resolved
@@ -68,9 +77,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    if not args.check:
-        print("nothing to do; pass --check")
-        return 0
     grid = GridSpec(3, 3.0, args.grid)
     bound = IDENTITIES["bridge-dictionary"][0]
     worst = 0.0
@@ -78,7 +84,7 @@ def _cmd_bridge(args) -> int:
     for i in range(5):
         v = bridge_sample(grid, args.seed, i)
         residuals = bridge_mod.bridge_residuals(v)
-        worst = max(worst, max(residuals.values()))
+        worst = worst_of([worst, *residuals.values()])
         ok = ok and bridge_mod.roundtrip_exact(v)
         for name, value in sorted(residuals.items()):
             print(f"sample {i} {name}: {value:.3e}")
@@ -108,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--dim", type=int, default=3)
     p_est.add_argument("--rank", type=int, default=1)
     p_est.add_argument("--order", type=int, default=0)
-    p_est.add_argument("--weight", type=float, default=0.0)
-    p_est.add_argument("--tau", type=float, default=1.0)
+    p_est.add_argument("--weight", type=float, default=None,
+                       help="interior and weighted only (default 0)")
+    p_est.add_argument("--tau", type=float, default=None,
+                       help="weighted only (default 1)")
     p_est.add_argument("--media", type=str, default="id",
                        help="id | scalar | file:PATH")
     p_est.add_argument("--ensemble", type=int, default=50)
@@ -121,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_br = sub.add_parser("bridge", help="check the classical N=3 dictionary")
-    p_br.add_argument("--check", action="store_true")
     p_br.add_argument("--grid", type=int, default=32)
     p_br.add_argument("--seed", type=int, default=0)
     p_br.set_defaults(func=_cmd_bridge)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (FormField, apply_R, apply_T, apply_table, l2_inner, norm,
-                     sign_table)
+                     sign_table, sum_of_squares)
 from .media import Transformation
 from .spectral import (_inverse_in_place, _scaled, fourier, fourier_inverse,
                        harmonic_mask)
@@ -53,20 +53,12 @@ def _exact_projection(hat: FormField) -> FormField:
     return _scaled(apply_R(apply_T(hat)), _inv_symbol(hat.grid.freq_radius_sq()))
 
 
-def coexact_projection(hat: FormField) -> FormField:
-    """The co-exact part T R / |xi|^2 of a spectrum; harmonic modes go to 0."""
-    if hat.rank == hat.grid.dim:
-        return hat.with_data(np.zeros_like(hat.data))
-    return hat.with_data(coexact_data(hat.data, hat.rank, hat.grid.freq_fields()))
-
-
 def coexact_data(data: np.ndarray, rank: int, freqs: tuple) -> np.ndarray:
     """T R / |xi|^2 of the spectral data of a rank < N form, given at the
     frequencies ``freqs`` (xi_1 .. xi_N, broadcastable over its nodes): a
     whole frequency grid, or the index cube of a band-limited spectrum.
-    Harmonic modes go to 0; |xi|^2 is summed in axis order, as
-    ``GridSpec.freq_radius_sq`` sums it, so the values are the same."""
-    r2 = sum(xi * xi for xi in freqs)
+    Harmonic modes go to 0."""
+    r2 = sum_of_squares(freqs)
     nonzero = np.where(r2 == 0.0, 0.0, data)
     if rank == 0:
         return nonzero
@@ -80,7 +72,9 @@ def _split_spectral(hat: FormField) -> tuple:
     kernel = harmonic_mask(hat.grid)
     mean_hat = hat.with_data(np.where(kernel, hat.data, 0.0))
     nonzero = hat.with_data(np.where(kernel, 0.0, hat.data))
-    return _exact_projection(nonzero), coexact_projection(hat), mean_hat
+    coexact = (np.zeros_like(hat.data) if hat.rank == hat.grid.dim else
+               coexact_data(hat.data, hat.rank, hat.grid.freq_fields()))
+    return _exact_projection(nonzero), hat.with_data(coexact), mean_hat
 
 
 def hodge_decompose(e: FormField, eps: Transformation | None = None,

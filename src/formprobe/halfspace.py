@@ -10,7 +10,6 @@ here differentiates one-sidedly: derivatives arrive either analytically
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -195,25 +194,6 @@ def stokes_pairing_residual(e: FormField, h: FormField,
 # normal-derivative reconstruction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _sign_selfcheck() -> bool:
-    """Lock the insertion signs against the spectral d and delta (N=2)."""
-    from .spectral import (assemble_d, assemble_delta, coderivative_delta,
-                           exterior_d, gradient)
-    grid = GridSpec(2, 1.0, 16)
-    x2 = grid.coord_field(2)
-    comp = np.broadcast_to(np.sin(np.pi * x2), grid.shape)
-    e = FormField.from_components(grid, 1, {(1,): comp})
-    partials = gradient(e)
-    d_gap = np.abs(assemble_d(partials).data - exterior_d(e).data).max()
-    delta_gap = np.abs(assemble_delta(partials).data
-                       - coderivative_delta(e).data).max()
-    if max(d_gap, delta_gap) > 1e-10:
-        raise AssertionError("sign bookkeeping inconsistency in the "
-                             "normal-derivative formulas")
-    return True
-
-
 def normal_derivative_reconstruct(e: FormField, de: FormField | None,
                                   delta_eps_e: FormField | None,
                                   eps: Transformation,
@@ -225,7 +205,6 @@ def normal_derivative_reconstruct(e: FormField, de: FormField | None,
     normal components from the delta-formula after removing the material
     terms and inverting the normal block.  Returns {axis: FormField}.
     """
-    _sign_selfcheck()
     dim = e.grid.dim
     if de is not None and de.rank != e.rank + 1:
         raise ValueError("dE has inconsistent rank")

@@ -122,6 +122,13 @@ def _media_resolver(option: str, rank: int, variant: str, tau: float):
 # estimate probes
 # ---------------------------------------------------------------------------
 
+def worst_of(values) -> float:
+    """The largest value, NaN if any is NaN (``max`` keeps the first value
+    a NaN is compared with, so a NaN could vanish from a verdict)."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _ratio(numerator: float, denominator: float) -> float:
     # zero fields are assigned ratio 0 by convention
     return 0.0 if denominator == 0.0 else numerator / denominator
@@ -206,9 +213,9 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
         row = sample(grid, eps, i, True)
         row["index"] = i
         report.samples.append(row)
-        sup = max(sup, row["ratio"])
+        sup = worst_of((sup, row["ratio"]))
         total += row["ratio"]
-        sup_fine = max(sup_fine, sample(fine, eps_fine, i, False)["ratio"])
+        sup_fine = worst_of((sup_fine, sample(fine, eps_fine, i, False)["ratio"]))
     drift = abs(sup - sup_fine) / max(sup_fine, 1e-300)
     report.aggregates = {"sup_ratio": sup,
                          "mean_ratio": total / params["ensemble"],
@@ -330,9 +337,9 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
     params = {"dim": dim, "rank": rank, "order": order, "media": media,
               "ensemble": ensemble, "grid": grid_points, "seed": seed}
     report, _ = _run_probe("estimate-halfspace", params, "interior", 1.0, sample)
-    worst_reconstruct = max([0.0] + [s["reconstruct_residual"]
-                                     for s in report.samples])
-    worst_stokes = max([0.0] + [s["stokes_residual"] for s in report.samples])
+    worst_reconstruct = worst_of([0.0] + [s["reconstruct_residual"]
+                                          for s in report.samples])
+    worst_stokes = worst_of([0.0] + [s["stokes_residual"] for s in report.samples])
     report.aggregates["worst_reconstruct_residual"] = worst_reconstruct
     report.aggregates["worst_stokes_residual"] = worst_stokes
     report.flags["traces_vanish"] = all(s["trace_norm_rel"] <= 1e-10
@@ -781,7 +788,7 @@ def _check_bridge(seed):
     grid = GridSpec(3, 3.0, 32)
     for i in range(3):
         v = bridge_sample(grid, seed, i)
-        yield "bridge-dictionary", max(bridge_mod.bridge_residuals(v).values())
+        yield "bridge-dictionary", worst_of(bridge_mod.bridge_residuals(v).values())
         yield "bridge-roundtrip-exact", 0.0 if bridge_mod.roundtrip_exact(v) else 1.0
 
 
@@ -814,7 +821,7 @@ def run_identity_suite(dim: int, grid_points: int = 32, seed: int = 0) -> ProbeR
     for name, value in itertools.chain.from_iterable(checks):
         if name not in IDENTITIES:
             raise ValueError(f"identity check {name!r} is not in IDENTITIES")
-        worst[name] = max(worst.get(name, 0.0), value)
+        worst[name] = worst_of((worst.get(name, 0.0), value))
     rows = [{"name": name, "residual": float(worst[name]), "tolerance": tol,
              "mode": mode, "pass": bool(worst[name] >= tol if mode == "ge"
                                         else worst[name] <= tol)}

@@ -258,8 +258,7 @@ def gaffney_identity_check(phi: FormField) -> GaffneyReport:
 # ---------------------------------------------------------------------------
 # d and delta assembled from given partial derivatives, where spectral
 # differentiation is unavailable: the closed-form partials of manufactured
-# forms (probes._check_stokes) and the sign self-check of the half-space
-# reconstruction (halfspace._sign_selfcheck)
+# forms (probes._check_stokes)
 # ---------------------------------------------------------------------------
 
 def assemble_d(partials: dict) -> FormField:

@@ -10,7 +10,7 @@ from formprobe.fields import (FormField, GridSpec, Region, _inner_weight,
                               apply_R, apply_T, complement_index, hodge_star, index_position,
                               l2_inner, merge_sign,
                               multi_indices, n_components, norm,
-                              reflection_signs, sign_table,
+                              reflection_signs,
                               split_tangential_normal, star_sign, wedge)
 from formprobe.halfspace import restrict_to_half
 from formprobe.manufactured import (gaussian_form, random_band_limited,
@@ -485,12 +485,13 @@ def test_reflect_table_is_the_pullback_of_the_reflection():
     for dim in (1, 2, 3, 4):
         reflection = (tuple(range(1, dim + 1)), (1,) * (dim - 1) + (-1,))
         for q in range(dim + 1):
-            table = sign_table("reflect", dim, q)
-            assert table.entries == tuple(_pullback_entries(dim, q, *reflection))
-            assert (table.targets, table.sources) == (n_components(dim, q),) * 2
+            # the pullback is diagonal: each component keeps its place
+            entries = _pullback_entries(dim, q, *reflection)
+            assert [(t, s) for t, s, _, _ in entries] == [(p, p) for p in
+                                                          range(n_components(dim, q))]
             signs = reflection_signs(dim, q)
             assert signs.shape == (n_components(dim, q),) + (1,) * dim
-            assert signs.ravel().tolist() == [s for _, _, s, _ in table.entries]
+            assert signs.ravel().tolist() == [s for _, _, s, _ in entries]
 
 
 def test_star_and_media_on_the_half_box_match_the_full_box_bitwise():

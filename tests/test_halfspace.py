@@ -4,8 +4,7 @@ import pytest
 from conftest import inverse_passes, max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, Region, hodge_star, l2_inner,
                               norm)
-from formprobe.halfspace import (_sign_selfcheck, boundary_grid,
-                                 diff_quotient, extend_boundary_form,
+from formprobe.halfspace import (boundary_grid, diff_quotient, extend_boundary_form,
                                  mirror_Sd, mirror_Sdelta,
                                  normal_derivative_reconstruct,
                                  restrict_to_half, shift,
@@ -515,7 +514,6 @@ def test_reconstruction_transforms_material_entries_once(fft_calls):
     args = (restrict_to_half(e), restrict_to_half(exterior_d(e)),
             restrict_to_half(coderivative_delta(eps.apply(e))), eps,
             {j: restrict_to_half(parts[j]) for j in (1, 2)})
-    _sign_selfcheck()  # its transforms run once per process
     fft_calls.clear()
     rec = normal_derivative_reconstruct(*args)
     # one forward transform of the real entry stack, one inverse (its

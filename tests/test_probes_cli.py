@@ -8,12 +8,11 @@ import pytest
 from conftest import inverse_passes
 from formprobe.cli import main
 from formprobe.fields import GridSpec, norm
-from formprobe.halfspace import _sign_selfcheck
 from formprobe.io import load_transformation, save_transformation
 from formprobe.manufactured import (gaussian_form, halfspace_member,
                                     random_band_limited, random_dense_media)
 from formprobe.media import make_transformation, scalar_catalog, verify_decay
-from formprobe import probes
+from formprobe import bridge as bridge_mod, probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
                               _media_decays, _media_resolver, _member_spectra,
                               _member_stokes_residual,
@@ -174,7 +173,6 @@ def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
     e = halfspace_member(grid, 1, 0, kmax=6)
     hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
-    _sign_selfcheck()  # its transforms run once per process
     fft_calls.clear()
     de = fourier_inverse(de_hat)
     rec = _reconstruction_residual(e, eps, hat, de, delta_eps_hat)
@@ -457,6 +455,61 @@ def test_cli_halfspace_default_grid_resolves_material_product():
 
 
 def test_cli_bridge_check(capsys):
-    assert main(["bridge", "--check", "--grid", "16", "--seed", "1"]) == 0
+    assert main(["bridge", "--grid", "16", "--seed", "1"]) == 0
     captured = capsys.readouterr()
     assert "PASS" in captured.out
+
+
+@pytest.mark.parametrize("variant, option", [("interior", "--tau"),
+                                             ("halfspace", "--weight"),
+                                             ("halfspace", "--tau")])
+def test_cli_estimate_rejects_options_its_variant_does_not_read(variant, option,
+                                                                capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", variant, option, "9", "--dim", "2",
+              "--grid", "16", "--ensemble", "1"])
+    assert err.value.code == 2
+    assert f"{option} is not read by the {variant} variant" in capsys.readouterr().err
+
+
+# a NaN fails its verdict: max() would keep the value it is compared with
+
+def test_identity_suite_fails_a_nan_residual(monkeypatch):
+    for name in ("_check_pointwise_algebra", "_check_spectral", "_check_weights",
+                 "_check_media", "_check_halfspace", "_check_stokes",
+                 "_check_reconstruction", "_check_decomposition"):
+        monkeypatch.setattr(probes, name, lambda *args: iter(()))
+    monkeypatch.setattr(probes, "_check_bridge",
+                        lambda seed: iter([("bridge-dictionary", math.nan)]))
+    report = run_identity_suite(3, 16)
+    (row,) = report.samples
+    assert math.isnan(row["residual"]) and not row["pass"]
+    assert not report.passed
+
+
+def test_halfspace_probe_fails_nan_residuals(monkeypatch):
+    monkeypatch.setattr(probes, "_reconstruction_residual", lambda *args: math.nan)
+    monkeypatch.setattr(probes, "_member_stokes_residual", lambda *args: math.nan)
+    report = halfspace_probe(2, 1, 0, ensemble=2, grid_points=16)
+    assert not report.flags["reconstruction_consistent"]
+    assert not report.flags["stokes_residual_small"]
+
+
+def test_refined_nan_ratio_is_not_stable_under_doubling():
+    def sample(grid, eps, i, checked):  # member 1 on the doubled grid is NaN
+        return {"ratio": 1.0 if checked or i == 0 else math.nan}
+
+    params = {"dim": 2, "rank": 1, "media": "id", "ensemble": 2, "grid": 8,
+              "seed": 0}
+    report, _ = probes._run_probe("test", params, "interior", 1.0, sample)
+    assert report.flags["ratios_finite"]
+    assert not report.flags["stable_under_doubling"]
+
+
+def test_bridge_check_fails_a_nan_residual(monkeypatch, capsys):
+    monkeypatch.setattr(bridge_mod, "bridge_residuals",
+                        lambda v: {"d_is_curl": 0.0, "d_is_div": math.nan})
+    assert main(["bridge", "--grid", "16"]) == 1
+    assert "FAIL dictionary rows" in capsys.readouterr().out
+    values = dict(probes._check_bridge(0))
+    assert math.isnan(values["bridge-dictionary"])
