@@ -7,6 +7,17 @@ Hodge-Helmholtz splitting, and a probe harness for the associated
 regularity estimates.
 """
 
+import os
+
+# Loading OpenBLAS starts its thread pool, about a third of the start-up
+# time, and no call in this package uses the workers: every dot product
+# runs in blocks below OpenBLAS's threading threshold
+# (``fields._VDOT_BLOCK``), and the linear algebra works on batches of
+# small matrices.  So numpy, imported by every module below, loads it with
+# one thread unless the user chose a count; a process that imported numpy
+# first keeps the pool it has.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .fields import (FormField, GridSpec, Region, apply_R, apply_T,
                      hodge_star, l2_inner, multi_indices, norm,
                      split_tangential_normal, wedge)

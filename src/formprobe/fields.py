@@ -305,7 +305,9 @@ class FormField:
     def take_data(self) -> np.ndarray:
         """The data array, writeable again, for a caller that holds the only
         reference to this field (an operator's fresh output) and reuses its
-        buffer in place; the field is not read after."""
+        buffer in place; the field is not read after.  The spectrum that
+        ``spectral.fourier`` remembers for it is dropped."""
+        vars(self).pop("_spectrum", None)
         self.data.flags.writeable = True
         return self.data
 
@@ -570,7 +572,10 @@ def split_tangential_normal(e) -> tuple:
 
 # OpenBLAS threads a complex dot product above 10 000 elements, and the
 # worker it wakes then spins on another core after every call; blocks
-# below that size keep the sum on the calling thread.
+# below that size keep the sum on the calling thread.  formprobe loads
+# OpenBLAS with one thread by default, but a process that imported numpy
+# first (or set OPENBLAS_NUM_THREADS) still has the pool, and the block
+# order fixes the sum's rounding, hence the report bytes.
 _VDOT_BLOCK = 8192
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .decompose import coexact_data
 from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
-                     n_components, reflect_nodes, reflection_signs)
+                     n_components, reflect_nodes, reflection_signs,
+                     sign_table)
 from .media import DECAY_NONE, PolyRhoGauss, make_transformation
 from .spectral import _scaled, cube_freq_fields, ifft_nodes
 
@@ -92,10 +93,21 @@ class ManufacturedForm:
                                 {mi: c.partial(axis)
                                  for mi, c in self.comps.items()})
 
-    def partials(self) -> dict:
+    def partials(self, kind: str | None = None) -> dict:
         """Every first partial as a field keyed by its 1-based axis: the
-        input of ``spectral.assemble_d`` and ``assemble_delta``."""
-        return {j: self.partial(j).field()
+        input of ``spectral.assemble_d`` and ``assemble_delta``.
+
+        With ``kind`` ("R" for d, "T" for delta) only the components that
+        table reads are evaluated and the rest stay zero (delta of a
+        rank-1 form reads the diagonal d_j E_j alone).
+        """
+        mis = multi_indices(self.grid.dim, self.rank)
+        read = None if kind is None else {
+            (axis + 1, mis[s])
+            for _, s, _, axis in sign_table(kind, self.grid.dim, self.rank).entries}
+        return {j: ManufacturedForm(self.grid, self.rank, {
+                    mi: c for mi, c in self.comps.items()
+                    if read is None or (j, mi) in read}).partial(j).field()
                 for j in range(1, self.grid.dim + 1)}
 
 

@@ -716,8 +716,8 @@ def _check_stokes(dim, seed):
         h_m = gaussian_form(grid, 1, seed + 6, decay=2.5)
         residuals[n] = stokes_pairing_residual(
             restrict_to_half(e_m.field()), restrict_to_half(h_m.field()),
-            restrict_to_half(assemble_d(e_m.partials())),
-            restrict_to_half(assemble_delta(h_m.partials())))
+            restrict_to_half(assemble_d(e_m.partials("R"))),
+            restrict_to_half(assemble_delta(h_m.partials("T"))))
     yield ("stokes-pairing-refinement-factor",
            residuals[32] / max(residuals[64], 1e-300))
 

@@ -18,6 +18,7 @@ hold to round-off.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,13 +119,23 @@ def ifft_nodes(data: np.ndarray, grid, kmax: int | None = None) -> np.ndarray:
 
 def fourier(e: FormField) -> FormField:
     """Componentwise unitary FFT; the result lives on the frequency grid,
-    the half layout for a real field."""
+    the half layout for a real field.
+
+    E keeps a weak reference to its spectrum, so while that spectrum is
+    alive a second call returns it instead of transforming again; the
+    reference extends no lifetime.  A spectrum made here may be shared, so
+    no caller reuses its buffer (``take_data``).
+    """
     if e.spectral:
         raise ValueError("field is already in frequency space")
     if e.grid.half:
         raise ValueError("a half-box field has no spectrum")
-    freq = e.grid if np.iscomplexobj(e.data) else e.grid.half_box()
-    return FormField(freq, e.rank, fft_nodes(e.data, freq), spectral=True)
+    hat = vars(e).get("_spectrum", lambda: None)()
+    if hat is None:
+        freq = e.grid if np.iscomplexobj(e.data) else e.grid.half_box()
+        hat = FormField(freq, e.rank, fft_nodes(e.data, freq), spectral=True)
+        object.__setattr__(e, "_spectrum", weakref.ref(hat))
+    return hat
 
 
 def fourier_inverse(e: FormField) -> FormField:

@@ -184,6 +184,16 @@ def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     assert rec <= 1e-8 and stokes <= 1e-6
 
 
+def test_spectral_identities_reuse_the_live_spectrum(fft_calls):
+    # while F(E) is held, every operator on E reads it instead of
+    # transforming E again: 55 forward transforms at N = 3, against 90
+    # when each call made its own
+    fft_calls.clear()
+    list(probes._check_spectral(GridSpec(3, 3.0, 8), 0))
+    assert fft_calls.count("rfftn") == 55
+    assert len(fft_calls) == 247
+
+
 def test_halfspace_member_rejection():
     g = GridSpec(2, 3.0, 16)
     bad = random_band_limited(g, 1, 3)  # generic: nonzero trace

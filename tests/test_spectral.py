@@ -49,6 +49,25 @@ def test_fourier_requires_direction():
         fourier_inverse(FormField.zeros(gp, 0))
 
 
+def test_fourier_returns_the_spectrum_while_it_is_alive(fft_calls):
+    e = random_band_limited(GridSpec(2, 1.0, 8), 1, 3)
+    fft_calls.clear()
+    hat = fourier(e)
+    assert fourier(e) is hat
+    assert fft_calls == ["rfftn"]
+    first = hat.data.copy()
+    del hat  # the weak reference keeps nothing alive: a new transform
+    assert np.array_equal(fourier(e).data, first)
+    assert fft_calls == ["rfftn"] * 2
+    # a field whose buffer is reused never serves the spectrum it had
+    hat = fourier(e)
+    data = e.take_data()
+    data *= 2.0
+    again = fourier(e)
+    assert again is not hat and fft_calls == ["rfftn"] * 4
+    assert np.array_equal(again.data, 2.0 * first)
+
+
 def test_star_commutes_with_fourier_exactly():
     g = GridSpec(3, 1.0, 16)
     for q in range(4):
@@ -214,6 +233,12 @@ def test_assembly_adds_terms_in_ascending_axis_order():
     p = gaussian_form(g, 1, 3).partials()
     assert np.array_equal(assemble_delta(p).data[0],
                           p[1].data[0] + p[2].data[1] + p[3].data[2])
+    # the partials delta reads: d_j E_j alone, the rest left zero
+    read = gaussian_form(g, 1, 3).partials("T")
+    for j in (1, 2, 3):
+        assert np.array_equal(read[j].data[j - 1], p[j].data[j - 1])
+        assert not np.delete(read[j].data, j - 1, axis=0).any()
+    assert np.array_equal(assemble_delta(read).data, assemble_delta(p).data)
     p = gaussian_form(g, 2, 4).partials()
     assert np.array_equal(assemble_d(p).data[0],
                           p[1].data[2] - p[2].data[1] + p[3].data[0])
