@@ -18,7 +18,7 @@ import os
 # first keeps the pool it has.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .fields import (FormField, GridSpec, Region, apply_R, apply_T,
+from .fields import (FormField, GridSpec, apply_R, apply_T,
                      hodge_star, l2_inner, multi_indices, norm,
                      split_tangential_normal, wedge)
 from .spectral import (coderivative_delta, exterior_d, fourier,
@@ -44,7 +44,7 @@ from .probes import (ProbeReport, estimate_probe_interior,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormField", "GridSpec", "Region", "apply_R", "apply_T", "hodge_star",
+    "FormField", "GridSpec", "apply_R", "apply_T", "hodge_star",
     "l2_inner", "multi_indices", "norm", "split_tangential_normal", "wedge",
     "coderivative_delta", "exterior_d", "fourier", "fourier_inverse",
     "gaffney_identity_check", "laplacian", "spectral_sobolev_norm",

@@ -4,13 +4,13 @@ A rank-q form on an N-dimensional periodic box is stored as a stack of
 C(N, q) scalar fields, one per strictly increasing multi-index, in
 lexicographic multi-index order: float64 for a real form, complex128 for
 a complex one and for every spectrum.  Every signed map between components
-(wedge splits, Hodge star, R and T, traces) is a cached ``sign_table``
-built from ``merge_sign`` and applied by the one kernel ``apply_table``, on
-the periodic box, the half box, the boundary plane or the frequency grid.
+(Hodge star, R and T, wedge splits) is a cached ``sign_table`` built from
+``merge_sign`` and applied by the one kernel ``apply_table``, on the
+periodic box, the half box, the boundary plane or the frequency grid.
 Which components hold x_N is one mask, ``normal_mask``: the
-tangential/normal split selects by it, and the reflection (x', x_N) ->
-(x', -x_N) is its sign vector (``reflection_signs``) and one node flip
-(``reflect_nodes``).
+tangential/normal split and the traces select by it, and the reflection
+(x', x_N) -> (x', -x_N) is its sign vector (``reflection_signs``) and one
+node flip (``reflect_nodes``).
 """
 
 from __future__ import annotations
@@ -208,37 +208,6 @@ def sum_of_squares(axes) -> np.ndarray:
     return r2
 
 
-@dataclass(frozen=True)
-class Region:
-    """Sub-region of a grid: full box, ball, lower half-space or annulus."""
-
-    grid: GridSpec
-    kind: str
-    radius: float = 0.0
-    outer_radius: float = 0.0
-
-    KINDS = ("full", "ball", "halfspace_lower", "annulus")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == "ball" and self.radius <= 0:
-            raise ValueError("ball region needs a positive radius")
-        if self.kind == "annulus" and not 0 <= self.radius < self.outer_radius:
-            raise ValueError("annulus needs 0 <= inner < outer radius")
-
-    def mask(self) -> np.ndarray:
-        if self.kind == "full":
-            return np.ones(self.grid.shape, dtype=bool)
-        if self.kind == "halfspace_lower":
-            xn = self.grid.coord_field(self.grid.dim)
-            return np.broadcast_to(xn < 0, self.grid.shape)
-        r2 = self.grid.radius_sq()
-        if self.kind == "ball":
-            return r2 < self.radius ** 2
-        return (self.radius ** 2 < r2) & (r2 < self.outer_radius ** 2)
-
-
 # ---------------------------------------------------------------------------
 # form fields
 # ---------------------------------------------------------------------------
@@ -369,14 +338,12 @@ class SignTable:
     target in ascending order, each target's terms in accumulation order.
     ``factor`` indexes the stack multiplied into the term (the 0-based axis
     for R and T, the component of the second form for the wedge) or is
-    None.  In a paired table (the wedge of equal ranks) consecutive entries
-    form one term.
+    None.
     """
 
     targets: int
     sources: int
     entries: tuple
-    paired: bool = False
 
 
 def _insertion_entries(dim: int, rank: int, contract: bool) -> list:
@@ -395,25 +362,14 @@ def _insertion_entries(dim: int, rank: int, contract: bool) -> list:
 
 
 def _wedge_entries(dim: int, p: int, q: int) -> list:
-    """Splits of each rank-(p+q) index into a rank-p and a rank-q part.
-
-    Equal ranks pair the two orientations of each split (low index in the
-    first part), which makes graded anticommutation exact in floating point.
-    """
-    if p == q == 0:
-        return [(0, 0, 1, 0)]
+    """Every split of each rank-(p+q) index into a rank-p part and the
+    rank-q rest, the rank-p parts in lexicographic order."""
     entries = []
     for t, k_mi in enumerate(multi_indices(dim, p + q)):
-        for d_mi in combinations(k_mi, min(p, q)):
-            if p == q and k_mi[0] not in d_mi:
-                continue
-            rest = tuple(i for i in k_mi if i not in d_mi)
-            left, right = (d_mi, rest) if p <= q else (rest, d_mi)
+        for left in combinations(k_mi, p):
+            right = tuple(i for i in k_mi if i not in left)
             entries.append((t, index_position(dim, left),
                             merge_sign(left, right)[1], index_position(dim, right)))
-            if p == q:
-                entries.append((t, index_position(dim, right),
-                                merge_sign(right, left)[1], index_position(dim, left)))
     return entries
 
 
@@ -421,35 +377,24 @@ def _wedge_entries(dim: int, p: int, q: int) -> list:
 def sign_table(kind, dim: int, rank: int) -> SignTable:
     """The cached sign table of a map on rank-q components in dimension N.
 
-    kind is "star", "R", "T", "trace" (drop the components with N:
-    dimension N to N - 1), "extend" (its transpose) or ("wedge", q2) for
-    the product with a rank-q2 form.  Every sign comes from ``merge_sign``.
+    kind is "star", "R", "T" or ("wedge", q2) for the product with a
+    rank-q2 form.  Every sign comes from ``merge_sign``.
     """
     name = kind if isinstance(kind, str) else kind[0]
     mis = multi_indices(dim, rank)
-    targets = sources = len(mis)
-    paired = False
+    targets = len(mis)
     if name == "star":
         entries = sorted((index_position(dim, complement_index(mi, dim)), pos,
                           star_sign(mi, dim), None) for pos, mi in enumerate(mis))
     elif name in ("R", "T"):
         targets = n_components(dim, rank + (1 if name == "R" else -1))
         entries = _insertion_entries(dim, rank, name == "T")
-    elif name == "trace":
-        targets = n_components(dim - 1, rank)
-        entries = [(pos, index_position(dim, mi), 1, None)
-                   for pos, mi in enumerate(multi_indices(dim - 1, rank))]
-    elif name == "extend":
-        trace = sign_table("trace", dim, rank)
-        sources = trace.targets
-        entries = sorted((s, t, sign, f) for t, s, sign, f in trace.entries)
     elif name == "wedge":
         targets = n_components(dim, rank + kind[1])
-        paired = rank == kind[1] > 0
         entries = _wedge_entries(dim, rank, kind[1])
     else:
         raise ValueError(f"unknown sign table {kind!r}")
-    return SignTable(targets, sources, tuple(entries), paired)
+    return SignTable(targets, len(mis), tuple(entries))
 
 
 def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
@@ -459,8 +404,7 @@ def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
     source[s], source[s] * factors[f] when factors are given, or
     source[f][s] when ``source`` is a sequence of stacks, one per factor
     (d and delta assembled from given partials).  Each target adds its
-    terms in table order; a paired table sums each pair first.  The output
-    is real when every input is.
+    terms in table order.  The output is real when every input is.
     """
     if not isinstance(source, np.ndarray):
         inputs, term = source, lambda s, f: source[f][s]
@@ -469,20 +413,9 @@ def apply_table(table: SignTable, source, factors=None) -> np.ndarray:
     else:
         inputs, term = [source, *factors], lambda s, f: source[s] * factors[f]
     out = np.empty((table.targets,) + inputs[0].shape[1:], np.result_type(*inputs))
-    step = 2 if table.paired else 1
     last = -1
-    for i in range(0, len(table.entries), step):
-        t, s, sign, f = table.entries[i]
+    for t, s, sign, f in table.entries:
         value = term(s, f)
-        if table.paired:  # value is a fresh product here
-            _, s2, sign2, f2 = table.entries[i + 1]
-            if sign < 0:
-                np.negative(value, out=value)
-            if sign2 > 0:
-                value += term(s2, f2)
-            else:
-                value -= term(s2, f2)
-            sign = 1
         if t != last:
             out[last + 1:t] = 0.0
             if sign > 0:

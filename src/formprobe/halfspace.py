@@ -15,7 +15,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import (FormField, GridSpec, apply_table, hodge_star, l2_inner,
-                     reflection_signs, sign_table, weighted_inner)
+                     normal_mask, reflection_signs, sign_table, weighted_inner)
 from .media import Transformation
 
 GREGORY4 = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
@@ -108,7 +108,7 @@ def boundary_grid(grid: GridSpec) -> GridSpec:
 def trace_tangential(e: FormField) -> FormField:
     """Tangential trace: components without N, restricted to x_N = 0."""
     _check_half(e)
-    out = apply_table(sign_table("trace", e.grid.dim, e.rank), e.data[..., -1])
+    out = e.data[~normal_mask(e.grid.dim, e.rank), ..., -1]
     return FormField(boundary_grid(e.grid), e.rank, out)
 
 
@@ -139,7 +139,9 @@ def extend_boundary_form(b: FormField, grid: GridSpec,
     with np.errstate(divide="ignore", over="ignore"):
         t = np.clip(np.abs(xn) / width, 0.0, 1.0)
         cutoff = np.where(t < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t * t, 1e-300)), 0.0)
-    lifted = apply_table(sign_table("extend", grid.dim, b.rank), b.data)
+    tangential = ~normal_mask(grid.dim, b.rank)
+    lifted = np.zeros(tangential.shape + b.data.shape[1:], b.data.dtype)
+    lifted[tangential] = b.data
     return FormField(half, b.rank, lifted[..., None] * cutoff)
 
 

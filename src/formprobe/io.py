@@ -34,8 +34,10 @@ def _read_header(fh, magic: bytes) -> dict:
 
 def _read_payload(fh, header: dict, kind: str, shape: tuple) -> np.ndarray:
     """The rest of the file as an array of the header's shape and dtype."""
-    endian = "<" if header.get("endian", "little") == "little" else ">"
-    dtype = np.dtype(endian + kind)
+    endian = header.get("endian", "little")
+    if endian not in ("little", "big"):
+        raise ValueError(f"unknown payload endianness {endian!r}")
+    dtype = np.dtype(("<" if endian == "little" else ">") + kind)
     raw = fh.read()
     expected = math.prod(shape) * dtype.itemsize
     if len(raw) != expected:

@@ -22,8 +22,8 @@ import numpy as np
 from . import bridge as bridge_mod
 from .decompose import (hodge_decompose, potential_for_exact,
                         solve_coderivative, split_orthogonality)
-from .fields import (FormField, GridSpec, Region, apply_R, apply_T,
-                     apply_table, hodge_star, l2_inner, norm, sign_table,
+from .fields import (FormField, GridSpec, apply_R, apply_T, apply_table,
+                     hodge_star, l2_inner, norm, normal_mask, sign_table,
                      split_tangential_normal, wedge)
 from .halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
                         normal_derivative_reconstruct, restrict_to_half,
@@ -587,6 +587,7 @@ def _check_weights(dim, seed):
     small = GridSpec(min(dim, 3), 3.0, 32)
     for q in (0, min(1, small.dim)):
         e = gaussian_form(small, q, seed + 7 * q, decay=3.0).field()
+        hat = fourier(e)  # held: each norm below gets it back from fourier(e)
         for s in (-1.0, 0.0, 1.0):
             for m in (0, 1):
                 bold = weighted_sobolev_norm(e, NormSpec(m, s, BOLD))
@@ -675,10 +676,10 @@ def _check_halfspace(grid, seed):
                              mirror_Sdelta(restrict_to_half(
                                  coderivative_delta(dual_compatible)))))
         # support containment on masks
-        ball = Region(grid, "ball", radius=grid.half_length / 2)
-        mask = ball.mask() & (grid.coord_field(dim) <= 0)
+        ball = grid.radius_sq() < (grid.half_length / 2) ** 2
+        mask = ball & (grid.coord_field(dim) <= 0)
         masked = mirror_compatible.scale_pointwise(mask.astype(float))
-        outside = ~ball.mask()
+        outside = ~ball
         leak = np.abs(mirror_Sd(restrict_to_half(masked)).data[:, outside])
         yield ("mirror-support-containment",
                float(leak.max()) if leak.size else 0.0)
@@ -693,13 +694,15 @@ def _check_halfspace(grid, seed):
             rhs = trace_tangential(restrict_to_half(exterior_d(e)))
             yield "trace-d-commutation", _rel_norm(lhs, rhs)
         plane = half.data[..., -1]
-        rebuilt = apply_table(sign_table("extend", dim, q), traced.data)
+        rebuilt = np.zeros_like(plane)
+        rebuilt[~normal_mask(dim, q)] = traced.data
         if q >= 1:
             # invert gamma_n = sign * star_b(gamma_t(star E)) with the double
             # star rules: E^rho = sign' * star(extension of star_b(gamma_n E))
             sign = -1.0 if ((q - 1) * dim + (dim - 1) + (dim - q)) % 2 else 1.0
-            lifted = apply_table(sign_table("extend", dim, dim - q),
-                                 hodge_star(trace_normal(half)).data)
+            tangential = ~normal_mask(dim, dim - q)
+            lifted = np.zeros(tangential.shape + plane.shape[1:], plane.dtype)
+            lifted[tangential] = hodge_star(trace_normal(half)).data
             rebuilt = rebuilt + sign * apply_table(sign_table("star", dim, dim - q),
                                                    lifted)
         yield ("trace-data-bijection",

@@ -16,8 +16,8 @@ from conftest import max_abs, rel_gap
 from formprobe.bridge import VectorFieldN3, bridge_residuals, roundtrip_exact
 from formprobe.decompose import (hodge_decompose, solve_coderivative,
                                  split_orthogonality)
-from formprobe.fields import (GridSpec, Region, apply_R, apply_T,
-                              hodge_star, l2_inner, norm)
+from formprobe.fields import (GridSpec, apply_R, apply_T, hodge_star,
+                              l2_inner, norm)
 from formprobe.halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
                                  normal_derivative_reconstruct,
                                  restrict_to_half, shift,
@@ -286,11 +286,10 @@ def test_criterion_08_mirror_operators():
                 lhs = coderivative_delta(mirror_Sdelta(restrict_to_half(dual)))
                 rhs = mirror_Sdelta(restrict_to_half(coderivative_delta(dual)))
                 worst_comm = max(worst_comm, rel_gap(lhs, rhs))
-            ball = Region(grid, "ball", radius=grid.half_length / 2)
-            mask = ball.mask() & np.broadcast_to(
-                grid.coord_field(dim) <= 0, grid.shape)
+            ball = grid.radius_sq() < (grid.half_length / 2) ** 2
+            mask = ball & np.broadcast_to(grid.coord_field(dim) <= 0, grid.shape)
             masked = compat.scale_pointwise(mask.astype(float))
-            leak = np.abs(mirror_Sd(restrict_to_half(masked)).data[:, ~ball.mask()])
+            leak = np.abs(mirror_Sd(restrict_to_half(masked)).data[:, ~ball])
             worst_support = max(worst_support,
                                 float(leak.max()) if leak.size else 0.0)
     assert worst_iso <= 1e-12

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_abs, rel_gap
-from formprobe.fields import (FormField, GridSpec, Region, _inner_weight,
-                              apply_R, apply_T, complement_index, hodge_star, index_position,
-                              l2_inner, merge_sign,
+from formprobe.fields import (FormField, GridSpec, SignTable, _inner_weight,
+                              apply_R, apply_T, apply_table, complement_index,
+                              hodge_star, index_position, l2_inner, merge_sign,
                               multi_indices, n_components, norm,
                               reflection_signs,
                               split_tangential_normal, star_sign, wedge)
-from formprobe.halfspace import restrict_to_half
+from formprobe.halfspace import (boundary_grid, extend_boundary_form,
+                                 restrict_to_half, trace_tangential)
 from formprobe.manufactured import (gaussian_form, random_band_limited,
                                     random_dense_media, random_dyadic)
 from formprobe.media import make_transformation, scalar_catalog
@@ -55,7 +56,7 @@ def test_star_sign_matches_complement_parity():
 
 
 # ---------------------------------------------------------------------------
-# grid and regions
+# grid
 # ---------------------------------------------------------------------------
 
 def test_gridspec_geometry():
@@ -73,21 +74,6 @@ def test_gridspec_rejects_odd_points():
         GridSpec(0, 1.0, 8)
     with pytest.raises(ValueError):
         GridSpec(2, -1.0, 8)
-
-
-def test_region_masks():
-    g = GridSpec(2, 1.0, 16)
-    ball = Region(g, "ball", radius=0.5)
-    assert ball.mask()[8, 8]          # the origin
-    assert not ball.mask()[0, 0]
-    half = Region(g, "halfspace_lower")
-    assert half.mask()[3, 0] and not half.mask()[3, 8]
-    ann = Region(g, "annulus", radius=0.3, outer_radius=0.9)
-    assert not ann.mask()[8, 8]
-    with pytest.raises(ValueError):
-        Region(g, "annulus", radius=0.9, outer_radius=0.3)
-    with pytest.raises(ValueError):
-        Region(g, "pentagon")
 
 
 def test_formfield_shape_validation_and_immutability():
@@ -134,6 +120,18 @@ def test_wedge_graded_anticommutativity_exact_on_integer_data(dim, p, q, seed):
     f = random_dyadic(g, q, seed + 1, bits=12)
     sign = (-1) ** (p * q)
     assert np.array_equal(wedge(e, f).data, sign * wedge(f, e).data)
+
+
+@pytest.mark.parametrize("dim, p, q", [(2, 1, 1), (3, 1, 1), (4, 2, 2)])
+def test_wedge_equal_ranks_anticommute_bitwise_on_integer_data(dim, p, q):
+    # each split is its own term, so E ^ F and F ^ E add the same products
+    # in different orders; on dyadic data every order is exact
+    g = GridSpec(dim, 1.0, 8)
+    for seed in range(3):
+        e = random_dyadic(g, p, 100 + seed, bits=12)
+        f = random_dyadic(g, q, 200 + seed, bits=12)
+        sign = (-1) ** (p * q)
+        assert np.array_equal(wedge(e, f).data, sign * wedge(f, e).data)
 
 
 def test_wedge_anticommutativity_generic_fields_machine_level():
@@ -508,3 +506,38 @@ def test_star_and_media_on_the_half_box_match_the_full_box_bitwise():
             for eps in media:
                 assert np.array_equal(eps.apply(half).data,
                                       restrict_to_half(eps.apply(e)).data)
+
+
+def _trace_table(dim, rank):
+    """The components without N kept, in order: the boundary trace as a
+    sign table (dimension N to N - 1)."""
+    return SignTable(n_components(dim - 1, rank), n_components(dim, rank),
+                     tuple((pos, index_position(dim, mi), 1, None)
+                           for pos, mi in enumerate(multi_indices(dim - 1, rank))))
+
+
+def _extend_table(dim, rank):
+    trace = _trace_table(dim, rank)
+    return SignTable(trace.sources, trace.targets,
+                     tuple(sorted((s, t, sign, f) for t, s, sign, f in trace.entries)))
+
+
+def test_traces_by_normal_mask_match_the_trace_tables_bitwise():
+    for dim in (2, 3, 4):
+        g = GridSpec(dim, 3.0, 8)
+        for q in range(dim + 1):
+            for real in (True, False):
+                e = random_band_limited(g, q, seed=5 * dim + q, kmax=2, real=real)
+                half = restrict_to_half(e)
+                traced = trace_tangential(half)
+                expected = apply_table(_trace_table(dim, q), half.data[..., -1])
+                assert traced.data.dtype == expected.dtype
+                assert np.array_equal(traced.data, expected)
+                # the extension is the table's transpose on the boundary
+                # plane (the cutoff is 1 there) and 0 on the normal parts
+                b = FormField(boundary_grid(g), q, traced.data)
+                lifted = apply_table(_extend_table(dim, q), b.data)
+                ext = extend_boundary_form(b, g)
+                assert ext.data.dtype == lifted.dtype
+                assert np.array_equal(ext.data[..., -1], lifted)
+                assert not ext.data[[dim in mi for mi in multi_indices(dim, q)]].any()

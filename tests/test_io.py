@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_gap
+from formprobe.cli import main
 from formprobe.fields import GridSpec, n_components
 from formprobe.io import load_transformation, save_transformation
 from formprobe.manufactured import random_band_limited, random_dense_media
@@ -33,6 +34,24 @@ def test_big_endian_payload_honored(tmp_path):
              np.ascontiguousarray(eps.hat, ">f8").tobytes())
     loaded = load_transformation(path)
     assert np.array_equal(loaded.hat, eps.hat)
+
+
+def test_unknown_endian_tag_rejected(tmp_path, capsys):
+    # read as big-endian, a misspelt tag turned 0.1 at every node into
+    # -1.5e-180, which passes admissibility
+    g = GridSpec(2, 3.0, 16)
+    path = tmp_path / "typo.formeps"
+    save_transformation(path, make_transformation(g, None, "scalar",
+                                                  hat=np.full(g.shape, 0.1)))
+    magic, header, payload = _split_file(path)
+    _rewrite(path, magic, dict(header, endian="littel"), payload)
+    with pytest.raises(ValueError, match="'littel'"):
+        load_transformation(path)
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", "interior", "--dim", "2", "--grid", "16",
+              "--media", f"file:{path}", "--ensemble", "2"])
+    assert err.value.code == 2
+    assert "'littel'" in capsys.readouterr().err
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -194,6 +194,15 @@ def test_spectral_identities_reuse_the_live_spectrum(fft_calls):
     assert len(fft_calls) == 247
 
 
+def test_weight_checks_transform_each_norm_field_once(fft_calls):
+    # per commutator member one forward transform of E and one per weight;
+    # the norm-ordering members are transformed once each, for all their
+    # norms (their spectrum held through the loop): 14 forward transforms,
+    # against 30 when each norm made its own
+    list(probes._check_weights(3, 0))
+    assert fft_calls.count("rfftn") == 14
+
+
 def test_halfspace_member_rejection():
     g = GridSpec(2, 3.0, 16)
     bad = random_band_limited(g, 1, 3)  # generic: nonzero trace
