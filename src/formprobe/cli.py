@@ -48,8 +48,9 @@ def _cmd_estimate(args) -> int:
     args.weight = 0.0 if args.weight is None else args.weight
     args.tau = 1.0 if args.tau is None else args.tau
     if args.grid is None:
-        # the half-space members carry a confining envelope whose material
-        # product needs the finer default grid to stay resolved
+        # the half-space reconstruction with scalar media (N = 3, rank 1,
+        # seed 1, two members) reads 1.8e-7 at 32 points, past its 1e-8
+        # bound, and 1.1e-12 at 48
         args.grid = 48 if args.variant == "halfspace" else 32
     if args.variant == "interior":
         report = estimate_probe_interior(args.dim, args.rank, args.order,

@@ -8,6 +8,8 @@ term recurrence), which also gives the catalog media their partials; a
 Gaussian member uses it with p = 0.  A family has only ``eval`` and
 ``partial``; d and delta of a manufactured form are assembled from its
 closed-form partials by ``spectral.assemble_d`` and ``assemble_delta``.
+The half-space members are ``gaussian_form(..., trace_free=True)``, closed
+forms too, with a tangential trace of exactly 0.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import numpy as np
 
 from .decompose import coexact_data
 from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
-                     n_components, reflect_nodes, reflection_signs,
-                     sign_table)
+                     n_components, normal_mask, reflect_nodes,
+                     reflection_signs, sign_table)
 from .media import DECAY_NONE, PolyRhoGauss, make_transformation
-from .spectral import _scaled, cube_freq_fields, ifft_nodes
+from .spectral import cube_freq_fields, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
-ENVELOPE_DECAY = 2.5  # half-space members carry exp(-2.5 |x|^2)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +145,19 @@ def trig_catalog_entry(grid: GridSpec, rank: int, index: int) -> ManufacturedFor
 
 
 def gaussian_form(grid: GridSpec, rank: int, seed: int, decay: float = 3.0,
-                  poly_degree: int = 1) -> ManufacturedForm:
+                  poly_degree: int = 1,
+                  trace_free: bool = False) -> ManufacturedForm:
     """Random polynomial-times-Gaussian form centred at the origin, analytic
-    to every order."""
+    to every order.  ``trace_free`` draws only the monomials of odd x_N
+    degree off N and of even degree on N: x_N = 0 is a node and the
+    envelope is even, so the tangential trace is exactly 0."""
     rng = np.random.default_rng(seed)
     comps = {}
-    for mi in multi_indices(grid.dim, rank):
+    for mi, normal in zip(multi_indices(grid.dim, rank),
+                          normal_mask(grid.dim, rank)):
         poly = {alpha: complex(round(rng.uniform(-1, 1), 6))
-                for alpha in derivative_orders(grid.dim, poly_degree)}
+                for alpha in derivative_orders(grid.dim, poly_degree)
+                if not trace_free or alpha[-1] % 2 != normal}
         comps[mi] = PolyRhoGauss({0.0: poly}, decay)
     return ManufacturedForm(grid, rank, comps)
 
@@ -277,18 +283,3 @@ def parity_symmetrized(e: FormField, parity: str) -> FormField:
     out *= 0.5
     return e.with_data(out)
 
-
-def halfspace_member(grid: GridSpec, rank: int, seed: int,
-                     kmax: int | None = None) -> FormField:
-    """Smooth periodic form with vanishing tangential trace at x_N = 0.
-
-    Built by trace-free parity symmetrization of a band-limited field and
-    an even Gaussian envelope confining the support to the inner region,
-    multiplied into the symmetrized field's own buffer.
-    The band limit stays at n/8 so the envelope product remains resolved.
-    """
-    if kmax is None:
-        kmax = max(grid.points // 8, 2)
-    base = parity_symmetrized(random_band_limited(grid, rank, seed, kmax),
-                              "trace-free")
-    return _scaled(base, np.exp(-ENVELOPE_DECAY * grid.radius_sq()))

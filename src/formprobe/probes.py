@@ -30,9 +30,9 @@ from .halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
                         shift, stokes_pairing_residual, trace_normal,
                         trace_tangential)
 from .io import load_transformation
-from .manufactured import (gaussian_form, halfspace_member,
-                           parity_symmetrized, random_band_limited,
-                           random_coclosed, random_dense_media, random_dyadic,
+from .manufactured import (gaussian_form, parity_symmetrized,
+                           random_band_limited, random_coclosed,
+                           random_dense_media, random_dyadic,
                            trig_catalog_entry)
 from .media import (Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
@@ -311,18 +311,21 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
                     seed: int = 0) -> ProbeReport:
     """Ratio probe on the half-space model with homogeneous tangential trace.
 
-    Members have trace-free parity, so every norm on the half-grid is half
-    the periodic-box norm and the ratio can be evaluated on the full grid.
+    Members are ``gaussian_form(..., poly_degree=2, trace_free=True)``, one
+    continuum member on the probe grid and its doubling, so every norm on the
+    half-grid is half the periodic-box norm to rounding (a closed odd form
+    is not 0 at x_N = -L) and the ratio is evaluated on the full grid.
     Each member also runs the normal-derivative reconstruction and the
     Stokes pairing as self-consistency checks.  With non-identity media the
-    reconstruction inputs involve spectral derivatives of the material
-    product, which the default grid (48 points at the default member band
-    limit) keeps resolved; coarser grids may honestly fail that flag.
+    reconstruction takes spectral derivatives of the material product,
+    which the default grid of 48 points keeps resolved; coarser grids may
+    honestly fail that flag.
     """
-    kmax = max(grid_points // 8, 2)  # fixed band limit across the doubling
-
     def sample(grid, eps, i, checked):
-        e = halfspace_member(grid, rank, seed + 1000 * i, kmax=kmax)
+        # quadratic: every component, rank 0 included, keeps N monomials or
+        # more of its x_N parity, so the members differ in more than scale
+        e = gaussian_form(grid, rank, seed + 1000 * i, decay=3.0,
+                          poly_degree=2, trace_free=True).field()
         trace_rel = validate_halfspace_member(e)
         row, spectra = _interior_sample(e, eps, order, 0.0, ROMAN, keep=checked)
         row["trace_norm_rel"] = trace_rel
@@ -724,12 +727,14 @@ def _check_stokes(dim, seed):
     yield ("stokes-pairing-refinement-factor",
            residuals[32] / max(residuals[64], 1e-300))
 
-    # vanishing tangential trace by odd/even symmetrization: the trapezoid
+    # vanishing tangential trace by odd/even x_N parity: the trapezoid
     # closure has no end corrections for these reflection-symmetric members
     grid = GridSpec(use_dim, 3.0, 32)
     for q in range(use_dim):
-        e = halfspace_member(grid, q, seed + 8 + q)
-        h = halfspace_member(grid, q + 1, seed + 9 + q)
+        e = gaussian_form(grid, q, seed + 8 + q, decay=2.5,
+                          trace_free=True).field()
+        h = gaussian_form(grid, q + 1, seed + 9 + q, decay=2.5,
+                          trace_free=True).field()
         res = _trace_free_stokes_residual(e, h, exterior_d(e),
                                           coderivative_delta(h))
         yield ("stokes-pairing-trace-free-members",

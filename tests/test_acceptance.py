@@ -22,10 +22,10 @@ from formprobe.halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
                                  normal_derivative_reconstruct,
                                  restrict_to_half, shift,
                                  stokes_pairing_residual, trace_tangential)
-from formprobe.manufactured import (gaussian_form, halfspace_member,
-                                    parity_symmetrized, random_band_limited,
-                                    random_coclosed, random_dense_media,
-                                    random_dyadic, trig_catalog_entry)
+from formprobe.manufactured import (gaussian_form, parity_symmetrized,
+                                    random_band_limited, random_coclosed,
+                                    random_dense_media, random_dyadic,
+                                    trig_catalog_entry)
 from formprobe.probes import (estimate_probe_interior,
                               estimate_probe_weighted, halfspace_probe)
 from formprobe.spectral import (assemble_d, assemble_delta,
@@ -389,8 +389,10 @@ def test_criterion_11_stokes_pairing():
     for dim in (2, 3):
         grid = GridSpec(dim, 3.0, 32)
         for q in range(dim):
-            e = halfspace_member(grid, q, 111_000 + 10 * dim + q)
-            h = halfspace_member(grid, q + 1, 112_000 + 10 * dim + q)
+            e = gaussian_form(grid, q, 111_000 + 10 * dim + q, decay=2.5,
+                              trace_free=True).field()
+            h = gaussian_form(grid, q + 1, 112_000 + 10 * dim + q, decay=2.5,
+                              trace_free=True).field()
             assert max_abs(trace_tangential(restrict_to_half(e))) == 0.0
             res = stokes_pairing_residual(
                 restrict_to_half(e), restrict_to_half(h),

@@ -10,9 +10,9 @@ from formprobe.halfspace import (boundary_grid, diff_quotient, extend_boundary_f
                                  stokes_pairing_residual, trace_normal,
                                  trace_tangential)
 from formprobe.manufactured import (ManufacturedForm, gaussian_form,
-                                    halfspace_member, parity_symmetrized,
-                                    random_band_limited, random_dense_media,
-                                    random_dyadic, trig_catalog_entry)
+                                    parity_symmetrized, random_band_limited,
+                                    random_dense_media, random_dyadic,
+                                    trig_catalog_entry)
 from formprobe.media import (make_transformation, reflected_transform,
                              scalar_catalog)
 from formprobe.spectral import (assemble_d, assemble_delta,
@@ -413,8 +413,8 @@ def test_stokes_residual_refines_at_fourth_order():
 
 def test_stokes_residual_trace_free_members():
     g = GridSpec(2, 3.0, 32)
-    e = halfspace_member(g, 0, 31)
-    h = halfspace_member(g, 1, 32)
+    e = gaussian_form(g, 0, 31, decay=2.5, trace_free=True).field()
+    h = gaussian_form(g, 1, 32, decay=2.5, trace_free=True).field()
     res = stokes_pairing_residual(restrict_to_half(e), restrict_to_half(h),
                                   restrict_to_half(exterior_d(e)),
                                   restrict_to_half(coderivative_delta(h)),
@@ -522,10 +522,10 @@ def test_reconstruction_transforms_material_entries_once(fft_calls):
 
 
 def test_reconstruction_scalar_material():
-    # the member carries an envelope so the material product stays
+    # the member decays like exp(-3 |x|^2), so the material product stays
     # supported inside the box (its spectral derivative is then clean)
     g = GridSpec(2, 3.0, 48)
-    e = halfspace_member(g, 1, 61)
+    e = gaussian_form(g, 1, 61, trace_free=True).field()
     eps = scalar_catalog(g, "gauss_well", amplitude=0.8, width=1.0)
     parts = gradient(e)
     rec = normal_derivative_reconstruct(

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import inverse_passes, max_abs, numpy_inverse, rel_gap
 from formprobe.decompose import _inv_symbol, hodge_decompose
-from formprobe.fields import FormField, GridSpec, apply_R, apply_T, norm
-from formprobe.manufactured import (ENVELOPE_DECAY, gaussian_form,
-                                    halfspace_member, parity_symmetrized,
+from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
+                             derivative_orders, norm)
+from formprobe.manufactured import (gaussian_form, parity_symmetrized,
                                     random_band_limited,
                                     random_coclosed, random_dense_media,
                                     random_dyadic, trig_catalog_entry,
@@ -146,27 +146,48 @@ def test_parity_symmetrization_allocates_only_its_output():
 
 
 def test_halfspace_member_has_exactly_zero_trace():
-    g = GridSpec(3, 3.0, 16)
-    for q in range(3):
-        e = halfspace_member(g, q, seed=11 + q)
-        traced = trace_tangential(restrict_to_half(e))
-        assert max_abs(traced) == 0.0
+    # trace-free parity: the tangential trace is exactly 0, and every
+    # component keeps a monomial (N or more at the probe's degree 2)
+    for dim, n in ((2, 16), (3, 16), (4, 8)):
+        g = GridSpec(dim, 3.0, n)
+        for q in range(dim):
+            for degree in (1, 2):
+                member = gaussian_form(g, q, seed=11 + q, poly_degree=degree,
+                                       trace_free=True)
+                e = member.field()
+                assert max_abs(trace_tangential(restrict_to_half(e))) == 0.0, (dim, q)
+                assert all(np.abs(c).max() > 0.0 for c in e.data), (dim, q)
+                if degree == 2:
+                    assert all(len(c.terms[0.0]) >= dim
+                               for c in member.comps.values()), (dim, q)
 
 
-def test_halfspace_member_scales_its_envelope_in_place():
-    # bitwise the envelope product of the symmetrized field, made in that
-    # field's buffer, so the peak holds the band-limited field and the
-    # member side by side and no third member-sized array
-    g = GridSpec(3, 3.0, 48)
-    member = halfspace_member(g, 1, seed=7)
-    base = parity_symmetrized(random_band_limited(g, 1, 7, kmax=6), "trace-free")
-    envelope = np.exp(-ENVELOPE_DECAY * g.radius_sq())
-    assert member.data.tobytes() == base.scale_pointwise(envelope).data.tobytes()
-    tracemalloc.start()
-    halfspace_member(g, 1, seed=7)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 2.1 * member.data.nbytes
+def test_trace_free_members_agree_bitwise_across_the_doubling():
+    # one continuum member: the nodes of n = 16 are the even nodes of n = 32
+    coarse = gaussian_form(GridSpec(3, 3.0, 16), 1, 7, trace_free=True).field()
+    fine = gaussian_form(GridSpec(3, 3.0, 32), 1, 7, trace_free=True).field()
+    assert coarse.data.tobytes() == fine.data[:, ::2, ::2, ::2].tobytes()
+
+
+def test_gaussian_form_draws_coefficients_for_kept_monomials_only():
+    # one draw per kept monomial, components in order: without trace_free
+    # every monomial is kept; trace_free keeps odd x_N degree off N and
+    # even degree on N
+    for dim in (2, 3):
+        g = GridSpec(dim, 3.0, 8)
+        for q in range(dim + 1):
+            for trace_free in (False, True):
+                rng = np.random.default_rng(5 * dim + q)
+                member = gaussian_form(g, q, 5 * dim + q, poly_degree=2,
+                                       trace_free=trace_free)
+                for mi, comp in member.comps.items():
+                    keep = [alpha for alpha in derivative_orders(dim, 2)
+                            if not trace_free or alpha[-1] % 2 != (dim in mi)]
+                    drawn = {alpha: complex(round(rng.uniform(-1, 1), 6))
+                             for alpha in keep}
+                    assert comp.terms == {0.0: {a: c for a, c in drawn.items()
+                                                if c != 0}}
+                    assert comp.decay == 3.0
 
 
 def test_random_coclosed_is_coclosed():

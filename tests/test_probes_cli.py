@@ -9,8 +9,8 @@ from conftest import inverse_passes
 from formprobe.cli import main
 from formprobe.fields import GridSpec, norm
 from formprobe.io import load_transformation, save_transformation
-from formprobe.manufactured import (gaussian_form, halfspace_member,
-                                    random_band_limited, random_dense_media)
+from formprobe.manufactured import (gaussian_form, random_band_limited,
+                                    random_dense_media)
 from formprobe.media import make_transformation, scalar_catalog, verify_decay
 from formprobe import bridge as bridge_mod, probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
@@ -137,6 +137,15 @@ def test_halfspace_probe_flags():
     assert report.aggregates["worst_reconstruct_residual"] <= 1e-8
 
 
+def test_halfspace_rank0_members_differ_in_more_than_scale():
+    # a ratio does not change when its member is scaled, so an ensemble of
+    # one member shape would report one ratio, to rounding, however large
+    for dim in (2, 3):
+        report = halfspace_probe(dim, 0, 0, "id", ensemble=4, grid_points=16,
+                                 seed=14)
+        assert len({round(s["ratio"], 8) for s in report.samples}) == 4, dim
+
+
 RATIO_ROW = {"numerator", "denominator", "ratio", "index"}
 RATIO_AGGREGATES = {"sup_ratio", "mean_ratio", "sup_ratio_refined"}
 DOUBLING_FLAGS = ["ratios_finite", "stable_under_doubling"]
@@ -171,7 +180,7 @@ def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     # a default member: N = 3, rank 1, n = 48, scalar media
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
     eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
-    e = halfspace_member(grid, 1, 0, kmax=6)
+    e = gaussian_form(grid, 1, 0, poly_degree=2, trace_free=True).field()
     hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
     fft_calls.clear()
     de = fourier_inverse(de_hat)
@@ -259,17 +268,13 @@ def test_media_file_is_read_once_per_probe(tmp_path, monkeypatch):
 
 
 def test_halfspace_member_transform_budget(fft_calls):
-    # a member is one real inverse, made pass by pass over the lines that
-    # cross its index cube: two complex passes, then the real one; its
-    # ratio row takes one real forward transform, and one more of eps E
-    # with a material
+    # a member is a closed form evaluated at the nodes, with no transform;
+    # its ratio row takes one real forward transform, and one more of
+    # eps E with a material
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
     fft_calls.clear()
-    e = halfspace_member(grid, 1, 0, kmax=2)
-    assert fft_calls == ["ifft", "ifft", "irfft"]
-    # all passes together read fewer points than the input of one full
-    # irfftn, the half spectrum of the three components
-    assert sum(fft_calls.points) < 3 * math.prod(grid.half_box().shape)
+    e = gaussian_form(grid, 1, 0, poly_degree=2, trace_free=True).field()
+    assert fft_calls == []
     for media, budget in (("id", ["rfftn"]), ("scalar", ["rfftn", "rfftn"])):
         eps = _media_resolver(media, 1, "interior", 1.0)(grid)
         fft_calls.clear()
@@ -313,7 +318,7 @@ def test_unchecked_halfspace_sample_holds_one_spectrum_at_a_time():
     # holding all three took over five times the member's bytes
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
     eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
-    e = halfspace_member(grid, 1, 0, kmax=6)
+    e = gaussian_form(grid, 1, 0, poly_degree=2, trace_free=True).field()
     row, _ = _interior_sample(e, eps, 0, 0.0, ROMAN)  # builds the media caches
     tracemalloc.start()
     try:
