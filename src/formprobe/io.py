@@ -1,93 +1,73 @@
-"""The FORMEPS1 container of a material transformation.
+"""The FORMEPS1 media file: one scalar-catalog entry and its grid.
 
-A file starts with an ASCII magic line and a one-line JSON header, then
-raw little-endian payload.  It stores a catalog tag and its parameters
-(no payload), an identity (no payload), or the float64 perturbation of a
-scalar or dense material on its grid; ``--media file:PATH`` reads it.
+A file is the magic line ``FORMEPS1`` and one line of JSON, nothing after
+it, with exactly the keys N (integer), L (number) and n (integer) of the
+grid [-L, L)^N, catalog (a ``scalar_catalog`` tag) and params (an object
+of the tag's numeric parameters, tau among them).  The medium is rebuilt
+from its closed form on any grid of dimension N (``--media file:PATH``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 
-import numpy as np
-
-from .fields import GridSpec, n_components
-from .media import (DENSE, IDENTITY, SCALAR, Transformation,
-                    make_transformation, scalar_catalog)
+from .fields import GridSpec
+from .media import SCALAR, Transformation, scalar_catalog
 
 MEDIA_MAGIC = b"FORMEPS1\n"
+# the JSON types of the header values (type(), so a boolean is no number)
+HEADER_TYPES = {"N": (int,), "L": (int, float), "n": (int,), "catalog": (str,),
+                "params": (dict,)}
+CATALOG_PARAMS = {"amplitude", "tau", "width"}  # scalar_catalog's keywords
 
 
-def _write_header(fh, magic: bytes, header: dict):
-    fh.write(magic)
-    fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+def _not_a_number(name: str):
+    raise ValueError(f"the media header holds {name}, which JSON has no number for")
 
 
-def _read_header(fh, magic: bytes) -> dict:
-    got = fh.read(len(magic))
-    if got != magic:
-        raise ValueError(f"bad magic {got!r}, expected {magic!r}")
-    return json.loads(fh.readline().decode("utf-8"))
-
-
-def _read_payload(fh, header: dict, kind: str, shape: tuple) -> np.ndarray:
-    """The rest of the file as an array of the header's shape and dtype."""
-    endian = header.get("endian", "little")
-    if endian not in ("little", "big"):
-        raise ValueError(f"unknown payload endianness {endian!r}")
-    dtype = np.dtype(("<" if endian == "little" else ">") + kind)
-    raw = fh.read()
-    expected = math.prod(shape) * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"payload has {len(raw)} bytes, the header declares "
-                         f"{expected} (shape {shape}, dtype {dtype.str})")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(kind)
-
-
-def save_transformation(path, eps: Transformation, catalog_tag: str | None = None,
+def save_transformation(path, eps: Transformation, catalog_tag: str,
                         catalog_params: dict | None = None):
-    """Persist a transformation: its catalog tag when given, else its
-    perturbation."""
-    header = {"N": eps.grid.dim, "q": eps.rank, "L": eps.grid.half_length,
-              "n": eps.grid.points, "kind": eps.kind, "tau": eps.tau,
-              "m": eps.smoothness, "decay": eps.decay_kind,
-              "endian": "little"}
-    if catalog_tag is not None:
-        header["catalog"] = catalog_tag
-        header["params"] = catalog_params or {}
+    """Write eps as the catalog entry that rebuilds it, with eps.tau unless
+    the params give tau.  Raises ValueError unless that entry, built on
+    eps's grid, has eps's tau and bitwise eps's values."""
+    params = {"tau": eps.tau, **(catalog_params or {})}
+    rebuilt = scalar_catalog(eps.grid, catalog_tag, **params)
+    if (eps.kind != SCALAR or rebuilt.tau != eps.tau
+            or rebuilt.hat.tobytes() != eps.hat.tobytes()):
+        raise ValueError(f"catalog entry {catalog_tag!r} with params {params} "
+                         f"does not rebuild the medium to be saved")
+    header = {"N": eps.grid.dim, "L": eps.grid.half_length, "n": eps.grid.points,
+              "catalog": catalog_tag, "params": params}
     with open(path, "wb") as fh:
-        _write_header(fh, MEDIA_MAGIC, header)
-        if catalog_tag is None and eps.kind != IDENTITY:
-            fh.write(np.ascontiguousarray(eps.hat, "<f8").tobytes())
+        fh.write(MEDIA_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n")
 
 
 def load_transformation(path) -> Transformation:
-    """Read a FORMEPS1 file.  A catalog medium is rebuilt on the file's grid
-    with the header's tau unless its params give one; a header whose decay
-    kind or smoothness differs from the rebuilt medium's is rejected."""
+    """Read a FORMEPS1 file: its catalog entry, built on the file's grid.
+    A malformed file, or one that names no catalog entry, raises ValueError."""
     with open(path, "rb") as fh:
-        header = _read_header(fh, MEDIA_MAGIC)
-        grid = GridSpec(header["N"], header["L"], header["n"])
-        kind = "catalog" if "catalog" in header else header["kind"]
-        if kind == DENSE:
-            shape = (n_components(grid.dim, header["q"]),) * 2 + grid.shape
-        elif kind == SCALAR:
-            shape = grid.shape
-        elif kind in (IDENTITY, "catalog"):
-            shape = (0,)
-        else:
-            raise ValueError(f"unknown transformation kind {kind!r}")
-        hat = _read_payload(fh, header, "f8", shape)
-    if kind == "catalog":
-        params = {"tau": header["tau"], **header.get("params", {})}
-        eps = scalar_catalog(grid, header["catalog"], **params)
-        for key, value in (("decay", eps.decay_kind), ("m", eps.smoothness)):
-            if header[key] != value:
-                raise ValueError(f"catalog {header['catalog']!r} has {key} "
-                                 f"{value!r}, the header declares {header[key]!r}")
-        return eps
-    return make_transformation(grid, header["q"], kind, hat=hat,
-                               tau=header["tau"], decay_kind=header["decay"],
-                               smoothness=header["m"])
+        raw = fh.read()
+    if not raw.startswith(MEDIA_MAGIC):
+        raise ValueError(f"bad magic {raw[:len(MEDIA_MAGIC)]!r}, not {MEDIA_MAGIC!r}")
+    line, newline, rest = raw[len(MEDIA_MAGIC):].partition(b"\n")
+    if not newline:
+        raise ValueError("truncated media file: the header line does not end")
+    header = json.loads(line, parse_constant=_not_a_number)
+    if not isinstance(header, dict) or "catalog" not in header:
+        raise ValueError("media files name a catalog entry: the header is not "
+                         "a JSON object with a 'catalog' key (raw payloads are "
+                         "not read)")
+    if rest:
+        raise ValueError(f"{len(rest)} bytes follow the media header")
+    if header.keys() != HEADER_TYPES.keys() or any(
+            type(header[key]) not in types for key, types in HEADER_TYPES.items()):
+        raise ValueError(f"the media header {line.decode()} does not hold exactly "
+                         f"the keys N, L, n (numbers, N and n integers), catalog "
+                         f"(a string) and params (an object)")
+    params = header["params"]
+    if not params.keys() <= CATALOG_PARAMS or any(
+            type(value) not in (int, float) for value in params.values()):
+        raise ValueError(f"catalog params {params}: numbers named "
+                         f"{', '.join(sorted(CATALOG_PARAMS))} only")
+    grid = GridSpec(header["N"], header["L"], header["n"])
+    return scalar_catalog(grid, header["catalog"], **params)

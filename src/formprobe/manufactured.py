@@ -22,7 +22,7 @@ from .decompose import coexact_data
 from .fields import (FormField, GridSpec, derivative_orders, multi_indices,
                      n_components, normal_mask, reflect_nodes,
                      reflection_signs, sign_table)
-from .media import DECAY_NONE, PolyRhoGauss, make_transformation
+from .media import PolyRhoGauss, make_transformation
 from .spectral import cube_freq_fields, ifft_nodes
 
 BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
@@ -182,8 +182,7 @@ def random_dense_media(grid: GridSpec, rank: int, seed: int,
         values = poly.eval(grid).real
         peak = max(float(np.abs(values).max()), 1e-300)
         hat[i, j] = hat[j, i] = scale * values / peak
-    return make_transformation(grid, rank, "dense", hat=hat,
-                               decay_kind=DECAY_NONE, smoothness=1)
+    return make_transformation(grid, rank, "dense", hat=hat)
 
 
 # ---------------------------------------------------------------------------

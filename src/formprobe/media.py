@@ -2,9 +2,9 @@
 
 A transformation acts nodewise on the component vector of a rank-q form
 through a real symmetric uniformly positive-definite matrix.  It is kept
-as identity-plus-perturbation; the perturbation carries the declared
-smoothness and decay class.  Construction verifies symmetry and
-positivity and rejects violations with the worst node.  A material
+as identity-plus-perturbation with its decay order tau; a scalar
+perturbation may carry its closed form.  Construction verifies symmetry
+and positivity and rejects violations with the worst node.  A material
 transports under the boundary reflection (x', x_N) -> (x', -x_N) only
 (``reflected_transform``), through the node flip and sign vector of
 ``fields``.
@@ -24,10 +24,6 @@ from .spectral import derivative_symbol, fft_nodes, ifft_nodes
 IDENTITY = "identity"
 SCALAR = "scalar"
 DENSE = "dense"
-
-DECAY_NONE = "none"
-DECAY_FIRST = "first-kind"
-DECAY_SECOND = "second-kind"
 
 
 class AdmissibilityError(ValueError):
@@ -121,8 +117,6 @@ class Transformation:
     kind: str
     hat: np.ndarray | None = field(default=None, repr=False)
     tau: float = 0.0
-    decay_kind: str = DECAY_NONE
-    smoothness: int = 0
     report: AdmissibilityReport | None = None
     hat_calculus: object | None = field(default=None, repr=False)
 
@@ -270,8 +264,7 @@ def _verify_dense(grid, hat) -> AdmissibilityReport:
 
 def make_transformation(grid: GridSpec, rank: int | None = None,
                         kind: str = IDENTITY, *, hat=None,
-                        tau: float = 0.0, decay_kind: str = DECAY_NONE,
-                        smoothness: int = 0, hat_calculus=None,
+                        tau: float = 0.0, hat_calculus=None,
                         positivity_floor: float = 1e-10) -> Transformation:
     """Build and verify a transformation.
 
@@ -279,12 +272,12 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
     hat (full coefficient is 1 + hat), or evaluates it on the grid from
     its closed-form entry hat_calculus; "dense" takes the perturbation
     matrices hat of shape (nc, nc) + grid.shape for the given rank.
+    tau is the decay order the medium is held to (``verify_decay``).
     Non-symmetric or non-positive inputs are rejected with the worst node
     and Rayleigh quotient in the error.
     """
     if kind == IDENTITY:
-        return Transformation(grid, rank, IDENTITY, None, tau, decay_kind,
-                              smoothness,
+        return Transformation(grid, rank, IDENTITY, None, tau,
                               AdmissibilityReport(True, 1.0, 1.0, ()))
 
     if kind == SCALAR:
@@ -296,8 +289,7 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
             raise AdmissibilityError(
                 f"positivity violation: coefficient {report.min_rayleigh:.6g} "
                 f"at node {report.worst_node}", report)
-        return Transformation(grid, rank, SCALAR, hat, tau, decay_kind,
-                              smoothness, report, hat_calculus)
+        return Transformation(grid, rank, SCALAR, hat, tau, report, hat_calculus)
     if kind == DENSE:
         if rank is None:
             raise ValueError("dense transformations need a rank")
@@ -314,8 +306,7 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
             raise AdmissibilityError(
                 f"positivity violation: Rayleigh quotient "
                 f"{report.min_rayleigh:.6g} at node {report.worst_node}", report)
-        return Transformation(grid, rank, DENSE, hat, tau, decay_kind,
-                              smoothness, report)
+        return Transformation(grid, rank, DENSE, hat, tau, report)
     raise ValueError(f"unknown transformation kind {kind!r}")
 
 
@@ -337,9 +328,7 @@ def scalar_catalog(grid: GridSpec, tag: str, *, amplitude: float = 1.0,
         entry = PolyRhoGauss({-tau / 2.0: {zero_alpha: amplitude}})
     else:
         raise ValueError(f"unknown scalar catalog tag {tag!r}")
-    return make_transformation(grid, None, SCALAR, tau=tau,
-                               decay_kind=DECAY_SECOND, smoothness=3,
-                               hat_calculus=entry)
+    return make_transformation(grid, None, SCALAR, tau=tau, hat_calculus=entry)
 
 
 # ---------------------------------------------------------------------------
@@ -397,42 +386,40 @@ def reflected_transform(eps: Transformation) -> Transformation:
         calculus = None if eps.hat_calculus is None \
             else _Reflected(eps.hat_calculus, dim)
         return make_transformation(eps.grid, eps.rank, SCALAR,
-                                   hat=reflect_nodes(eps.hat),
-                                   tau=eps.tau, decay_kind=eps.decay_kind,
-                                   smoothness=eps.smoothness,
+                                   hat=reflect_nodes(eps.hat), tau=eps.tau,
                                    hat_calculus=calculus)
     signs = reflection_signs(dim, eps.rank)
     return make_transformation(eps.grid, eps.rank, DENSE,
                                hat=reflect_nodes(eps.hat, signs[:, None] * signs),
-                               tau=eps.tau, decay_kind=eps.decay_kind,
-                               smoothness=eps.smoothness)
+                               tau=eps.tau)
 
 
 # ---------------------------------------------------------------------------
-# decay-class verification on annulus samples
+# decay verification on annulus samples
 # ---------------------------------------------------------------------------
 
 # (inner, outer) annuli in half lengths: the closed-form derivatives are
 # sampled out to the box corners
 DECAY_ANNULI = ((0.50, 0.80), (0.90, 1.30))
 DECAY_GROWTH_SLACK = 1.75
+DECAY_SMOOTHNESS = 3
 
 
 def verify_decay(eps: Transformation) -> dict:
-    """Sample |d^alpha hat| rho^power over two annuli and compare.
+    """Sample |d^alpha hat| rho^(tau + |alpha|) over two annuli and compare.
 
-    power is tau for first-kind decay and tau + |alpha| for second kind;
-    the weight is rho = (1+r^2)^(1/2), which keeps a perturbation exactly
+    Second-kind decay of order tau for |alpha| <= DECAY_SMOOTHNESS, that
+    of every closed-form medium (``scalar_catalog`` and its reflections).
+    The weight is rho = (1+r^2)^(1/2), which keeps a perturbation exactly
     at the decay boundary flat instead of pre-asymptotically rising.  The
-    class is consistent when the weighted sup does not grow from the inner
+    decay is consistent when the weighted sup does not grow from the inner
     annulus to the outer one beyond DECAY_GROWTH_SLACK.  Derivatives come
     from the closed form (``hat_calculus``); a non-identity medium without
-    one (a raw file) is rejected with ValueError, since a spectral
-    derivative of a non-periodic perturbation cannot be trusted here.
+    one is rejected with ValueError, since a spectral derivative of a
+    non-periodic perturbation cannot be trusted here.
     """
     if eps.kind == IDENTITY:
-        return {"kind": eps.decay_kind, "tau": eps.tau, "orders": {},
-                "consistent": True}
+        return {"tau": eps.tau, "orders": {}, "consistent": True}
     if eps.hat_calculus is None:
         raise ValueError("verify_decay needs a closed-form medium (a catalog "
                          "entry); this medium has only sampled values")
@@ -443,18 +430,14 @@ def verify_decay(eps: Transformation) -> dict:
     masks = {"inner": (inner[0] < r) & (r < inner[1]),
              "outer": (outer[0] < r) & (r < outer[1])}
     orders = {}
-    consistent = True
-    for alpha in derivative_orders(grid.dim, eps.smoothness):
-        power = eps.tau + (sum(alpha) if eps.decay_kind == DECAY_SECOND else 0.0)
+    for alpha in derivative_orders(grid.dim, DECAY_SMOOTHNESS):
         entry = eps.hat_calculus
         for ax, a in enumerate(alpha):
             for _ in range(a):
                 entry = entry.partial(ax + 1)
-        weighted = np.abs(entry.eval(grid)) * weight_base ** power
+        weighted = np.abs(entry.eval(grid)) * weight_base ** (eps.tau + sum(alpha))
         sups = {name: float(weighted[mask].max()) for name, mask in masks.items()}
         ok = sups["outer"] <= DECAY_GROWTH_SLACK * max(sups["inner"], 1e-300)
-        consistent = consistent and ok
-        orders[alpha] = {"inner": sups["inner"], "outer": sups["outer"],
-                         "bounded": ok}
-    return {"kind": eps.decay_kind, "tau": eps.tau, "orders": orders,
-            "consistent": consistent}
+        orders[alpha] = dict(sups, bounded=ok)
+    return {"tau": eps.tau, "orders": orders,
+            "consistent": all(o["bounded"] for o in orders.values())}

@@ -104,16 +104,11 @@ def _media_resolver(option: str, rank: int, variant: str, tau: float):
         eps = load_transformation(option[5:])
 
         def on_grid(grid):
-            if eps.hat_calculus is not None and eps.grid.dim == grid.dim:
-                # a closed-form material (a catalog file) is rebuilt on any grid
-                return make_transformation(grid, eps.rank, eps.kind, tau=eps.tau,
-                                           decay_kind=eps.decay_kind,
-                                           smoothness=eps.smoothness,
-                                           hat_calculus=eps.hat_calculus)
-            if eps.grid != grid:
-                raise ValueError(f"media file grid {eps.grid} does not match "
-                                 f"the probe grid {grid}")
-            return eps
+            if eps.grid.dim != grid.dim:
+                raise ValueError(f"the media file is {eps.grid.dim}-dimensional, "
+                                 f"the probe grid {grid.dim}-dimensional")
+            return make_transformation(grid, None, "scalar", tau=eps.tau,
+                                       hat_calculus=eps.hat_calculus)
         return on_grid
     raise ValueError(f"unknown media option {option!r}")
 
@@ -202,6 +197,8 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
     if params["ensemble"] < 1:
         raise ValueError(f"the ensemble needs at least one member, "
                          f"got {params['ensemble']}")
+    if not 0 <= params["rank"] <= params["dim"]:
+        raise ValueError(f"rank {params['rank']} is outside 0..{params['dim']}")
     n = params["grid"]
     grid, fine = (GridSpec(params["dim"], PROBE_BOX_HALF_LENGTH, m) for m in (n, 2 * n))
     eps, eps_fine = map(_media_resolver(params["media"], params["rank"], variant,
@@ -283,9 +280,9 @@ def estimate_probe_weighted(dim: int, rank: int, order: int, weight: float,
 def _media_decays(eps: Transformation, tau: float) -> bool:
     """The weighted estimate's hypothesis: the medium decays with order tau.
 
-    True for the identity; otherwise the medium must declare an order of
-    at least tau, and ``verify_decay`` must find its samples consistent
-    with the declared decay class.
+    True for the identity; otherwise the medium must be held to an order
+    of at least tau, and ``verify_decay`` must find its closed form
+    decaying with that order.
     """
     return eps.is_identity() or (eps.tau >= tau
                                  and verify_decay(eps)["consistent"])

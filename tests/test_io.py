@@ -1,57 +1,37 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_gap
 from formprobe.cli import main
-from formprobe.fields import GridSpec, n_components
-from formprobe.io import load_transformation, save_transformation
-from formprobe.manufactured import random_band_limited, random_dense_media
-from formprobe.media import make_transformation, scalar_catalog
+from formprobe.fields import GridSpec
+from formprobe.io import (CATALOG_PARAMS, MEDIA_MAGIC, load_transformation,
+                          save_transformation)
+from formprobe.manufactured import random_dense_media
+from formprobe.media import make_transformation, reflected_transform, scalar_catalog
+
+ESTIMATE = ["estimate", "--variant", "interior", "--dim", "2", "--grid", "16",
+            "--ensemble", "2"]
 
 
-def _split_file(path):
+def _header(path):
     raw = path.read_bytes()
-    magic_end = raw.index(b"\n") + 1
-    header_end = raw.index(b"\n", magic_end) + 1
-    return raw[:magic_end], json.loads(raw[magic_end:header_end]), raw[header_end:]
+    assert raw.startswith(MEDIA_MAGIC) and raw.endswith(b"\n")
+    return json.loads(raw[len(MEDIA_MAGIC):])
 
 
-def _rewrite(path, magic, header, payload):
-    path.write_bytes(magic + json.dumps(header, sort_keys=True).encode() + b"\n"
-                     + payload)
+def _write_header(path, header):
+    path.write_bytes(MEDIA_MAGIC + json.dumps(header).encode() + b"\n")
 
 
-def test_big_endian_payload_honored(tmp_path):
-    eps = random_dense_media(GridSpec(2, 1.0, 8), 1, 9)
-    path = tmp_path / "big.formeps"
-    save_transformation(path, eps)
-    magic, header, _ = _split_file(path)
-    _rewrite(path, magic, dict(header, endian="big"),
-             np.ascontiguousarray(eps.hat, ">f8").tobytes())
-    loaded = load_transformation(path)
-    assert np.array_equal(loaded.hat, eps.hat)
-
-
-def test_unknown_endian_tag_rejected(tmp_path, capsys):
-    # read as big-endian, a misspelt tag turned 0.1 at every node into
-    # -1.5e-180, which passes admissibility
+def _saved_well(path):
     g = GridSpec(2, 3.0, 16)
-    path = tmp_path / "typo.formeps"
-    save_transformation(path, make_transformation(g, None, "scalar",
-                                                  hat=np.full(g.shape, 0.1)))
-    magic, header, payload = _split_file(path)
-    _rewrite(path, magic, dict(header, endian="littel"), payload)
-    with pytest.raises(ValueError, match="'littel'"):
-        load_transformation(path)
-    with pytest.raises(SystemExit) as err:
-        main(["estimate", "--variant", "interior", "--dim", "2", "--grid", "16",
-              "--media", f"file:{path}", "--ensemble", "2"])
-    assert err.value.code == 2
-    assert "'littel'" in capsys.readouterr().err
+    save_transformation(path, scalar_catalog(g, "gauss_well", amplitude=0.5),
+                        catalog_tag="gauss_well", catalog_params={"amplitude": 0.5})
+    return _header(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -67,21 +47,24 @@ def test_transformation_catalog_roundtrip(tmp_path):
     path = tmp_path / "eps.formeps"
     save_transformation(path, eps, catalog_tag="gauss_well",
                         catalog_params={"amplitude": 0.5, "width": 1.0})
+    assert _header(path) == {"N": 2, "L": 3.0, "n": 16, "catalog": "gauss_well",
+                             "params": {"amplitude": 0.5, "width": 1.0, "tau": 1.0}}
     loaded = load_transformation(path)
     assert loaded.kind == "scalar"
-    assert np.allclose(loaded.hat, eps.hat, atol=0)
+    assert np.array_equal(loaded.hat, eps.hat)
     # catalog reload preserves the closed-form derivative entries
     assert loaded.hat_calculus is not None
 
 
 @pytest.mark.parametrize("tag, tau", [("radial_power", 2.0), ("gauss_well", 3.0)])
 def test_catalog_file_loads_with_its_header_tau(tmp_path, tag, tau):
-    # params without tau: the medium is rebuilt with the tau of the header
+    # params without tau: the medium's tau is written into the header params
     g = GridSpec(2, 3.0, 16)
     eps = scalar_catalog(g, tag, amplitude=0.5, tau=tau)
     path = tmp_path / "eps.formeps"
     save_transformation(path, eps, catalog_tag=tag,
                         catalog_params={"amplitude": 0.5})
+    assert _header(path)["params"]["tau"] == tau
     loaded = load_transformation(path)
     assert loaded.tau == tau
     assert np.array_equal(loaded.hat, eps.hat)
@@ -89,35 +72,56 @@ def test_catalog_file_loads_with_its_header_tau(tmp_path, tag, tau):
 
 @pytest.mark.parametrize("key, value", [("m", 1), ("decay", "first-kind")])
 def test_catalog_file_with_foreign_class_is_rejected(tmp_path, key, value):
+    # files hold no decay class: a header that still declares one is rejected
     path = tmp_path / "eps.formeps"
-    save_transformation(path, scalar_catalog(GridSpec(2, 3.0, 16), "radial_power"),
-                        catalog_tag="radial_power")
-    magic, header, payload = _split_file(path)
-    _rewrite(path, magic, dict(header, **{key: value}), payload)
-    with pytest.raises(ValueError, match=f"the header declares {value!r}"):
+    _write_header(path, dict(_saved_well(path), **{key: value}))
+    with pytest.raises(ValueError, match="does not hold exactly the keys"):
         load_transformation(path)
 
 
-def test_transformation_dense_roundtrip(tmp_path):
-    g = GridSpec(2, 1.0, 8)
-    eps = random_dense_media(g, 1, 7, amplitude=0.4)
-    path = tmp_path / "dense.formeps"
-    save_transformation(path, eps)
-    loaded = load_transformation(path)
-    assert loaded.kind == "dense"
-    assert np.array_equal(loaded.hat, eps.hat)
-    e = random_band_limited(g, 1, 3, real=False)
-    assert rel_gap(loaded.apply(e), eps.apply(e)) == 0.0
+def test_catalog_params_are_the_catalog_keywords():
+    keywords = inspect.signature(scalar_catalog).parameters
+    assert CATALOG_PARAMS == {name for name, p in keywords.items()
+                              if p.kind == p.KEYWORD_ONLY}
 
 
-def test_transformation_identity_roundtrip(tmp_path):
-    g = GridSpec(2, 1.0, 8)
-    eps = make_transformation(g, 1, "identity", tau=2.0, decay_kind="first-kind")
-    path = tmp_path / "id.formeps"
-    save_transformation(path, eps)
-    loaded = load_transformation(path)
-    assert loaded.is_identity()
-    assert loaded.tau == 2.0
+def test_save_refuses_an_entry_that_does_not_rebuild_the_medium(tmp_path):
+    g = GridSpec(2, 3.0, 16)
+    well = scalar_catalog(g, "gauss_well", amplitude=0.5)
+    path = tmp_path / "eps.formeps"
+    refused = [(well, "gauss_well", None),          # would load at amplitude 1
+               (well, "radial_power", {"amplitude": 0.5}),
+               (well, "gauss_well", {"amplitude": 0.5, "tau": 2.0}),
+               (make_transformation(g, 1, "identity"), "gauss_well", None),
+               (random_dense_media(g, 1, 3), "gauss_well", None),
+               # reflected on nodes that are not mirror images in floating point
+               (reflected_transform(scalar_catalog(GridSpec(2, 3.0, 18), "gauss_well",
+                                                   amplitude=0.5)),
+                "gauss_well", {"amplitude": 0.5})]
+    for eps, tag, params in refused:
+        with pytest.raises(ValueError, match="does not rebuild"):
+            save_transformation(path, eps, catalog_tag=tag, catalog_params=params)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"L": 3.0, "n": 16, "catalog": "gauss_well", "params": {}}, "keys"),
+    ([2, 3.0, 16], "catalog entry"),
+    ({"N": "2", "L": 3.0, "n": 16, "catalog": "gauss_well", "params": {}}, "keys"),
+    ({"N": 2, "L": 3.0, "n": 16, "catalog": "gauss_well", "params": {"amp": 1.0}},
+     "'amp'"),
+    # json writes NaN, which no JSON number is; it would pass admissibility
+    ({"N": 2, "L": 3.0, "n": 16, "catalog": "gauss_well",
+      "params": {"amplitude": float("nan")}}, "NaN")],
+    ids=["missing-N", "list", "string-N", "unknown-param", "nan-param"])
+def test_cli_malformed_media_header_exits_with_status_two(tmp_path, capsys, header,
+                                                          message):
+    path = tmp_path / "bad.formeps"
+    _write_header(path, header)
+    with pytest.raises(SystemExit) as err:
+        main(ESTIMATE + ["--media", f"file:{path}"])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -125,84 +129,70 @@ def test_transformation_identity_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def small_grids(draw):
-    return GridSpec(draw(st.integers(1, 3)), draw(st.sampled_from((0.5, 1.0, 3.0))),
-                    draw(st.sampled_from((2, 4, 6))))
-
-
-@st.composite
-def materials(draw):
-    g = draw(small_grids())
-    q = draw(st.integers(0, g.dim))
-    kind = draw(st.sampled_from(("identity", "scalar", "dense")))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    meta = {"tau": draw(st.sampled_from((0.0, 1.5))),
-            "decay_kind": draw(st.sampled_from(("none", "first-kind"))),
-            "smoothness": draw(st.integers(0, 3))}
-    if kind == "scalar":
-        return make_transformation(g, None, kind, hat=rng.uniform(-0.5, 0.5, g.shape),
-                                   **meta)
-    nc = n_components(g.dim, q)
-    a = rng.uniform(-0.2, 0.2, (nc, nc) + g.shape) / nc
-    return make_transformation(g, q, kind, hat=a + np.swapaxes(a, 0, 1), **meta)
+def catalog_media(draw):
+    g = GridSpec(draw(st.integers(1, 3)), draw(st.sampled_from((0.5, 1.0, 3.0))),
+                 draw(st.sampled_from((2, 4, 6))))
+    tag = draw(st.sampled_from(("gauss_well", "radial_power")))
+    numbers = st.floats(0.1, 3.0)
+    params = {"amplitude": draw(st.floats(-0.9, 2.0)), "width": draw(numbers),
+              "tau": draw(numbers)}
+    return g, tag, params
 
 
 @settings(max_examples=30, deadline=None)
-@given(eps=materials())
-def test_transformation_container_roundtrip(tmp_path_factory, eps):
+@given(medium=catalog_media())
+def test_transformation_container_roundtrip(tmp_path_factory, medium):
+    g, tag, params = medium
+    eps = scalar_catalog(g, tag, **params)
     path = tmp_path_factory.mktemp("io") / "eps"
-    save_transformation(path, eps)
+    save_transformation(path, eps, catalog_tag=tag, catalog_params=params)
     loaded = load_transformation(path)
-    assert (loaded.grid, loaded.rank, loaded.kind) == (eps.grid, eps.rank, eps.kind)
-    assert (loaded.tau, loaded.decay_kind, loaded.smoothness) == \
-        (eps.tau, eps.decay_kind, eps.smoothness)
-    if eps.kind == "identity":
-        assert loaded.hat is None
-    else:
-        assert np.array_equal(loaded.hat, eps.hat)
+    assert (loaded.grid, loaded.kind, loaded.tau) == (g, "scalar", params["tau"])
+    assert loaded.hat.tobytes() == eps.hat.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
-@given(eps=materials(), cut=st.integers(0, 10 ** 6),
-       extra=st.binary(min_size=1, max_size=40),
-       kind=st.sampled_from(("bogus", "Dense", "")))
-def test_transformation_container_rejects_corrupt_files(tmp_path_factory, eps, cut,
-                                                        extra, kind):
+@given(medium=catalog_media(), cut=st.integers(0, 10 ** 6),
+       extra=st.binary(min_size=1, max_size=40))
+def test_transformation_container_rejects_corrupt_files(tmp_path_factory, medium,
+                                                        cut, extra):
+    g, tag, params = medium
     path = tmp_path_factory.mktemp("io") / "eps"
-    save_transformation(path, eps)
-    magic, header, payload = _split_file(path)
-    bad_payloads = [payload + extra]
-    if payload:
-        bad_payloads.append(payload[: cut % len(payload)])
-    for bad in bad_payloads:
-        _rewrite(path, magic, header, bad)
-        with pytest.raises(ValueError, match="payload has"):
-            load_transformation(path)
-    _rewrite(path, magic, dict(header, kind=kind), payload)
-    with pytest.raises(ValueError, match="unknown transformation kind"):
+    save_transformation(path, scalar_catalog(g, tag, **params), catalog_tag=tag,
+                        catalog_params=params)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: cut % len(raw)])   # a truncated header
+    with pytest.raises(ValueError):
+        load_transformation(path)
+    path.write_bytes(raw + extra)               # trailing bytes
+    with pytest.raises(ValueError, match=f"{len(extra)} bytes follow"):
         load_transformation(path)
 
 
 @settings(max_examples=30, deadline=None)
-@given(eps=materials(), grow=st.integers(1, 3))
-def test_transformation_container_rejects_mismatched_headers(tmp_path_factory, eps,
-                                                             grow):
-    # a header declaring another grid than the one the payload holds
-    assume(not eps.is_identity())
+@given(medium=catalog_media(), data=st.data())
+def test_transformation_container_rejects_mismatched_headers(tmp_path_factory,
+                                                             medium, data):
+    # a dropped key, an extra key and a value of the wrong JSON type
+    g, tag, params = medium
     path = tmp_path_factory.mktemp("io") / "eps"
-    save_transformation(path, eps)
-    magic, header, payload = _split_file(path)
-    for key, value in (("N", header["N"] + grow), ("n", header["n"] + 2 * grow)):
-        _rewrite(path, magic, dict(header, **{key: value}), payload)
-        with pytest.raises(ValueError, match="payload has"):
+    save_transformation(path, scalar_catalog(g, tag, **params), catalog_tag=tag,
+                        catalog_params=params)
+    header = _header(path)
+    dropped = dict(header)
+    del dropped[data.draw(st.sampled_from(sorted(header)))]
+    extra = dict(header, **{data.draw(st.sampled_from(("q", "kind", "tau",
+                                                       "endian"))): 1})
+    key = data.draw(st.sampled_from(sorted(header)))
+    wrong = {"N": ["2", 2.0, True, None], "L": ["3.0", True, None, [3.0]],
+             "n": ["16", 16.0, False], "catalog": [1, None, ["gauss_well"]],
+             "params": [[], "amplitude", None]}[key]
+    retyped = dict(header, **{key: data.draw(st.sampled_from(wrong))})
+    param = data.draw(st.sampled_from(sorted(params)))
+    bad_param = dict(header, params=dict(params, **{param: data.draw(
+        st.sampled_from(("0.5", True, None, [0.5])))}))
+    unknown_param = dict(header, params=dict(params, decay=1.0))
+    for bad in (dropped, extra, retyped, bad_param, unknown_param):
+        _write_header(path, bad)
+        with pytest.raises(ValueError):
             load_transformation(path)
-
-
-def test_payload_size_error_names_both_sizes(tmp_path):
-    path = tmp_path / "dense.formeps"
-    save_transformation(path, random_dense_media(GridSpec(2, 1.0, 8), 1, 3))
-    magic, header, payload = _split_file(path)
-    _rewrite(path, magic, header, payload[:-16])
-    with pytest.raises(ValueError, match=r"payload has 2032 bytes, the header "
-                                         r"declares 2048 \(shape \(2, 2, 8, 8\)"):
-        load_transformation(path)

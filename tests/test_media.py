@@ -4,7 +4,6 @@ import pytest
 from conftest import max_abs, rel_gap
 from formprobe.fields import (FormField, GridSpec, l2_inner, multi_indices,
                               norm, split_tangential_normal)
-from formprobe.io import load_transformation, save_transformation
 from formprobe.manufactured import random_band_limited, random_dense_media
 from formprobe.media import (AdmissibilityError, PolyRhoGauss,
                              make_transformation, reconstruct_from_split,
@@ -133,8 +132,7 @@ def test_reflected_closed_form_partials(dim):
     entry = PolyRhoGauss({0.0: {power(0, 0): 0.5, power(1, 0): 0.3,
                                 power(0, 1): 0.4, power(0, 2): -0.2,
                                 power(1, 1): 0.1, power(0, 3): 0.05}}, 6.0)
-    eps = make_transformation(g, None, "scalar", hat_calculus=entry, tau=1.0,
-                              decay_kind="second-kind", smoothness=2)
+    eps = make_transformation(g, None, "scalar", hat_calculus=entry, tau=1.0)
     moved = reflected_transform(eps)
     target = PolyRhoGauss({0.0: {alpha: c * (-1) ** alpha[-1]
                                  for alpha, c in entry.terms[0.0].items()}},
@@ -275,21 +273,17 @@ def test_identity_decay_trivially_consistent():
     assert verify_decay(eps)["consistent"]
 
 
-def test_decay_of_a_medium_without_closed_form_is_rejected(tmp_path):
+def test_decay_of_a_medium_without_closed_form_is_rejected():
     g = GridSpec(3, 3.0, 32)
     sampled = random_band_limited(g, 0, 5).data[0]
     raw = make_transformation(g, None, "scalar",
-                              hat=0.5 * sampled / np.abs(sampled).max(), tau=1.0,
-                              decay_kind="second-kind", smoothness=3)
+                              hat=0.5 * sampled / np.abs(sampled).max(), tau=1.0)
     with pytest.raises(ValueError, match="closed-form"):
         verify_decay(raw)
-    # the catalog's own radial_power samples, saved without their tag, load
-    # with values only, and are rejected whatever their decay
+    # the catalog's own radial_power samples, without their closed form, are
+    # rejected whatever their decay
     eps = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0)
-    path = tmp_path / "power.formeps"
-    save_transformation(path, eps)
-    loaded = load_transformation(path)
-    assert loaded.hat_calculus is None and np.array_equal(loaded.hat, eps.hat)
+    values_only = make_transformation(g, None, "scalar", hat=eps.hat, tau=1.0)
     with pytest.raises(ValueError, match="closed-form"):
-        verify_decay(loaded)
+        verify_decay(values_only)
     assert verify_decay(eps)["consistent"]

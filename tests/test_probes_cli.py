@@ -9,8 +9,7 @@ from conftest import inverse_passes
 from formprobe.cli import main
 from formprobe.fields import GridSpec, norm
 from formprobe.io import load_transformation, save_transformation
-from formprobe.manufactured import (gaussian_form, random_band_limited,
-                                    random_dense_media)
+from formprobe.manufactured import gaussian_form, random_band_limited
 from formprobe.media import make_transformation, scalar_catalog, verify_decay
 from formprobe import bridge as bridge_mod, probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
@@ -235,15 +234,8 @@ def test_media_option_resolution(tmp_path):
     other = GridSpec(2, 3.0, 32)
     assert np.array_equal(from_file(other).hat,
                           scalar_catalog(other, "gauss_well", amplitude=0.5).hat)
-    with pytest.raises(ValueError, match="grid"):
+    with pytest.raises(ValueError, match="2-dimensional, the probe grid 3"):
         from_file(GridSpec(3, 3.0, 16))
-    # a raw file must match the probe grid
-    raw = tmp_path / "dense.formeps"
-    save_transformation(raw, random_dense_media(g, 1, 5))
-    raw_file = _media_resolver(f"file:{raw}", 1, "interior", 1.0)
-    assert np.array_equal(raw_file(g).hat, random_dense_media(g, 1, 5).hat)
-    with pytest.raises(ValueError, match="does not match the probe grid"):
-        raw_file(other)
 
 
 def test_media_file_is_read_once_per_probe(tmp_path, monkeypatch):
@@ -429,8 +421,6 @@ def test_media_decays_rejects_a_medium_declared_of_higher_order():
     order_one = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0)
     # the same closed form, declared to decay with order 2
     declared_two = make_transformation(g, None, "scalar", tau=2.0,
-                                       decay_kind=order_one.decay_kind,
-                                       smoothness=order_one.smoothness,
                                        hat_calculus=order_one.hat_calculus)
     assert not verify_decay(declared_two)["consistent"]
     assert not _media_decays(declared_two, 2.0)
@@ -456,18 +446,35 @@ def test_cli_weighted_fails_a_catalog_file_of_lower_order(tmp_path, capsys):
 
 
 def test_cli_weighted_rejects_a_raw_media_file(tmp_path, capsys):
-    # a raw file holds values only: it fails the doubled grid, and its decay
-    # has no closed form to be judged by
+    # a file of the earlier raw format: a header with no catalog tag, then
+    # the float64 values of the medium on its grid
+    g = GridSpec(2, PROBE_BOX_HALF_LENGTH, 16)
+    header = {"L": 3.0, "N": 2, "decay": "second-kind", "endian": "little",
+              "kind": "scalar", "m": 3, "n": 16, "q": None, "tau": 1.0}
+    values = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0).hat
     path = tmp_path / "raw.formeps"
-    save_transformation(path, scalar_catalog(GridSpec(2, PROBE_BOX_HALF_LENGTH, 16),
-                                             "radial_power", amplitude=0.5, tau=1.0))
-    with pytest.raises(ValueError, match="closed-form"):
-        _media_decays(load_transformation(path), 1.0)
+    path.write_bytes(b"FORMEPS1\n" + json.dumps(header).encode() + b"\n"
+                     + values.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="media files name a catalog entry"):
+        load_transformation(path)
+    for variant in ("interior", "weighted", "halfspace"):
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--variant", variant, "--dim", "2", "--grid", "16",
+                  "--media", f"file:{path}", "--ensemble", "2"])
+        assert err.value.code == 2
+        assert "media files name a catalog entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ("interior", "weighted", "halfspace"))
+@pytest.mark.parametrize("rank", ("3", "-1"))
+def test_cli_rank_outside_the_dimension_exits_with_status_two(variant, rank,
+                                                              capsys):
     with pytest.raises(SystemExit) as err:
-        main(["estimate", "--variant", "weighted", "--dim", "2", "--grid", "16",
-              "--media", f"file:{path}", "--ensemble", "2"])
+        main(["estimate", "--variant", variant, "--dim", "2", "--rank", rank,
+              "--grid", "16", "--ensemble", "2"])
     assert err.value.code == 2
-    assert "does not match the probe grid" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"formprobe: error: rank {rank} is "
+                                       f"outside 0..2\n")
 
 
 def test_cli_halfspace_default_grid_resolves_material_product():
