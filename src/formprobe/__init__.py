@@ -35,7 +35,6 @@ from .halfspace import (diff_quotient, extend_boundary_form, mirror_Sd,
 from .decompose import (HodgeSplit, hodge_decompose, potential_for_exact,
                         solve_coderivative)
 from .manufactured import ManufacturedForm, random_band_limited
-from .io import save_transformation
 from .bridge import VectorFieldN3, form_to_vector, vector_to_form
 from .probes import (ProbeReport, estimate_probe_interior,
                      estimate_probe_weighted, halfspace_probe,
@@ -56,7 +55,7 @@ __all__ = [
     "stokes_pairing_residual", "trace_normal", "trace_tangential",
     "HodgeSplit", "hodge_decompose", "potential_for_exact",
     "solve_coderivative", "ManufacturedForm", "random_band_limited",
-    "save_transformation", "VectorFieldN3", "form_to_vector",
-    "vector_to_form", "ProbeReport", "estimate_probe_interior",
-    "estimate_probe_weighted", "halfspace_probe", "run_identity_suite",
+    "VectorFieldN3", "form_to_vector", "vector_to_form", "ProbeReport",
+    "estimate_probe_interior", "estimate_probe_weighted", "halfspace_probe",
+    "run_identity_suite",
 ]

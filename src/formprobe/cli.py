@@ -1,9 +1,10 @@
 """Command-line harness: identity suite, estimate probes, bridge check.
 
 Exit code 0 means every asserted invariant passed, 1 that a check
-failed and 2 that the arguments were rejected.  Reports are JSON
-documents (one per run) with deterministic bytes for a fixed parameter
-set and seed; an optional CSV carries the per-sample ratios.
+failed and 2 that the arguments were rejected or an output file could not
+be written.  Reports are JSON documents (one per run) with deterministic
+bytes for a fixed parameter set and seed; an optional CSV carries the
+per-sample ratios.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from .probes import (IDENTITIES, ProbeReport, bridge_sample,
 
 def _print_identity_lines(report: ProbeReport):
     for check in report.samples:
-        status = "PASS" if check["pass"] else "FAIL"
         rel = ">=" if check["mode"] == "ge" else "<="
-        print(f"{status} {check['name']}: residual {check['residual']:.3e} "
-              f"{rel} {check['tolerance']:.1e}")
+        # a failing line states the bound that the residual needed
+        status, sep = ("PASS", " ") if check["pass"] else ("FAIL", ", needs ")
+        print(f"{status} {check['name']}: residual {check['residual']:.3e}"
+              f"{sep}{rel} {check['tolerance']:.1e}")
     agg = report.aggregates
     print(f"{agg['n_pass']}/{agg['n_total']} identities pass")
 
@@ -120,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--tau", type=float, default=None,
                        help="weighted only (default 1)")
     p_est.add_argument("--media", type=str, default="id",
-                       help="id | scalar | file:PATH")
+                       help="id | scalar | NAME[:KEY=VALUE,...] with NAME (KEYs) "
+                            "gauss_well (amplitude, width) or radial_power "
+                            "(amplitude, tau)")
     p_est.add_argument("--ensemble", type=int, default=50)
     p_est.add_argument("--grid", type=int, default=None,
                        help="points per axis (default 32; 48 for halfspace)")
@@ -141,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # rejected by the library: argparse's status 2
+    except (ValueError, OSError) as err:  # rejected arguments: argparse's status 2
         parser.exit(2, f"{parser.prog}: error: {err}\n")
 
 

@@ -2,8 +2,8 @@
 
 A transformation acts nodewise on the component vector of a rank-q form
 through a real symmetric uniformly positive-definite matrix.  It is kept
-as identity-plus-perturbation with its decay order tau; a scalar
-perturbation may carry its closed form.  Construction verifies symmetry
+as identity-plus-perturbation; a scalar perturbation may carry its closed
+form, the one record of its decay order.  Construction verifies symmetry
 and positivity and rejects violations with the worst node.  A material
 transports under the boundary reflection (x', x_N) -> (x', -x_N) only
 (``reflected_transform``), through the node flip and sign vector of
@@ -12,13 +12,14 @@ transports under the boundary reflection (x', x_N) -> (x', -x_N) only
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .fields import (FormField, GridSpec, derivative_orders, n_components,
-                     normal_mask, reflect_nodes, reflection_signs)
+from .fields import (FormField, GridSpec, n_components, normal_mask,
+                     reflect_nodes, reflection_signs)
 from .spectral import derivative_symbol, fft_nodes, ifft_nodes
 
 IDENTITY = "identity"
@@ -99,6 +100,17 @@ class PolyRhoGauss:
                     add(p, alpha, 1, -2.0 * self.decay * c)
         return PolyRhoGauss(new, self.decay)
 
+    def decay_order(self) -> float:
+        """The order tau of |d^alpha f| <= C (1+r^2)^(-(tau+|alpha|)/2), for
+        every alpha (``partial`` adds one order a term): infinite under a
+        decaying envelope (minus infinity under a growing one), else the
+        least -2p - |alpha| over the terms (exact when no terms cancel, as
+        for every catalog entry)."""
+        if self.decay != 0.0:
+            return math.copysign(math.inf, self.decay)
+        return min((-2.0 * p - sum(alpha) for p, poly in self.terms.items()
+                    for alpha in poly), default=math.inf)
+
 
 @dataclass(frozen=True)
 class Transformation:
@@ -107,16 +119,15 @@ class Transformation:
     ``hat`` stores only the perturbation: full matrices are id + hat.
     Scalar transformations hold a single field and act on any rank.
     ``hat_calculus`` optionally carries the closed-form entry of a scalar
-    kind (a ``PolyRhoGauss`` or its reflection, an object with
-    eval/partial); the entry partials and the decay verification then take
-    exact derivatives from it.
+    kind (a ``PolyRhoGauss`` or its reflection, an object with eval,
+    partial and decay_order); the entry partials and the decay order are
+    then read from it.
     """
 
     grid: GridSpec
     rank: int | None
     kind: str
     hat: np.ndarray | None = field(default=None, repr=False)
-    tau: float = 0.0
     report: AdmissibilityReport | None = None
     hat_calculus: object | None = field(default=None, repr=False)
 
@@ -256,15 +267,15 @@ def _verify_dense(grid, hat) -> AdmissibilityReport:
     full[idx, idx] += 1.0
     mats = np.moveaxis(full, (0, 1), (-2, -1))
     eig = np.linalg.eigvalsh(mats)
-    node_min = eig.min(axis=-1)
+    # eigvalsh of a matrix holding NaN is unspecified: such a node reads NaN
+    node_min = np.where(np.isnan(mats).any(axis=(-2, -1)), np.nan, eig.min(axis=-1))
     worst = float(node_min.min())
     node = np.unravel_index(int(np.argmin(node_min)), grid.shape)
     return AdmissibilityReport(symmetric, worst, float(eig.max()), node)
 
 
 def make_transformation(grid: GridSpec, rank: int | None = None,
-                        kind: str = IDENTITY, *, hat=None,
-                        tau: float = 0.0, hat_calculus=None,
+                        kind: str = IDENTITY, *, hat=None, hat_calculus=None,
                         positivity_floor: float = 1e-10) -> Transformation:
     """Build and verify a transformation.
 
@@ -272,12 +283,11 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
     hat (full coefficient is 1 + hat), or evaluates it on the grid from
     its closed-form entry hat_calculus; "dense" takes the perturbation
     matrices hat of shape (nc, nc) + grid.shape for the given rank.
-    tau is the decay order the medium is held to (``verify_decay``).
     Non-symmetric or non-positive inputs are rejected with the worst node
-    and Rayleigh quotient in the error.
+    and Rayleigh quotient in the error; a NaN coefficient is not positive.
     """
     if kind == IDENTITY:
-        return Transformation(grid, rank, IDENTITY, None, tau,
+        return Transformation(grid, rank, IDENTITY, None,
                               AdmissibilityReport(True, 1.0, 1.0, ()))
 
     if kind == SCALAR:
@@ -285,11 +295,11 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
             hat = np.real(hat_calculus.eval(grid))
         hat = np.broadcast_to(np.asarray(hat, float), grid.shape).copy()
         report = _verify_scalar(grid, hat)
-        if report.min_rayleigh < positivity_floor:
+        if not report.min_rayleigh >= positivity_floor:
             raise AdmissibilityError(
                 f"positivity violation: coefficient {report.min_rayleigh:.6g} "
                 f"at node {report.worst_node}", report)
-        return Transformation(grid, rank, SCALAR, hat, tau, report, hat_calculus)
+        return Transformation(grid, rank, SCALAR, hat, report, hat_calculus)
     if kind == DENSE:
         if rank is None:
             raise ValueError("dense transformations need a rank")
@@ -299,14 +309,14 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
             raise ValueError(f"perturbation matrices must have shape "
                              f"{(nc, nc) + grid.shape}, got {hat.shape}")
         report = _verify_dense(grid, hat)
-        if not report.symmetric:
-            raise AdmissibilityError("symmetry violation in perturbation "
-                                     "matrices", report)
-        if report.min_rayleigh < positivity_floor:
+        if not report.min_rayleigh >= positivity_floor:
             raise AdmissibilityError(
                 f"positivity violation: Rayleigh quotient "
                 f"{report.min_rayleigh:.6g} at node {report.worst_node}", report)
-        return Transformation(grid, rank, DENSE, hat, tau, report)
+        if not report.symmetric:
+            raise AdmissibilityError("symmetry violation in perturbation "
+                                     "matrices", report)
+        return Transformation(grid, rank, DENSE, hat, report)
     raise ValueError(f"unknown transformation kind {kind!r}")
 
 
@@ -314,21 +324,29 @@ def make_transformation(grid: GridSpec, rank: int | None = None,
 # scalar catalog (closed-form coefficients with analytic partials)
 # ---------------------------------------------------------------------------
 
-def scalar_catalog(grid: GridSpec, tag: str, *, amplitude: float = 1.0,
-                   width: float = 1.0, tau: float = 1.0) -> Transformation:
-    """Fixed catalog of smooth scalar media.
+# each catalog entry's parameters and their defaults
+CATALOG = {"gauss_well": {"amplitude": 1.0, "width": 1.0},
+           "radial_power": {"amplitude": 1.0, "tau": 1.0}}
 
-    "gauss_well": 1 + a exp(-b r^2), decays faster than any power.
-    "radial_power": 1 + a (1+r^2)^(-tau/2), second-kind decay of order tau.
+
+def scalar_catalog(grid: GridSpec, tag: str, **params) -> Transformation:
+    """Fixed catalog of smooth scalar media, each taking the params that
+    ``CATALOG`` lists for its tag.
+
+    "gauss_well": 1 + amplitude exp(-width r^2), decays faster than any power.
+    "radial_power": 1 + amplitude (1+r^2)^(-tau/2), decay of order tau.
     """
+    if tag not in CATALOG or not params.keys() <= CATALOG[tag].keys():
+        raise ValueError(f"the scalar catalog takes {CATALOG}, not {tag!r} "
+                         f"with {sorted(params)}")
+    params = {**CATALOG[tag], **params}
     zero_alpha = (0,) * grid.dim
     if tag == "gauss_well":
-        entry = PolyRhoGauss({0.0: {zero_alpha: amplitude}}, width)
-    elif tag == "radial_power":
-        entry = PolyRhoGauss({-tau / 2.0: {zero_alpha: amplitude}})
+        entry = PolyRhoGauss({0.0: {zero_alpha: params["amplitude"]}},
+                             params["width"])
     else:
-        raise ValueError(f"unknown scalar catalog tag {tag!r}")
-    return make_transformation(grid, None, SCALAR, tau=tau, hat_calculus=entry)
+        entry = PolyRhoGauss({-params["tau"] / 2.0: {zero_alpha: params["amplitude"]}})
+    return make_transformation(grid, None, SCALAR, hat_calculus=entry)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +388,9 @@ class _Reflected:
         return _Reflected(self.entry.partial(axis), self.dim,
                           -self.sign if axis == self.dim else self.sign)
 
+    def decay_order(self) -> float:
+        return self.entry.decay_order()
+
 
 def reflected_transform(eps: Transformation) -> Transformation:
     """Transport under the boundary reflection R: (x', x_N) -> (x', -x_N).
@@ -386,58 +407,7 @@ def reflected_transform(eps: Transformation) -> Transformation:
         calculus = None if eps.hat_calculus is None \
             else _Reflected(eps.hat_calculus, dim)
         return make_transformation(eps.grid, eps.rank, SCALAR,
-                                   hat=reflect_nodes(eps.hat), tau=eps.tau,
-                                   hat_calculus=calculus)
+                                   hat=reflect_nodes(eps.hat), hat_calculus=calculus)
     signs = reflection_signs(dim, eps.rank)
     return make_transformation(eps.grid, eps.rank, DENSE,
-                               hat=reflect_nodes(eps.hat, signs[:, None] * signs),
-                               tau=eps.tau)
-
-
-# ---------------------------------------------------------------------------
-# decay verification on annulus samples
-# ---------------------------------------------------------------------------
-
-# (inner, outer) annuli in half lengths: the closed-form derivatives are
-# sampled out to the box corners
-DECAY_ANNULI = ((0.50, 0.80), (0.90, 1.30))
-DECAY_GROWTH_SLACK = 1.75
-DECAY_SMOOTHNESS = 3
-
-
-def verify_decay(eps: Transformation) -> dict:
-    """Sample |d^alpha hat| rho^(tau + |alpha|) over two annuli and compare.
-
-    Second-kind decay of order tau for |alpha| <= DECAY_SMOOTHNESS, that
-    of every closed-form medium (``scalar_catalog`` and its reflections).
-    The weight is rho = (1+r^2)^(1/2), which keeps a perturbation exactly
-    at the decay boundary flat instead of pre-asymptotically rising.  The
-    decay is consistent when the weighted sup does not grow from the inner
-    annulus to the outer one beyond DECAY_GROWTH_SLACK.  Derivatives come
-    from the closed form (``hat_calculus``); a non-identity medium without
-    one is rejected with ValueError, since a spectral derivative of a
-    non-periodic perturbation cannot be trusted here.
-    """
-    if eps.kind == IDENTITY:
-        return {"tau": eps.tau, "orders": {}, "consistent": True}
-    if eps.hat_calculus is None:
-        raise ValueError("verify_decay needs a closed-form medium (a catalog "
-                         "entry); this medium has only sampled values")
-    grid = eps.grid
-    r = np.sqrt(grid.radius_sq())
-    weight_base = np.sqrt(1.0 + grid.radius_sq())
-    inner, outer = grid.half_length * np.array(DECAY_ANNULI)
-    masks = {"inner": (inner[0] < r) & (r < inner[1]),
-             "outer": (outer[0] < r) & (r < outer[1])}
-    orders = {}
-    for alpha in derivative_orders(grid.dim, DECAY_SMOOTHNESS):
-        entry = eps.hat_calculus
-        for ax, a in enumerate(alpha):
-            for _ in range(a):
-                entry = entry.partial(ax + 1)
-        weighted = np.abs(entry.eval(grid)) * weight_base ** (eps.tau + sum(alpha))
-        sups = {name: float(weighted[mask].max()) for name, mask in masks.items()}
-        ok = sups["outer"] <= DECAY_GROWTH_SLACK * max(sups["inner"], 1e-300)
-        orders[alpha] = dict(sups, bounded=ok)
-    return {"tau": eps.tau, "orders": orders,
-            "consistent": all(o["bounded"] for o in orders.values())}
+                               hat=reflect_nodes(eps.hat, signs[:, None] * signs))

@@ -5,7 +5,8 @@ the probes never assert an absolute bound unless an identity pins one;
 they report the empirical sup of the left/right norm ratios and check it
 is finite and stable under grid doubling.  Reports are deterministic
 given (parameters, seed): members are generated from per-index seeds and
-aggregated in index order.
+aggregated in index order.  A report names its medium in the media
+grammar, so its ``params`` alone rerun it.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
                         normal_derivative_reconstruct, restrict_to_half,
                         shift, stokes_pairing_residual, trace_normal,
                         trace_tangential)
-from .io import load_transformation
 from .manufactured import (gaussian_form, parity_symmetrized,
                            random_band_limited, random_coclosed,
                            random_dense_media, random_dyadic,
                            trig_catalog_entry)
-from .media import (Transformation, make_transformation,
+from .media import (CATALOG, Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
-                    scalar_catalog, verify_decay)
+                    scalar_catalog)
 from .spectral import (assemble_d, assemble_delta, coderivative_delta,
                        d_delta_plus_delta_d, exterior_d,
                        fourier, fourier_inverse, gaffney_identity_check,
@@ -89,28 +89,46 @@ class ProbeReport:
                 writer.writerow({k: row.get(k, "") for k in keys})
 
 
-def _media_resolver(option: str, rank: int, variant: str, tau: float):
-    """The CLI media selector id | scalar | file:PATH as a function from a
-    grid to the material on it; a file is read once, here."""
-    if option == "id":
-        return lambda grid: make_transformation(grid, rank, "identity")
-    if option == "scalar":
-        if variant == "weighted":
-            return lambda grid: scalar_catalog(grid, "radial_power",
-                                               amplitude=0.5, tau=tau)
-        return lambda grid: scalar_catalog(grid, "gauss_well", amplitude=1.0,
-                                           width=1.0)
-    if option.startswith("file:"):
-        eps = load_transformation(option[5:])
+def _parse_media(option: str) -> tuple:
+    """A catalog medium NAME[:KEY=VALUE[,KEY=VALUE...]] as its name and its
+    params, every key of its ``CATALOG`` entry filled in.  An unknown name
+    or key, a repeated key and a value that is not a finite number raise
+    ValueError."""
+    name, colon, given = option.partition(":")
+    if name not in CATALOG:
+        raise ValueError(f"unknown media {option!r}: name a medium as id | scalar | "
+                         f"NAME[:KEY=VALUE,...], NAME one of {', '.join(CATALOG)}")
+    params, seen = dict(CATALOG[name]), set()
+    for item in given.split(",") if colon else ():
+        key, _, value = item.partition("=")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if key not in params or key in seen or not math.isfinite(number):
+            raise ValueError(f"media {option!r}: {name} takes {', '.join(params)}, "
+                             f"each once and a finite number, not {item!r}")
+        seen.add(key)
+        params[key] = number
+    return name, params
 
-        def on_grid(grid):
-            if eps.grid.dim != grid.dim:
-                raise ValueError(f"the media file is {eps.grid.dim}-dimensional, "
-                                 f"the probe grid {grid.dim}-dimensional")
-            return make_transformation(grid, None, "scalar", tau=eps.tau,
-                                       hat_calculus=eps.hat_calculus)
-        return on_grid
-    raise ValueError(f"unknown media option {option!r}")
+
+def _media_resolver(option: str, rank: int, variant: str, tau: float) -> tuple:
+    """The CLI media selector as its report spelling and a function from a
+    grid to the material on it.  ``id`` and ``scalar`` (the variant's fixed
+    catalog entry) are spelled as typed, a catalog medium with every key,
+    sorted, each value in ``repr``: two spellings of one medium, one report.
+    """
+    if option == "id":
+        return option, lambda grid: make_transformation(grid, rank, "identity")
+    if option == "scalar":
+        name, params = (("radial_power", {"amplitude": 0.5, "tau": tau})
+                        if variant == "weighted" else ("gauss_well", {}))
+    else:
+        name, params = _parse_media(option)
+        option = f"{name}:" + ",".join(f"{key}={value!r}"
+                                        for key, value in sorted(params.items()))
+    return option, lambda grid: scalar_catalog(grid, name, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +219,10 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
         raise ValueError(f"rank {params['rank']} is outside 0..{params['dim']}")
     n = params["grid"]
     grid, fine = (GridSpec(params["dim"], PROBE_BOX_HALF_LENGTH, m) for m in (n, 2 * n))
-    eps, eps_fine = map(_media_resolver(params["media"], params["rank"], variant,
-                                       tau), (grid, fine))
+    media, resolve = _media_resolver(params["media"], params["rank"], variant, tau)
+    eps, eps_fine = resolve(grid), resolve(fine)
     report = ProbeReport(probe=probe, params=dict(
-        params, box_half_length=PROBE_BOX_HALF_LENGTH))
+        params, media=media, box_half_length=PROBE_BOX_HALF_LENGTH))
     sup = total = sup_fine = 0.0
     for i in range(params["ensemble"]):
         row = sample(grid, eps, i, True)
@@ -280,12 +298,13 @@ def estimate_probe_weighted(dim: int, rank: int, order: int, weight: float,
 def _media_decays(eps: Transformation, tau: float) -> bool:
     """The weighted estimate's hypothesis: the medium decays with order tau.
 
-    True for the identity; otherwise the medium must be held to an order
-    of at least tau, and ``verify_decay`` must find its closed form
-    decaying with that order.
+    True for the identity, else read off the closed form; a medium with
+    sampled values only raises ValueError.
     """
-    return eps.is_identity() or (eps.tau >= tau
-                                 and verify_decay(eps)["consistent"])
+    if not eps.is_identity() and eps.hat_calculus is None:
+        raise ValueError("media_decays needs a closed-form medium (a catalog "
+                         "entry); this medium has only sampled values")
+    return eps.is_identity() or eps.hat_calculus.decay_order() >= tau
 
 
 def validate_halfspace_member(e: FormField, tol: float = 1e-10) -> float:

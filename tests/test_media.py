@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import max_abs, rel_gap
-from formprobe.fields import (FormField, GridSpec, l2_inner, multi_indices,
-                              norm, split_tangential_normal)
+from formprobe.fields import (FormField, GridSpec, derivative_orders, l2_inner,
+                              multi_indices, norm, split_tangential_normal)
 from formprobe.manufactured import random_band_limited, random_dense_media
 from formprobe.media import (AdmissibilityError, PolyRhoGauss,
                              make_transformation, reconstruct_from_split,
-                             reflected_transform, scalar_catalog,
-                             verify_decay)
+                             reflected_transform, scalar_catalog)
+from formprobe.probes import _media_decays
 
 
 def test_identity_transformation():
@@ -50,6 +52,25 @@ def test_symmetry_rejection():
         make_transformation(g, 1, "dense", hat=hat)
 
 
+def test_nan_coefficient_is_rejected():
+    # NaN compares false with the floor, so it must fail "min >= floor"
+    g = GridSpec(2, 1.0, 8)
+    one_node = np.zeros((2, 2) + g.shape)
+    one_node[1, 1, 3, 5] = np.nan
+    cases = [(lambda: make_transformation(g, None, "scalar",
+                                          hat=np.full(g.shape, np.nan)), (0, 0)),
+             (lambda: scalar_catalog(g, "gauss_well", amplitude=math.nan), (0, 0)),
+             (lambda: make_transformation(g, 1, "dense",
+                                          hat=np.full((2, 2) + g.shape, np.nan)),
+              (0, 0)),
+             (lambda: make_transformation(g, 1, "dense", hat=one_node), (3, 5))]
+    for build, node in cases:
+        with pytest.raises(AdmissibilityError, match="positivity violation") as err:
+            build()
+        assert math.isnan(err.value.report.min_rayleigh)
+        assert err.value.report.worst_node == node
+
+
 def test_apply_inverse_roundtrip_scalar_and_dense():
     g = GridSpec(2, 3.0, 16)
     e = random_band_limited(g, 1, 5, real=False)
@@ -88,6 +109,8 @@ def test_catalog_partials_match_hand_formulas(grid, monkeypatch):
                         lambda self, axis, f=PolyRhoGauss.partial:
                         calls.append(axis) or f(self, axis))
     a, w, tau = 0.7, 1.3, 1.5
+    params = {"gauss_well": {"amplitude": a, "width": w},
+              "radial_power": {"amplitude": a, "tau": tau}}
     r2 = grid.radius_sq()
     coords = grid.coord_fields()
     gauss = a * np.exp(-w * r2)
@@ -104,7 +127,7 @@ def test_catalog_partials_match_hand_formulas(grid, monkeypatch):
                          lambda i, j: tau * (tau + 2.0) * coords[i] * coords[j]
                          * power(2) - tau * (i == j) * power(1))}
     for tag, (first, second) in formulas.items():
-        eps = scalar_catalog(grid, tag, amplitude=a, width=w, tau=tau)
+        eps = scalar_catalog(grid, tag, **params[tag])
         # no partial is evaluated until one is asked for, then all at once
         assert calls == []
         for axis, ref in enumerate(first, start=1):
@@ -132,7 +155,7 @@ def test_reflected_closed_form_partials(dim):
     entry = PolyRhoGauss({0.0: {power(0, 0): 0.5, power(1, 0): 0.3,
                                 power(0, 1): 0.4, power(0, 2): -0.2,
                                 power(1, 1): 0.1, power(0, 3): 0.05}}, 6.0)
-    eps = make_transformation(g, None, "scalar", hat_calculus=entry, tau=1.0)
+    eps = make_transformation(g, None, "scalar", hat_calculus=entry)
     moved = reflected_transform(eps)
     target = PolyRhoGauss({0.0: {alpha: c * (-1) ** alpha[-1]
                                  for alpha, c in entry.terms[0.0].items()}},
@@ -144,12 +167,26 @@ def test_reflected_closed_form_partials(dim):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _partials(entry, alpha):
+    for axis, count in enumerate(alpha, start=1):
+        for _ in range(count):
+            entry = entry.partial(axis)
+    return entry
+
+
 def test_reflected_catalog_keeps_exact_decay_check():
-    g = GridSpec(2, 3.0, 48)
-    eps = scalar_catalog(g, "gauss_well", amplitude=1.0, width=1.0, tau=1.0)
-    moved = reflected_transform(eps)
-    assert moved.hat_calculus is not None
-    assert verify_decay(moved) == verify_decay(eps)
+    # each partial decays one order faster, and the reflection keeps orders
+    g = GridSpec(3, 3.0, 8)
+    for tau in (0.5, 1.0, 2.5):
+        eps = scalar_catalog(g, "radial_power", amplitude=0.5, tau=tau)
+        moved = reflected_transform(eps)
+        for entry in (eps.hat_calculus, moved.hat_calculus):
+            for order, alpha in enumerate(((0, 0, 0), (1, 0, 0), (1, 1, 0),
+                                           (1, 1, 1))):
+                assert _partials(entry, alpha).decay_order() == tau + order
+        assert _media_decays(moved, tau) and not _media_decays(moved, tau + 1)
+    well = reflected_transform(scalar_catalog(g, "gauss_well", width=0.05))
+    assert _partials(well.hat_calculus, (1, 1, 1)).decay_order() == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -253,37 +290,81 @@ def test_reflection_is_involution_and_preserves_admissibility():
 # ---------------------------------------------------------------------------
 
 def test_gauss_well_is_second_kind_for_every_tau():
-    g = GridSpec(2, 3.0, 48)
-    for tau in (0.5, 1.0, 3.0):
-        eps = scalar_catalog(g, "gauss_well", amplitude=1.0, width=1.0, tau=tau)
-        report = verify_decay(eps)
-        assert report["consistent"], report
+    # decays faster than any power, however wide: media_decays at any tau
+    g = GridSpec(2, 3.0, 16)
+    for width in (0.05, 0.2, 1.0):
+        eps = scalar_catalog(g, "gauss_well", width=width)
+        assert eps.hat_calculus.decay_order() == math.inf
+        for tau in (1.0, 2.0, 4.0):
+            assert _media_decays(eps, tau)
+    # a negative width grows faster than any power
+    growing = scalar_catalog(g, "gauss_well", amplitude=0.5, width=-0.1)
+    assert growing.hat_calculus.decay_order() == -math.inf
+    assert not _media_decays(growing, 0.5)
 
 
 def test_radial_power_decay_consistent_at_declared_tau():
-    g = GridSpec(2, 3.0, 48)
-    eps = scalar_catalog(g, "radial_power", amplitude=1.0, tau=2.0)
-    report = verify_decay(eps)
-    assert report["consistent"], report
+    g = GridSpec(2, 3.0, 16)
+    for tau in (0.5, 1.0, 2.0, 3.0):
+        eps = scalar_catalog(g, "radial_power", amplitude=0.5, tau=tau)
+        assert eps.hat_calculus.decay_order() == tau
+        assert _media_decays(eps, tau)
+        assert not _media_decays(eps, tau + 1.0)
 
 
 def test_identity_decay_trivially_consistent():
     g = GridSpec(2, 1.0, 8)
-    eps = make_transformation(g, None, "identity", tau=1.0)
-    assert verify_decay(eps)["consistent"]
+    for tau in (0.5, 1.0, 4.0):
+        assert _media_decays(make_transformation(g, None, "identity"), tau)
+    # a zero perturbation has no term to decay
+    assert PolyRhoGauss({0.0: {(0, 0): 0.0}}).decay_order() == math.inf
 
 
 def test_decay_of_a_medium_without_closed_form_is_rejected():
     g = GridSpec(3, 3.0, 32)
     sampled = random_band_limited(g, 0, 5).data[0]
     raw = make_transformation(g, None, "scalar",
-                              hat=0.5 * sampled / np.abs(sampled).max(), tau=1.0)
+                              hat=0.5 * sampled / np.abs(sampled).max())
     with pytest.raises(ValueError, match="closed-form"):
-        verify_decay(raw)
+        _media_decays(raw, 1.0)
     # the catalog's own radial_power samples, without their closed form, are
     # rejected whatever their decay
     eps = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0)
-    values_only = make_transformation(g, None, "scalar", hat=eps.hat, tau=1.0)
+    values_only = make_transformation(g, None, "scalar", hat=eps.hat)
     with pytest.raises(ValueError, match="closed-form"):
-        verify_decay(values_only)
-    assert verify_decay(eps)["consistent"]
+        _media_decays(values_only, 1.0)
+    assert _media_decays(eps, 1.0)
+
+
+def _annulus_sups(entry, grid, tau, alpha) -> tuple:
+    """The sups of |d^alpha entry| (1+r^2)^((tau+|alpha|)/2) over the annuli
+    0.5 L < r < 0.8 L and 0.9 L < r < 1.3 L: the sampled decay check that
+    reading the order off the closed form replaced."""
+    r2 = grid.radius_sq()
+    weighted = np.abs(_partials(entry, alpha).eval(grid)) \
+        * (1.0 + r2) ** ((tau + sum(alpha)) / 2.0)
+    r = np.sqrt(r2) / grid.half_length
+    return tuple(float(weighted[(lo < r) & (r < hi)].max())
+                 for lo, hi in ((0.5, 0.8), (0.9, 1.3)))
+
+
+def test_sampled_decay_stays_bounded_wherever_the_order_holds():
+    # on a box past the rise before the asymptotic regime (at L = 3 the
+    # weighted sups of a wide gauss_well still grow at the box edge), every
+    # weighted sup with |alpha| <= 3 grows at most 1.75 times outwards
+    # wherever the closed form's order is at least tau
+    grid = GridSpec(2, 48.0, 64)
+    media = [scalar_catalog(grid, "gauss_well", width=w) for w in (0.05, 0.2, 1.0)]
+    media += [scalar_catalog(grid, "radial_power", amplitude=0.5, tau=t)
+              for t in (0.5, 1.0, 2.0, 4.0)]
+    checked = 0
+    for eps in media:
+        for tau in (0.5, 1.0, 2.0, 4.0):
+            if eps.hat_calculus.decay_order() < tau:
+                continue
+            for alpha in derivative_orders(2, 3):
+                inner, outer = _annulus_sups(eps.hat_calculus, grid, tau, alpha)
+                assert outer <= 1.75 * max(inner, 1e-300), (eps.hat_calculus.terms,
+                                                            tau, alpha)
+                checked += 1
+    assert checked == 22 * 10

@@ -8,9 +8,8 @@ import pytest
 from conftest import inverse_passes
 from formprobe.cli import main
 from formprobe.fields import GridSpec, norm
-from formprobe.io import load_transformation, save_transformation
 from formprobe.manufactured import gaussian_form, random_band_limited
-from formprobe.media import make_transformation, scalar_catalog, verify_decay
+from formprobe.media import make_transformation, scalar_catalog
 from formprobe import bridge as bridge_mod, probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
                               _media_decays, _media_resolver, _member_spectra,
@@ -178,7 +177,7 @@ def test_estimate_probe_report_fields(run, row, aggregates, flags):
 def test_halfspace_member_checks_reuse_the_member_spectra(fft_calls):
     # a default member: N = 3, rank 1, n = 48, scalar media
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
-    eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
+    eps = _media_resolver("scalar", 1, "interior", 1.0)[1](grid)
     e = gaussian_form(grid, 1, 0, poly_degree=2, trace_free=True).field()
     hat, de_hat, delta_eps_hat = _member_spectra(e, eps)
     fft_calls.clear()
@@ -218,45 +217,25 @@ def test_halfspace_member_rejection():
         validate_halfspace_member(bad)
 
 
-def test_media_option_resolution(tmp_path):
+def test_media_option_resolution():
     g = GridSpec(2, 3.0, 16)
-    assert _media_resolver("id", 1, "interior", 1.0)(g).is_identity()
-    assert _media_resolver("scalar", 1, "interior", 1.0)(g).kind == "scalar"
-    eps = scalar_catalog(g, "gauss_well", amplitude=0.5)
-    path = tmp_path / "eps.formeps"
-    save_transformation(path, eps, catalog_tag="gauss_well",
-                        catalog_params={"amplitude": 0.5})
-    from_file = _media_resolver(f"file:{path}", 1, "interior", 1.0)
-    assert np.allclose(from_file(g).hat, eps.hat)
+    spelling, on_grid = _media_resolver("id", 1, "interior", 1.0)
+    assert spelling == "id" and on_grid(g).is_identity()
+    # scalar is one fixed catalog entry per variant, spelled as typed
+    for variant, name, params in (
+            ("interior", "gauss_well", {}),
+            ("weighted", "radial_power", {"amplitude": 0.5, "tau": 2.5})):
+        spelling, on_grid = _media_resolver("scalar", 1, variant, 2.5)
+        assert spelling == "scalar"
+        assert on_grid(g).hat.tobytes() == scalar_catalog(g, name, **params).hat.tobytes()
+    # a catalog medium is rebuilt on any grid, of any dimension
+    spelling, on_grid = _media_resolver("gauss_well:amplitude=0.5", 1, "weighted", 2.5)
+    assert spelling == "gauss_well:amplitude=0.5,width=1.0"
+    for other in (GridSpec(2, 3.0, 32), GridSpec(3, 1.0, 8)):
+        assert np.array_equal(on_grid(other).hat,
+                              scalar_catalog(other, "gauss_well", amplitude=0.5).hat)
     with pytest.raises(ValueError):
         _media_resolver("granite", 1, "interior", 1.0)
-    # a catalog file is rebuilt on any grid of its dimension
-    other = GridSpec(2, 3.0, 32)
-    assert np.array_equal(from_file(other).hat,
-                          scalar_catalog(other, "gauss_well", amplitude=0.5).hat)
-    with pytest.raises(ValueError, match="2-dimensional, the probe grid 3"):
-        from_file(GridSpec(3, 3.0, 16))
-
-
-def test_media_file_is_read_once_per_probe(tmp_path, monkeypatch):
-    # one read serves the probe grid and its doubling
-    path = tmp_path / "well.formeps"
-    save_transformation(path, scalar_catalog(GridSpec(2, 3.0, 8), "gauss_well"),
-                        catalog_tag="gauss_well")
-    reads = []
-
-    def counted(p):
-        reads.append(p)
-        return load_transformation(p)
-
-    monkeypatch.setattr(probes, "load_transformation", counted)
-    option = f"file:{path}"
-    for run in (lambda: estimate_probe_interior(2, 1, 0, 0.0, option, ensemble=1,
-                                                grid_points=16),
-                lambda: halfspace_probe(2, 1, 0, option, ensemble=1, grid_points=16)):
-        reads.clear()
-        assert len(run().samples) == 1
-        assert reads == [str(path)]
 
 
 def test_halfspace_member_transform_budget(fft_calls):
@@ -268,7 +247,7 @@ def test_halfspace_member_transform_budget(fft_calls):
     e = gaussian_form(grid, 1, 0, poly_degree=2, trace_free=True).field()
     assert fft_calls == []
     for media, budget in (("id", ["rfftn"]), ("scalar", ["rfftn", "rfftn"])):
-        eps = _media_resolver(media, 1, "interior", 1.0)(grid)
+        eps = _media_resolver(media, 1, "interior", 1.0)[1](grid)
         fft_calls.clear()
         _interior_sample(e, eps, 1, 0.0, ROMAN)
         assert fft_calls == budget, media
@@ -293,7 +272,7 @@ def test_lean_sample_row_equals_the_row_from_held_spectra(media):
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 16)
     for rank in range(4):
         e = gaussian_form(grid, rank, 5 + rank, decay=3.0).field()
-        eps = _media_resolver(media, rank, "interior", 1.0)(grid)
+        eps = _media_resolver(media, rank, "interior", 1.0)[1](grid)
         for scale, weight in ((ROMAN, 0.0), (BOLD, 0.5)):
             expected = _row_from_member_spectra(e, eps, 0, weight, scale)
             lean, none = _interior_sample(e, eps, 0, weight, scale)
@@ -309,7 +288,7 @@ def test_unchecked_halfspace_sample_holds_one_spectrum_at_a_time():
     # F(E), F(dE) and F(delta(eps E)) are each about the member's size;
     # holding all three took over five times the member's bytes
     grid = GridSpec(3, PROBE_BOX_HALF_LENGTH, 48)
-    eps = _media_resolver("scalar", 1, "interior", 1.0)(grid)
+    eps = _media_resolver("scalar", 1, "interior", 1.0)[1](grid)
     e = gaussian_form(grid, 1, 0, poly_degree=2, trace_free=True).field()
     row, _ = _interior_sample(e, eps, 0, 0.0, ROMAN)  # builds the media caches
     tracemalloc.start()
@@ -373,25 +352,23 @@ def test_cli_estimate_halfspace_and_weighted(tmp_path):
                  "--grid", "16", "--seed", "3"]) == 0
 
 
-@pytest.mark.parametrize("variant, tag, params", [
-    ("interior", "gauss_well", {"amplitude": 1.0, "width": 1.0}),
-    ("weighted", "radial_power", {"amplitude": 0.5, "tau": 1.0}),
-    ("halfspace", "gauss_well", {"amplitude": 1.0, "width": 1.0})])
-def test_cli_estimate_catalog_file_on_another_grid(variant, tag, params, tmp_path):
-    # the file's grid matches neither the probe grid nor its doubling
-    path = tmp_path / "eps.formeps"
-    save_transformation(path, scalar_catalog(GridSpec(2, 1.0, 8), tag, **params),
-                        catalog_tag=tag, catalog_params=params)
-    ratios = {}
-    for media in ("scalar", f"file:{path}"):
+@pytest.mark.parametrize("variant, option", [
+    ("interior", "gauss_well"),
+    ("weighted", "radial_power:amplitude=0.5,tau=1"),
+    ("halfspace", "gauss_well:amplitude=1,width=1")])
+def test_cli_estimate_scalar_media_is_its_catalog_entry(variant, option, tmp_path):
+    # the same medium under its two names: every report field but the
+    # name itself is the same
+    reports = {}
+    for media in ("scalar", option):
         out = tmp_path / "report.json"
         grid = [] if variant == "halfspace" else ["--grid", "16"]
         assert main(["estimate", "--variant", variant, "--dim", "2",
                      "--media", media, "--ensemble", "2", "--seed", "3",
                      "--out", str(out)] + grid) == 0
-        ratios[media] = [s["ratio"] for s in json.loads(out.read_text())["samples"]]
-    np.testing.assert_allclose(ratios[f"file:{path}"], ratios["scalar"],
-                               rtol=1e-12, atol=0)
+        reports[media] = json.loads(out.read_text())
+        del reports[media]["params"]["media"]
+    assert reports[option] == reports["scalar"]
 
 
 def test_cli_rejected_arguments_exit_with_status_two(capsys):
@@ -417,52 +394,27 @@ def test_cli_empty_ensemble_exits_with_status_two(variant, ensemble, tmp_path,
 
 
 def test_media_decays_rejects_a_medium_declared_of_higher_order():
+    # the order a probe declares (its tau) is checked against the closed form
     g = GridSpec(3, PROBE_BOX_HALF_LENGTH, 32)
     order_one = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0)
-    # the same closed form, declared to decay with order 2
-    declared_two = make_transformation(g, None, "scalar", tau=2.0,
-                                       hat_calculus=order_one.hat_calculus)
-    assert not verify_decay(declared_two)["consistent"]
-    assert not _media_decays(declared_two, 2.0)
     assert _media_decays(order_one, 1.0)
-    # a medium declaring less than the probe's tau fails without sampling
     assert not _media_decays(order_one, 2.0)
+    # the same closed form built without the catalog keeps its order
+    rebuilt = make_transformation(g, None, "scalar",
+                                  hat_calculus=order_one.hat_calculus)
+    assert not _media_decays(rebuilt, 2.0)
     assert _media_decays(make_transformation(g, 1, "identity"), 2.0)
 
 
-def test_cli_weighted_fails_a_catalog_file_of_lower_order(tmp_path, capsys):
-    params = {"amplitude": 0.5, "tau": 1.0}
-    path = tmp_path / "power.formeps"
-    save_transformation(path, scalar_catalog(GridSpec(2, 3.0, 16), "radial_power",
-                                             **params),
-                        catalog_tag="radial_power", catalog_params=params)
+@pytest.mark.parametrize("tau", (1, 2))
+def test_cli_weighted_fails_a_catalog_medium_of_lower_order(tau, capsys):
     argv = ["estimate", "--variant", "weighted", "--dim", "2", "--grid", "16",
-            "--media", f"file:{path}", "--ensemble", "2"]
-    assert main(argv + ["--tau", "1"]) == 0
-    capsys.readouterr()
-    assert main(argv + ["--tau", "2"]) == 1
+            "--media", f"radial_power:amplitude=0.5,tau={tau}", "--ensemble", "2"]
+    assert main(argv + ["--tau", str(tau)]) == 0
+    assert "PASS media_decays" in capsys.readouterr().out
+    assert main(argv + ["--tau", str(tau + 1)]) == 1
     out = capsys.readouterr().out
     assert "FAIL media_decays" in out and out.count("FAIL") == 1
-
-
-def test_cli_weighted_rejects_a_raw_media_file(tmp_path, capsys):
-    # a file of the earlier raw format: a header with no catalog tag, then
-    # the float64 values of the medium on its grid
-    g = GridSpec(2, PROBE_BOX_HALF_LENGTH, 16)
-    header = {"L": 3.0, "N": 2, "decay": "second-kind", "endian": "little",
-              "kind": "scalar", "m": 3, "n": 16, "q": None, "tau": 1.0}
-    values = scalar_catalog(g, "radial_power", amplitude=0.5, tau=1.0).hat
-    path = tmp_path / "raw.formeps"
-    path.write_bytes(b"FORMEPS1\n" + json.dumps(header).encode() + b"\n"
-                     + values.astype("<f8").tobytes())
-    with pytest.raises(ValueError, match="media files name a catalog entry"):
-        load_transformation(path)
-    for variant in ("interior", "weighted", "halfspace"):
-        with pytest.raises(SystemExit) as err:
-            main(["estimate", "--variant", variant, "--dim", "2", "--grid", "16",
-                  "--media", f"file:{path}", "--ensemble", "2"])
-        assert err.value.code == 2
-        assert "media files name a catalog entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variant", ("interior", "weighted", "halfspace"))
@@ -501,6 +453,39 @@ def test_cli_estimate_rejects_options_its_variant_does_not_read(variant, option,
               "--grid", "16", "--ensemble", "1"])
     assert err.value.code == 2
     assert f"{option} is not read by the {variant} variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, path", [("--out", "report.json"),
+                                          ("--csv", "samples.csv")])
+def test_cli_unwritable_output_exits_with_status_two(option, path, tmp_path,
+                                                     capsys):
+    missing = str(tmp_path / "missing" / path)
+    runs = [["estimate", "--variant", "interior", "--dim", "2", "--grid", "8",
+             "--ensemble", "1", option, missing]]
+    if option == "--out":
+        runs.append(["identities", "--dim", "2", "--grid", "8", option, missing])
+    for argv in runs:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_cli_failing_identity_lines_show_the_bound_needed(monkeypatch, capsys):
+    rows = {"_check_spectral": [("gaffney-identity", 0.5)],
+            "_check_media": [("media-inverse-roundtrip", 0.0)],
+            "_check_stokes": [("stokes-pairing-refinement-factor", 1.756)]}
+    for name in ("_check_pointwise_algebra", "_check_spectral", "_check_weights",
+                 "_check_media", "_check_halfspace", "_check_stokes",
+                 "_check_reconstruction", "_check_decomposition"):
+        monkeypatch.setattr(probes, name,
+                            lambda *args, rows=rows.get(name, []): iter(rows))
+    assert main(["identities", "--dim", "2", "--grid", "8"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL gaffney-identity: residual 5.000e-01, needs <= 1.0e-10",
+        "PASS media-inverse-roundtrip: residual 0.000e+00 <= 1.0e-12",
+        "FAIL stokes-pairing-refinement-factor: residual 1.756e+00, needs >= 8.0e+00",
+        "1/3 identities pass"]
 
 
 # a NaN fails its verdict: max() would keep the value it is compared with
