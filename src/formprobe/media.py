@@ -58,25 +58,37 @@ class PolyRhoGauss:
                                  if c != 0}
                       for p, poly in terms.items()}
 
-    def eval(self, grid: GridSpec) -> np.ndarray:
-        """Values on the grid, in float64 when every coefficient is real."""
+    def eval(self, grid: GridSpec, r2: np.ndarray | None = None,
+             envelope: np.ndarray | None = None) -> np.ndarray:
+        """Values on the grid, in float64 when every coefficient is real.
+
+        A monomial is c times the broadcast coordinate powers, so only its
+        last factor is full-size.  A caller evaluating several of them on
+        one grid may pass the envelope exp(-decay r^2) and r^2 it made once
+        (``ManufacturedForm.field``); r^2 is read only by the levels p != 0
+        and by an envelope made here.  The values are the same bits.
+        """
         coords = grid.coord_fields()
         real = all(c.imag == 0.0 for poly in self.terms.values()
                    for c in poly.values())
         dtype = np.float64 if real else np.complex128
-        r2 = grid.radius_sq()
+        if r2 is None and (self.terms.keys() - {0.0}
+                           or self.decay != 0.0 and envelope is None):
+            r2 = grid.radius_sq()
         out = np.zeros(grid.shape, dtype)
         for p, poly in sorted(self.terms.items()):
             acc = out if p == 0.0 else np.zeros(grid.shape, dtype)
             for alpha, c in sorted(poly.items()):
-                term = np.full(grid.shape, c.real if real else c)
+                term = c.real if real else c
                 for ax, a in enumerate(alpha):
                     if a:
                         term = term * coords[ax] ** a
                 acc += term
             if p != 0.0:
                 out += acc * (1.0 + r2) ** p
-        return out if self.decay == 0.0 else out * np.exp(-self.decay * r2)
+        if self.decay == 0.0:
+            return out
+        return out * (np.exp(-self.decay * r2) if envelope is None else envelope)
 
     def partial(self, axis: int) -> "PolyRhoGauss":
         """d_axis, term by term: x^(alpha - e) rho^p from the monomial,

@@ -42,8 +42,8 @@ from .spectral import (assemble_d, assemble_delta, coderivative_delta,
                        fourier, fourier_inverse, gaffney_identity_check,
                        gradient, laplacian, partial_derivative,
                        stokes_duality_residual)
-from .weights import (BOLD, ROMAN, NormSpec, annulus_split_bound,
-                      rho_power, weighted_sobolev_norm)
+from .weights import (BOLD, DEFAULT_MAX_ORDER, ROMAN, NormSpec,
+                      annulus_split_bound, rho_power, weighted_sobolev_norm)
 
 PROBE_BOX_HALF_LENGTH = 3.0
 
@@ -212,6 +212,13 @@ def _run_probe(probe: str, params: dict, variant: str, tau: float,
     Returns the report, to which the caller adds its own flags, and the
     material on the probe grid.
     """
+    if not 0 <= params["order"] < DEFAULT_MAX_ORDER:
+        # the numerator's norm takes order + 1 derivatives
+        raise ValueError(f"--order {params['order']} is outside "
+                         f"0..{DEFAULT_MAX_ORDER - 1}")
+    for name in ("weight", "tau"):
+        if name in params and not math.isfinite(params[name]):
+            raise ValueError(f"--{name} must be a finite number, got {params[name]}")
     if params["ensemble"] < 1:
         raise ValueError(f"the ensemble needs at least one member, "
                          f"got {params['ensemble']}")

@@ -8,13 +8,13 @@ from conftest import inverse_passes, max_abs, numpy_inverse, rel_gap
 from formprobe.decompose import _inv_symbol, hodge_decompose
 from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
                              derivative_orders, norm)
-from formprobe.manufactured import (gaussian_form, parity_symmetrized,
-                                    random_band_limited,
+from formprobe.manufactured import (ManufacturedForm, gaussian_form,
+                                    parity_symmetrized, random_band_limited,
                                     random_coclosed, random_dense_media,
                                     random_dyadic, trig_catalog_entry,
                                     _band_limited_spectrum, _random_trig)
 from formprobe.halfspace import restrict_to_half, trace_tangential
-from formprobe.media import PolyRhoGauss
+from formprobe.media import PolyRhoGauss, scalar_catalog
 from formprobe.spectral import (assemble_d, assemble_delta,
                                 coderivative_delta, embed_cube, exterior_d,
                                 gradient, partial_derivative)
@@ -188,6 +188,107 @@ def test_gaussian_form_draws_coefficients_for_kept_monomials_only():
                     assert comp.terms == {0.0: {a: c for a, c in drawn.items()
                                                 if c != 0}}
                     assert comp.decay == 3.0
+
+
+def _full_size_eval(comp, grid):
+    """``PolyRhoGauss.eval`` as it was written before the broadcast
+    monomials: a full-size start per monomial, full-size products, and r^2
+    and the envelope made per component."""
+    coords = grid.coord_fields()
+    real = all(c.imag == 0.0 for poly in comp.terms.values() for c in poly.values())
+    dtype = np.float64 if real else np.complex128
+    r2 = grid.radius_sq()
+    out = np.zeros(grid.shape, dtype)
+    for p, poly in sorted(comp.terms.items()):
+        acc = out if p == 0.0 else np.zeros(grid.shape, dtype)
+        for alpha, c in sorted(poly.items()):
+            term = np.full(grid.shape, c.real if real else c)
+            for ax, a in enumerate(alpha):
+                if a:
+                    term = term * coords[ax] ** a
+            acc += term
+        if p != 0.0:
+            out += acc * (1.0 + r2) ** p
+    return out if comp.decay == 0.0 else out * np.exp(-comp.decay * r2)
+
+
+def _full_size_field(member):
+    return np.stack([_full_size_eval(member.comps[mi], member.grid)
+                     for mi in sorted(member.comps)])
+
+
+def test_members_are_bitwise_the_full_size_evaluation():
+    # shared r^2 and envelope, broadcast monomials: the same bits at every
+    # node, on the box and on the half box
+    for dim, n in ((2, 12), (3, 10), (4, 6)):
+        for g in (GridSpec(dim, 3.0, n), GridSpec(dim, 3.0, n).half_box()):
+            for q in range(dim + 1):
+                for degree in (1, 2):
+                    for trace_free in (False, True):
+                        member = gaussian_form(g, q, 31 * dim + q, poly_degree=degree,
+                                               trace_free=trace_free)
+                        e = member.field()
+                        assert e.data.dtype == np.float64
+                        assert e.data.tobytes() == _full_size_field(member).tobytes(), \
+                            (dim, g.half, q, degree, trace_free)
+                        for j in range(1, dim + 1):
+                            part = member.partial(j)
+                            assert part.field().data.tobytes() == \
+                                _full_size_field(part).tobytes(), (dim, q, j)
+
+
+@pytest.mark.parametrize("tag, params", [("gauss_well", {"amplitude": 0.7, "width": 1.3}),
+                                         ("radial_power", {"amplitude": 0.5, "tau": 3.0})])
+def test_catalog_entries_are_bitwise_the_full_size_evaluation(tag, params):
+    # the entries and their partials to order 3 (radial_power's at the
+    # levels p = -1.5 .. -4.5), alone and as the components of one form
+    for dim, n in ((2, 12), (3, 10), (4, 6)):
+        g = GridSpec(dim, 3.0, n)
+        levels = [[scalar_catalog(g, tag, **params).hat_calculus]]
+        for _ in range(3):
+            levels.append([f.partial(j) for f in levels[-1] for j in (1, dim)])
+        for f in sum(levels, []):
+            assert f.eval(g).tobytes() == _full_size_eval(f, g).tobytes(), (tag, dim)
+        member = ManufacturedForm(g, 1, {(j,): f for j, f in
+                                         enumerate(levels[2][:dim], start=1)})
+        assert member.field().data.tobytes() == _full_size_field(member).tobytes()
+
+
+def test_complex_coefficients_are_bitwise_the_full_size_evaluation():
+    g = GridSpec(3, 3.0, 10)
+    comp = PolyRhoGauss({0.0: {(0, 0, 0): 0.25 - 1j, (1, 0, 2): -1.5 + 0.5j,
+                               (0, 2, 1): 2j},
+                         -1.5: {(1, 1, 0): 0.3 + 0.1j, (0, 0, 1): -0.75}}, 2.0)
+    values = comp.eval(g)
+    assert values.dtype == np.complex128
+    assert values.tobytes() == _full_size_eval(comp, g).tobytes()
+    member = ManufacturedForm(g, 1, {(1,): comp, (2,): comp.partial(2),
+                                     (3,): comp.partial(3).partial(1)})
+    assert member.field().data.tobytes() == _full_size_field(member).tobytes()
+
+
+def test_member_field_makes_one_radius_sq(monkeypatch):
+    # r^2 and the envelope are made once for every component of one call
+    calls = []
+    radius_sq = GridSpec.radius_sq
+
+    def counted(grid):
+        calls.append(grid)
+        return radius_sq(grid)
+
+    monkeypatch.setattr(GridSpec, "radius_sq", counted)
+    g = GridSpec(3, 3.0, 8)
+    for q in range(4):
+        calls.clear()
+        gaussian_form(g, q, 5, poly_degree=2).field()
+        assert len(calls) == 1, q
+    # levels p != 0 read the same r^2, under one envelope or none
+    for decay in (2.0, 0.0):
+        comp = PolyRhoGauss({0.0: {(1, 0, 0): 1.0}, -1.5: {(0, 1, 1): 0.5}}, decay)
+        calls.clear()
+        ManufacturedForm(g, 1, {(1,): comp, (2,): comp.partial(1),
+                                (3,): comp.partial(3)}).field()
+        assert len(calls) == 1, decay
 
 
 def test_random_coclosed_is_coclosed():

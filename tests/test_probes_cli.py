@@ -19,7 +19,8 @@ from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sampl
                               estimate_probe_weighted, halfspace_probe,
                               run_identity_suite, validate_halfspace_member)
 from formprobe.spectral import fourier_inverse
-from formprobe.weights import BOLD, ROMAN, NormSpec, weighted_sobolev_norm
+from formprobe.weights import (BOLD, DEFAULT_MAX_ORDER, ROMAN, NormSpec,
+                               weighted_sobolev_norm)
 
 # the bridge rows run at N = 3 only
 NON_BRIDGE_IDENTITIES = [name for name in IDENTITIES
@@ -380,6 +381,33 @@ def test_cli_rejected_arguments_exit_with_status_two(capsys):
                                        "requires decay order tau > 0\n")
 
 
+@pytest.mark.parametrize("variant, option, value", [("weighted", "--tau", "inf"),
+                                                   ("weighted", "--tau", "nan"),
+                                                   ("interior", "--weight", "nan"),
+                                                   ("weighted", "--weight", "-inf")])
+def test_cli_non_finite_weight_and_tau_exit_with_status_two(variant, option,
+                                                            value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", variant, "--dim", "2", "--grid", "16",
+              "--ensemble", "2", "--media", "id", f"{option}={value}"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (f"formprobe: error: {option} must be a "
+                                       f"finite number, got {float(value)}\n")
+
+
+@pytest.mark.parametrize("variant", ("interior", "weighted", "halfspace"))
+@pytest.mark.parametrize("order", ("3", "-1"))
+def test_cli_order_outside_the_supported_range_exits_with_status_two(variant, order,
+                                                                     capsys):
+    # the numerator takes order + 1 derivatives, at most DEFAULT_MAX_ORDER
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--variant", variant, "--dim", "2", "--order", order,
+              "--grid", "16", "--ensemble", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (f"formprobe: error: --order {order} is "
+                                       f"outside 0..{DEFAULT_MAX_ORDER - 1}\n")
+
+
 @pytest.mark.parametrize("variant", ("interior", "weighted", "halfspace"))
 @pytest.mark.parametrize("ensemble", ("0", "-3"))
 def test_cli_empty_ensemble_exits_with_status_two(variant, ensemble, tmp_path,
@@ -515,8 +543,8 @@ def test_refined_nan_ratio_is_not_stable_under_doubling():
     def sample(grid, eps, i, checked):  # member 1 on the doubled grid is NaN
         return {"ratio": 1.0 if checked or i == 0 else math.nan}
 
-    params = {"dim": 2, "rank": 1, "media": "id", "ensemble": 2, "grid": 8,
-              "seed": 0}
+    params = {"dim": 2, "rank": 1, "order": 0, "media": "id", "ensemble": 2,
+              "grid": 8, "seed": 0}
     report, _ = probes._run_probe("test", params, "interior", 1.0, sample)
     assert report.flags["ratios_finite"]
     assert not report.flags["stable_under_doubling"]
