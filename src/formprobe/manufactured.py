@@ -85,27 +85,20 @@ class ManufacturedForm:
     def field(self) -> FormField:
         """The form on its grid; real when every component is.
 
-        When every component is a ``PolyRhoGauss`` of one decay, r^2 and
-        the envelope are made once for all of them, and r^2 is let go
-        before the components unless a level p != 0 reads it.  Each
-        component stays its own array, joined by ``np.stack``.  These
-        choices set the estimate probes' peak RSS, not their live memory:
-        holding r^2 through the components, writing them into one
-        preallocated stack, or caching the envelope past the call each
-        raised it by 11 % or more (CHANGES.md).
+        When every component present is a ``PolyRhoGauss`` of one nonzero
+        decay, the envelope is made once for all of them.  Each component
+        stays its own array, joined by ``np.stack``.  These choices set the
+        estimate probes' peak RSS, not their live memory: holding r^2
+        through the components, writing them into one preallocated stack,
+        or caching the envelope past the call each raised it by 11 % or
+        more (CHANGES.md).
         """
         comps = [self.comps.get(mi) for mi in multi_indices(self.grid.dim, self.rank)]
         shared = {}
-        closed = all(isinstance(c, PolyRhoGauss) for c in comps)
-        decays = {c.decay for c in comps} if closed else set()
-        if len(decays) == 1:
-            (decay,) = decays
-            r2 = self.grid.radius_sq()
-            if any(c.terms.keys() - {0.0} for c in comps):
-                shared["r2"] = r2
-            if decay != 0.0:
-                shared["envelope"] = np.exp(-decay * r2)
-            del r2
+        decays = {c.decay if isinstance(c, PolyRhoGauss) else None
+                  for c in comps if c is not None}
+        if len(decays) == 1 and (decay := decays.pop()) not in (None, 0.0):
+            shared["envelope"] = np.exp(-decay * self.grid.radius_sq())
         return FormField(self.grid, self.rank, np.stack(
             [np.zeros(self.grid.shape) if c is None else c.eval(self.grid, **shared)
              for c in comps]))

@@ -58,23 +58,22 @@ class PolyRhoGauss:
                                  if c != 0}
                       for p, poly in terms.items()}
 
-    def eval(self, grid: GridSpec, r2: np.ndarray | None = None,
+    def eval(self, grid: GridSpec,
              envelope: np.ndarray | None = None) -> np.ndarray:
         """Values on the grid, in float64 when every coefficient is real.
 
         A monomial is c times the broadcast coordinate powers, so only its
-        last factor is full-size.  A caller evaluating several of them on
-        one grid may pass the envelope exp(-decay r^2) and r^2 it made once
-        (``ManufacturedForm.field``); r^2 is read only by the levels p != 0
-        and by an envelope made here.  The values are the same bits.
+        last factor is full-size.  A caller evaluating several components
+        of one decay on one grid may pass the envelope exp(-decay r^2) it
+        made once (``ManufacturedForm.field``).  The values are the same
+        bits.
         """
         coords = grid.coord_fields()
         real = all(c.imag == 0.0 for poly in self.terms.values()
                    for c in poly.values())
         dtype = np.float64 if real else np.complex128
-        if r2 is None and (self.terms.keys() - {0.0}
-                           or self.decay != 0.0 and envelope is None):
-            r2 = grid.radius_sq()
+        r2 = (grid.radius_sq() if self.terms.keys() - {0.0}
+              or self.decay != 0.0 and envelope is None else None)
         out = np.zeros(grid.shape, dtype)
         for p, poly in sorted(self.terms.items()):
             acc = out if p == 0.0 else np.zeros(grid.shape, dtype)
@@ -88,6 +87,8 @@ class PolyRhoGauss:
                 out += acc * (1.0 + r2) ** p
         if self.decay == 0.0:
             return out
+        # an envelope made here is an unnamed temporary that numpy writes
+        # the product into; a named one costs a full-size array more
         return out * (np.exp(-self.decay * r2) if envelope is None else envelope)
 
     def partial(self, axis: int) -> "PolyRhoGauss":
