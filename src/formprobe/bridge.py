@@ -10,6 +10,7 @@ scalar components) so the two routes stay separate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .fields import FormField, GridSpec, hodge_star
 
 @dataclass(frozen=True)
 class VectorFieldN3:
+    """A vector field on an N = 3 grid; its components are not changed
+    after construction, since ``spectra`` keeps their transforms."""
+
     grid: GridSpec
     components: np.ndarray = field(repr=False)   # shape (3, n, n, n)
 
@@ -30,6 +34,11 @@ class VectorFieldN3:
             object.__setattr__(self, "components",
                                np.ascontiguousarray(self.components,
                                                     np.complex128))
+
+    @cached_property
+    def spectra(self) -> tuple:
+        """The plain unitary FFT of each component, made on first use."""
+        return tuple(np.fft.fftn(c, norm="ortho") for c in self.components)
 
 
 def vector_to_form(v: VectorFieldN3, rank: int) -> FormField:
@@ -54,14 +63,14 @@ def form_to_vector(e: FormField) -> VectorFieldN3:
 # independent classical operators (plain FFT route)
 # ---------------------------------------------------------------------------
 
-def _spectral_partial(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarray:
-    hat = np.fft.fftn(values, norm="ortho")
+def _spectral_partial(grid: GridSpec, hat: np.ndarray, axis: int) -> np.ndarray:
+    """d_axis of a component from its spectrum ``hat``."""
     return np.fft.ifftn(1j * grid.freq_field(axis) * hat, norm="ortho")
 
 
 def curl(v: VectorFieldN3) -> VectorFieldN3:
     g = v.grid
-    v1, v2, v3 = v.components
+    v1, v2, v3 = v.spectra
     return VectorFieldN3(g, np.stack([
         _spectral_partial(g, v3, 2) - _spectral_partial(g, v2, 3),
         _spectral_partial(g, v1, 3) - _spectral_partial(g, v3, 1),
@@ -70,7 +79,7 @@ def curl(v: VectorFieldN3) -> VectorFieldN3:
 
 def div(v: VectorFieldN3) -> np.ndarray:
     g = v.grid
-    return sum(_spectral_partial(g, v.components[j - 1], j) for j in (1, 2, 3))
+    return sum(_spectral_partial(g, v.spectra[j - 1], j) for j in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,23 @@
 """Manufactured form fields with closed-form derivatives.
 
-Components come in two families, each closed under differentiation:
-trigonometric polynomials (band-limited, spectrally exact) and the one
-closed-form radial family ``media.PolyRhoGauss``, sums of
+Components come from one closed-form radial family, closed under
+differentiation: ``media.PolyRhoGauss``, sums of
 c x^alpha (1 + r^2)^p exp(-b r^2) (analytic, any derivative order by its
 term recurrence), which also gives the catalog media their partials; a
-Gaussian member uses it with p = 0.  A family has only ``eval`` and
+Gaussian member uses it with p = 0.  The family has only ``eval`` and
 ``partial``; d and delta of a manufactured form are assembled from its
 closed-form partials by ``spectral.assemble_d`` and ``assemble_delta``.
 The half-space members are ``gaussian_form(..., trace_free=True)``, closed
-forms too, with a tangential trace of exactly 0.
+forms too, with a tangential trace of exactly 0.  Band-limited fields and
+dense media are synthesised from their seeded index cubes
+|k|_inf <= kmax instead (``random_band_limited``, ``random_dense_media``):
+one function on every grid, with spectrally exact derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -29,54 +32,14 @@ BAND_LIMIT_FRACTION = 4  # random band-limited fields use |k| <= n/4
 
 
 # ---------------------------------------------------------------------------
-# component families
-# ---------------------------------------------------------------------------
-
-class TrigPoly:
-    """Finite Fourier sum  sum_k c_k exp(i pi k.x / L)  on the box.
-
-    Hermitian coefficients (c_-k = conj(c_k)) make a real function, which
-    is evaluated in float64.
-    """
-
-    def __init__(self, dim: int, half_length: float, coeffs: dict):
-        self.dim = dim
-        self.half_length = half_length
-        self.coeffs = {tuple(k): complex(c) for k, c in coeffs.items() if c != 0}
-
-    def _hermitian(self) -> bool:
-        return all(self.coeffs.get(tuple(-kj for kj in k)) == c.conjugate()
-                   for k, c in self.coeffs.items())
-
-    def eval(self, grid: GridSpec) -> np.ndarray:
-        if grid.dim != self.dim or grid.half_length != self.half_length:
-            raise ValueError("grid does not match the component geometry")
-        real = self._hermitian()
-        out = np.zeros(grid.shape, np.float64 if real else np.complex128)
-        coords = grid.coord_fields()
-        for k, c in sorted(self.coeffs.items()):
-            phase = np.zeros(grid.shape)
-            for ax, kj in enumerate(k):
-                if kj:
-                    phase = phase + kj * coords[ax]
-            term = c * np.exp(1j * np.pi / self.half_length * phase)
-            out += term.real if real else term
-        return out
-
-    def partial(self, axis: int) -> "TrigPoly":
-        factor = 1j * np.pi / self.half_length
-        return TrigPoly(self.dim, self.half_length,
-                        {k: c * factor * k[axis - 1]
-                         for k, c in self.coeffs.items()})
-
-
-# ---------------------------------------------------------------------------
 # manufactured forms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ManufacturedForm:
-    """Form whose components carry their own closed-form calculus."""
+    """Form whose components carry their own closed-form calculus: each is
+    a ``PolyRhoGauss``, or an object with its ``eval``, ``partial`` and a
+    ``decay`` of 0 (no Gaussian envelope)."""
 
     grid: GridSpec
     rank: int
@@ -85,19 +48,18 @@ class ManufacturedForm:
     def field(self) -> FormField:
         """The form on its grid; real when every component is.
 
-        When every component present is a ``PolyRhoGauss`` of one nonzero
-        decay, the envelope is made once for all of them.  Each component
-        stays its own array, joined by ``np.stack``.  These choices set the
-        estimate probes' peak RSS, not their live memory: holding r^2
-        through the components, writing them into one preallocated stack,
-        or caching the envelope past the call each raised it by 11 % or
-        more (CHANGES.md).
+        When every component present has one nonzero decay, the envelope
+        is made once for all of them.  Each component stays its own array,
+        joined by ``np.stack``.  These choices set the estimate probes'
+        peak RSS, not their live memory: holding r^2 through the
+        components, writing them into one preallocated stack, or caching
+        the envelope past the call each raised it by 11 % or more
+        (CHANGES.md).
         """
         comps = [self.comps.get(mi) for mi in multi_indices(self.grid.dim, self.rank)]
         shared = {}
-        decays = {c.decay if isinstance(c, PolyRhoGauss) else None
-                  for c in comps if c is not None}
-        if len(decays) == 1 and (decay := decays.pop()) not in (None, 0.0):
+        decays = {c.decay for c in comps if c is not None}
+        if len(decays) == 1 and (decay := decays.pop()) != 0.0:
             shared["envelope"] = np.exp(-decay * self.grid.radius_sq())
         return FormField(self.grid, self.rank, np.stack(
             [np.zeros(self.grid.shape) if c is None else c.eval(self.grid, **shared)
@@ -130,34 +92,6 @@ class ManufacturedForm:
 # generators
 # ---------------------------------------------------------------------------
 
-def _random_trig(grid: GridSpec, rng, kmax: int, terms: int) -> TrigPoly:
-    coeffs = {}
-    for _ in range(terms):
-        k = tuple(int(rng.integers(-kmax, kmax + 1)) for _ in range(grid.dim))
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs[k] = coeffs.get(k, 0.0) + c
-        kneg = tuple(-kj for kj in k)
-        coeffs[kneg] = coeffs.get(kneg, 0.0) + np.conj(c)  # keep it real
-    return TrigPoly(grid.dim, grid.half_length, coeffs)
-
-
-def trig_catalog_entry(grid: GridSpec, rank: int, index: int) -> ManufacturedForm:
-    """Small deterministic catalog of band-limited forms with known calculus."""
-    comps = {}
-    for pos, mi in enumerate(multi_indices(grid.dim, rank)):
-        k1 = [0] * grid.dim
-        k1[(pos + index) % grid.dim] = 1 + (index % 2)
-        k2 = [0] * grid.dim
-        k2[(pos + index + 1) % grid.dim] = 1
-        amp = 1.0 / (1.0 + index + pos)
-        neg1 = tuple(-v for v in k1)
-        neg2 = tuple(-v for v in k2)
-        coeffs = {tuple(k1): 0.5 * amp, neg1: 0.5 * amp,
-                  tuple(k2): -0.5j * amp, neg2: 0.5j * amp}
-        comps[mi] = TrigPoly(grid.dim, grid.half_length, coeffs)
-    return ManufacturedForm(grid, rank, comps)
-
-
 def gaussian_form(grid: GridSpec, rank: int, seed: int, decay: float = 3.0,
                   poly_degree: int = 1,
                   trace_free: bool = False) -> ManufacturedForm:
@@ -178,30 +112,51 @@ def gaussian_form(grid: GridSpec, rank: int, seed: int, decay: float = 3.0,
 
 def random_dense_media(grid: GridSpec, rank: int, seed: int,
                        amplitude: float = 0.4, kmax: int = 2):
-    """Random admissible dense media with band-limited smooth entries.
+    """Random admissible dense media with band-limited smooth entries, one
+    function on every grid.
 
-    Entries are real trigonometric polynomials, so spectral entry
-    derivatives are exact; symmetry is built in and the amplitude keeps
-    the perturbation safely positive definite.
+    Each entry of the upper triangle draws three seeded modes k,
+    |k|_inf <= kmax, with complex coefficients c into its index cube, and
+    -k with conj(c): a real trigonometric polynomial, made by the pruned
+    inverse of ``ifft_nodes``, so spectral entry derivatives are exact.  It
+    is divided by the sum of its coefficient moduli, a bound on its sup
+    that does not depend on the grid, so the perturbation has norm at most
+    the amplitude; symmetry is built in.
     """
+    factor = _cube_factor(grid, kmax)
     rng = np.random.default_rng(seed)
     nc = n_components(grid.dim, rank)
-    polys = {}
-    for i in range(nc):
-        for j in range(i, nc):
-            polys[(i, j)] = _random_trig(grid, rng, kmax, terms=3)
-    scale = amplitude / nc
+    pairs = [(i, j) for i in range(nc) for j in range(i, nc)]
+    cubes = np.zeros((len(pairs),) + (2 * kmax + 1,) * grid.dim, np.complex128)
+    for cube in cubes:
+        for _ in range(3):
+            k = np.array([rng.integers(-kmax, kmax + 1) for _ in range(grid.dim)])
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            cube[tuple(kmax + k)] += c
+            cube[tuple(kmax - k)] += c.conjugate()
+    bounds = np.abs(cubes).sum(axis=tuple(range(1, grid.dim + 1)))
+    entries = ifft_nodes((factor * cubes)[..., kmax:], grid.half_box(), kmax)
     hat = np.zeros((nc, nc) + grid.shape)
-    for (i, j), poly in polys.items():
-        values = poly.eval(grid).real
-        peak = max(float(np.abs(values).max()), 1e-300)
-        hat[i, j] = hat[j, i] = scale * values / peak
+    for (i, j), values, bound in zip(pairs, entries, bounds):
+        hat[i, j] = hat[j, i] = amplitude / nc * values / bound
     return make_transformation(grid, rank, "dense", hat=hat)
 
 
 # ---------------------------------------------------------------------------
 # fast array-space random fields
 # ---------------------------------------------------------------------------
+
+def _cube_factor(grid: GridSpec, kmax: int) -> np.ndarray:
+    """The factor over the index cube |k|_inf <= kmax that takes the
+    coefficients D(k) of sum_k D(k) exp(i pi k.x / L) to its unitary
+    spectrum on ``grid``: the nodes x = -L + j h give the phase (-1)^k per
+    axis, and the unitary transform n^(N/2)."""
+    if kmax >= grid.points // 2:
+        raise ValueError("band limit exceeds the grid Nyquist index")
+    phase_1d = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
+    phases = reduce(np.multiply.outer, [phase_1d] * grid.dim)
+    return grid.points ** (grid.dim / 2.0) * phases
+
 
 def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
                            kmax: int | None, real: bool) -> tuple:
@@ -213,19 +168,13 @@ def _band_limited_spectrum(grid: GridSpec, rank: int, seed: int,
     layout."""
     if kmax is None:
         kmax = max(grid.points // BAND_LIMIT_FRACTION, 1)
-    if kmax >= grid.points // 2:
-        raise ValueError("band limit exceeds the grid Nyquist index")
+    factor = _cube_factor(grid, kmax)
     rng = np.random.default_rng(seed)
     nc = n_components(grid.dim, rank)
     side = 2 * kmax + 1
     cube = rng.standard_normal((nc,) + (side,) * grid.dim) \
         + 1j * rng.standard_normal((nc,) + (side,) * grid.dim)
-    scale = grid.points ** (grid.dim / 2.0)
-    phase_1d = (-1.0) ** np.abs(np.arange(-kmax, kmax + 1))
-    phases = phase_1d
-    for _ in range(grid.dim - 1):
-        phases = np.multiply.outer(phases, phase_1d)
-    values = scale * phases * cube
+    values = factor * cube
     if not real:
         return grid, kmax, values
     flipped = np.flip(values, tuple(range(1, grid.dim + 1)))  # D(-k)

@@ -32,8 +32,7 @@ from .halfspace import (diff_quotient, mirror_Sd, mirror_Sdelta,
                         trace_tangential)
 from .manufactured import (gaussian_form, parity_symmetrized,
                            random_band_limited, random_coclosed,
-                           random_dense_media, random_dyadic,
-                           trig_catalog_entry)
+                           random_dense_media, random_dyadic)
 from .media import (CATALOG, Transformation, make_transformation,
                     reconstruct_from_split, reflected_transform,
                     scalar_catalog)
@@ -277,7 +276,7 @@ def estimate_probe_interior(dim: int, rank: int, order: int, weight: float,
 
 
 def estimate_probe_weighted(dim: int, rank: int, order: int, weight: float,
-                            tau: float, media: str = "scalar",
+                            tau: float, media: str = "id",
                             ensemble: int = 50, grid_points: int = 32,
                             seed: int = 0) -> ProbeReport:
     """Ratio probe with weight gain on the data side (strong scale).
@@ -314,15 +313,6 @@ def _media_decays(eps: Transformation, tau: float) -> bool:
     return eps.is_identity() or eps.hat_calculus.decay_order() >= tau
 
 
-def validate_halfspace_member(e: FormField, tol: float = 1e-10) -> float:
-    """Reject ensemble members whose tangential trace is not numerically zero."""
-    rel = norm_of_trace(e) / max(norm(e), 1e-300)
-    if rel > tol:
-        raise ValueError(f"ensemble member violates the vanishing tangential "
-                         f"trace: relative trace norm {rel:.3e} > {tol:.1e}")
-    return rel
-
-
 def norm_of_trace(e: FormField) -> float:
     if e.rank >= e.grid.dim:
         return 0.0  # top-rank forms have no tangential boundary components
@@ -330,7 +320,7 @@ def norm_of_trace(e: FormField) -> float:
 
 
 def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
-                    ensemble: int = 20, grid_points: int = 48,
+                    ensemble: int = 50, grid_points: int = 48,
                     seed: int = 0) -> ProbeReport:
     """Ratio probe on the half-space model with homogeneous tangential trace.
 
@@ -339,19 +329,22 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
     half-grid is half the periodic-box norm to rounding (a closed odd form
     is not 0 at x_N = -L) and the ratio is evaluated on the full grid.
     Each member also runs the normal-derivative reconstruction and the
-    Stokes pairing as self-consistency checks.  With non-identity media the
-    reconstruction takes spectral derivatives of the material product,
-    which the default grid of 48 points keeps resolved; coarser grids may
-    honestly fail that flag.
+    Stokes pairing as self-consistency checks, and ``traces_vanish`` reads
+    the relative trace norm of every member on both grids.  With
+    non-identity media the reconstruction takes spectral derivatives of the
+    material product, which the default grid of 48 points keeps resolved;
+    coarser grids may honestly fail that flag.
     """
+    traces = []
+
     def sample(grid, eps, i, checked):
         # quadratic: every component, rank 0 included, keeps N monomials or
         # more of its x_N parity, so the members differ in more than scale
         e = gaussian_form(grid, rank, seed + 1000 * i, decay=3.0,
                           poly_degree=2, trace_free=True).field()
-        trace_rel = validate_halfspace_member(e)
+        traces.append(norm_of_trace(e) / max(norm(e), 1e-300))
         row, spectra = _interior_sample(e, eps, order, 0.0, ROMAN, keep=checked)
-        row["trace_norm_rel"] = trace_rel
+        row["trace_norm_rel"] = traces[-1]
         if checked:
             hat, de_hat, delta_eps_hat = spectra
             de = fourier_inverse(de_hat) if de_hat is not None else None
@@ -368,8 +361,7 @@ def halfspace_probe(dim: int, rank: int, order: int, media: str = "id",
     worst_stokes = worst_of([0.0] + [s["stokes_residual"] for s in report.samples])
     report.aggregates["worst_reconstruct_residual"] = worst_reconstruct
     report.aggregates["worst_stokes_residual"] = worst_stokes
-    report.flags["traces_vanish"] = all(s["trace_norm_rel"] <= 1e-10
-                                        for s in report.samples)
+    report.flags["traces_vanish"] = all(t <= 1e-10 for t in traces)
     report.flags["reconstruction_consistent"] = worst_reconstruct <= 1e-8
     report.flags["stokes_residual_small"] = worst_stokes <= 1e-6
     return report
@@ -664,12 +656,12 @@ def _check_media(grid, exact_grid, seed):
             + l2_inner(f, diff_quotient(g, 1, -h_step))
         yield "difference-quotient-anti-duality", abs(pair)
 
-    # first-order convergence of the difference quotient on the catalog
+    # first-order convergence of the difference quotient on band-limited
+    # fields, whose spectral partial is exact
     rate_grid = GridSpec(min(dim, 2), 1.0, 64)
     for idx in range(2):
-        entry = trig_catalog_entry(rate_grid, 0, idx)
-        e = entry.field()
-        exact = entry.partial(1).field()
+        e = random_band_limited(rate_grid, 0, seed + idx, kmax=2)
+        exact = partial_derivative(e, 1)
         err = [norm(diff_quotient(e, 1, k * rate_grid.spacing) - exact)
                for k in (2, 1)]
         ratio = err[0] / max(err[1], 1e-300)

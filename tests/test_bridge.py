@@ -35,7 +35,8 @@ def test_gradient_fields_are_curl_free():
     g = GridSpec(3, 2.0, 16)
     f = random_band_limited(g, 0, 5).data[0]
     # the classical gradient, by the bridge's own FFT route
-    v = VectorFieldN3(g, np.stack([_spectral_partial(g, f, j) for j in (1, 2, 3)]))
+    hat = np.fft.fftn(f, norm="ortho")
+    v = VectorFieldN3(g, np.stack([_spectral_partial(g, hat, j) for j in (1, 2, 3)]))
     e1 = vector_to_form(v, 1)
     de = exterior_d(e1)
     assert norm(de) <= 1e-10 * max(norm(e1), 1e-300)
@@ -73,6 +74,24 @@ def test_delta_on_two_forms_is_minus_curl():
     rhs = curl(v)
     scale = np.abs(rhs.components).max()
     assert np.abs(lhs.components + rhs.components).max() <= 1e-10 * scale
+
+
+def test_curl_and_div_transform_each_component_once(fft_calls):
+    g = GridSpec(3, 2.0, 16)
+    v = _random_vector(g, 23)
+    fft_calls.clear()
+    curl_v, div_v = curl(v).components, div(v)
+    assert fft_calls.count("fftn") == 3
+
+    # bitwise a fresh transform per partial
+    def partial(j, axis):
+        hat = np.fft.fftn(v.components[j - 1], norm="ortho")
+        return np.fft.ifftn(1j * g.freq_field(axis) * hat, norm="ortho")
+
+    assert np.array_equal(curl_v, np.stack([partial(3, 2) - partial(2, 3),
+                                            partial(1, 3) - partial(3, 1),
+                                            partial(2, 1) - partial(1, 2)]))
+    assert np.array_equal(div_v, partial(1, 1) + partial(2, 2) + partial(3, 3))
 
 
 def test_bridge_residuals_summary():

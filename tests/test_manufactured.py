@@ -11,13 +11,11 @@ from formprobe.fields import (FormField, GridSpec, apply_R, apply_T,
 from formprobe.manufactured import (ManufacturedForm, gaussian_form,
                                     parity_symmetrized, random_band_limited,
                                     random_coclosed, random_dense_media,
-                                    random_dyadic, trig_catalog_entry,
-                                    _band_limited_spectrum, _random_trig)
+                                    random_dyadic, _band_limited_spectrum)
 from formprobe.halfspace import restrict_to_half, trace_tangential
 from formprobe.media import PolyRhoGauss, scalar_catalog
-from formprobe.spectral import (assemble_d, assemble_delta,
-                                coderivative_delta, embed_cube, exterior_d,
-                                gradient, partial_derivative)
+from formprobe.spectral import (cube_freq_fields, embed_cube, ifft_nodes,
+                                partial_derivative)
 
 
 def test_band_limited_random_is_deterministic_and_band_limited():
@@ -52,26 +50,6 @@ def test_band_limited_random_is_the_full_inverse_of_its_cube(real):
             full = numpy_inverse(embed_cube(cube, layout, kmax), layout)
             e = random_band_limited(g, q, 5 + q, real=real)
             assert e.data.tobytes() == full.tobytes()
-
-
-def test_trig_catalog_matches_stored_derivative():
-    g = GridSpec(2, 2.0, 32)
-    for idx in range(4):
-        entry = trig_catalog_entry(g, 1, idx)
-        e = entry.field()
-        for axis in (1, 2):
-            stored = entry.partial(axis).field()
-            spectral = partial_derivative(e, axis)
-            assert rel_gap(stored, spectral) <= 1e-12
-
-
-def test_manufactured_d_delta_match_spectral():
-    g = GridSpec(3, 2.0, 16)
-    entry = trig_catalog_entry(g, 1, 2)
-    e = entry.field()
-    parts = entry.partials()
-    assert rel_gap(assemble_d(parts), exterior_d(e)) <= 1e-12
-    assert rel_gap(assemble_delta(parts), coderivative_delta(e)) <= 1e-12
 
 
 def test_gaussian_form_partials_close_under_differentiation():
@@ -353,20 +331,48 @@ def test_random_coclosed_is_bitwise_the_full_route(dim, n):
             assert e.data.tobytes() == reference.tobytes(), (kmax, q)
 
 
+def _dense_cubes(g, seed, nc, kmax=2):
+    """The seeded index cubes of ``random_dense_media``, one per entry of
+    the upper triangle in row order: three modes k and their mirrors -k."""
+    rng = np.random.default_rng(seed)
+    cubes = []
+    for _ in range(nc * (nc + 1) // 2):
+        cube = np.zeros((2 * kmax + 1,) * g.dim, complex)
+        for _ in range(3):
+            k = np.array([rng.integers(-kmax, kmax + 1) for _ in range(g.dim)])
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            cube[tuple(kmax + k)] += c
+            cube[tuple(kmax - k)] += np.conj(c)
+        cubes.append(cube)
+    return cubes
+
+
 def test_random_dense_media_has_stored_exact_partials():
     g = GridSpec(2, 2.0, 16)
     eps = random_dense_media(g, 1, 3, amplitude=0.4)
-    # the entries' closed-form partials, rebuilt from the same seeded
-    # trigonometric polynomials in the same order
-    rng = np.random.default_rng(3)
     nc = eps.hat.shape[0]
-    exact = {}
-    for i in range(nc):
-        for j in range(i, nc):
-            poly = _random_trig(g, rng, 2, terms=3)
-            peak = np.abs(poly.eval(g).real).max()
-            exact[i, j] = exact[j, i] = [0.4 / nc * poly.partial(axis).eval(g).real
-                                         / peak for axis in (1, 2)]
+    half, kmax = g.half_box(), 2
+    xi = cube_freq_fields(half, kmax)
+    # (-1)^k per axis for the nodes x = -L + j h, n^(N/2) for the unitary
+    # transform
+    phases = np.multiply.outer(*[(-1.0) ** np.abs(np.arange(-kmax, kmax + 1))] * 2)
+    coords = g.coord_fields()
+    entries = [(i, j) for i in range(nc) for j in range(i, nc)]
+    for (i, j), cube in zip(entries, _dense_cubes(g, 3, nc)):
+        scale = 0.4 / nc / np.abs(cube).sum()
+        # the entry is the trigonometric polynomial its cube holds,
+        # summed mode by mode at the nodes
+        direct = sum(c * np.exp(1j * np.pi / g.half_length * (k1 * coords[0] + k2 * coords[1]))
+                     for (k1, k2), c in zip(np.argwhere(cube) - kmax, cube[cube != 0]))
+        assert np.abs(eps.hat[i, j] - scale * direct.real).max() <= 1e-15
+        spectrum = (g.points * phases * cube)[..., kmax:]
+        for axis in (1, 2):
+            # i xi times the seeded cube, through the pruned inverse: the
+            # stored partials are exact
+            exact = scale * ifft_nodes(1j * xi[axis - 1] * spectrum, half, kmax)
+            assert np.abs(eps.partial_array(axis)[i, j] - exact).max() <= 1e-12
+            assert np.array_equal(eps.partial_array(axis)[j, i],
+                                  eps.partial_array(axis)[i, j])
     for axis in (1, 2):
         spectral = eps.partial_array(axis)
         for i in range(nc):
@@ -376,6 +382,17 @@ def test_random_dense_media_has_stored_exact_partials():
                                           s=g.shape, axes=(0, 1), norm="ortho")
                 # one transform of the whole entry stack, bitwise per entry
                 assert np.array_equal(spectral[i, j], reference)
-                # entries are band-limited: the spectral partials are exact
-                assert np.abs(exact[i, j][axis - 1] - spectral[i, j]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_random_dense_media_is_one_function_on_every_grid(dim):
+    # normalised by a bound that no grid changes, the medium takes the same
+    # values at the nodes that n = 32 shares with n = 64
+    for rank in range(1, dim):
+        coarse = random_dense_media(GridSpec(dim, 3.0, 32), rank, 7, amplitude=0.9)
+        fine = random_dense_media(GridSpec(dim, 3.0, 64), rank, 7, amplitude=0.9)
+        shared = fine.hat[(slice(None),) * 2 + (slice(None, None, 2),) * dim]
+        assert np.abs(coarse.hat - shared).max() <= 1e-13
+        assert np.abs(coarse.hat).max() > 0.1
+
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import inverse_passes
-from formprobe.cli import main
+from formprobe import cli
+from formprobe.cli import build_parser, main
 from formprobe.fields import GridSpec, norm
-from formprobe.manufactured import gaussian_form, random_band_limited
+from formprobe.manufactured import gaussian_form
 from formprobe.media import make_transformation, scalar_catalog
 from formprobe import bridge as bridge_mod, probes
 from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sample,
@@ -17,7 +19,7 @@ from formprobe.probes import (IDENTITIES, PROBE_BOX_HALF_LENGTH, _interior_sampl
                               _reconstruction_residual,
                               estimate_probe_interior,
                               estimate_probe_weighted, halfspace_probe,
-                              run_identity_suite, validate_halfspace_member)
+                              run_identity_suite)
 from formprobe.spectral import fourier_inverse
 from formprobe.weights import (BOLD, DEFAULT_MAX_ORDER, ROMAN, NormSpec,
                                weighted_sobolev_norm)
@@ -211,11 +213,42 @@ def test_weight_checks_transform_each_norm_field_once(fft_calls):
     assert fft_calls.count("rfftn") == 14
 
 
-def test_halfspace_member_rejection():
-    g = GridSpec(2, 3.0, 16)
-    bad = random_band_limited(g, 1, 3)  # generic: nonzero trace
-    with pytest.raises(ValueError, match="trace"):
-        validate_halfspace_member(bad)
+def test_halfspace_member_rejection(monkeypatch, tmp_path):
+    # members with a tangential trace, patched in for this test, fail the
+    # flag: exit 1, not the rejected-arguments status 2
+    def traced_member(grid, rank, seed, **kwargs):
+        return gaussian_form(grid, rank, seed, **dict(kwargs, trace_free=False))
+
+    monkeypatch.setattr(probes, "gaussian_form", traced_member)
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--variant", "halfspace", "--dim", "2", "--grid", "16",
+                 "--ensemble", "1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["flags"]["traces_vanish"] is False
+    assert report["samples"][0]["trace_norm_rel"] > 1e-3
+
+
+def test_library_estimate_defaults_are_the_cli_defaults(monkeypatch):
+    # each probe's own defaults are the ones the CLI passes it
+    class Called(Exception):
+        pass
+
+    for variant, probe in (("interior", estimate_probe_interior),
+                           ("weighted", estimate_probe_weighted),
+                           ("halfspace", halfspace_probe)):
+        passed = {}
+
+        def capture(*args, _probe=probe):
+            passed.update(inspect.signature(_probe).bind(*args).arguments)
+            raise Called
+
+        monkeypatch.setattr(cli, probe.__name__, capture)
+        args = build_parser().parse_args(["estimate", "--variant", variant])
+        with pytest.raises(Called):
+            args.func(args)
+        defaults = inspect.signature(probe).parameters
+        for name in ("media", "ensemble", "seed", "grid_points"):
+            assert defaults[name].default == passed[name], (variant, name)
 
 
 def test_media_option_resolution():
